@@ -21,7 +21,7 @@ import numpy as np
 from . import lp, measures, plotting, sets
 from ._util import dumps
 from .convexify import ConvexTraceSpec, biconjugate, hat_positive, hat_signed
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, IterationLimitError, ValidationError
 from .generators import GENERATORS
 from .maxprinciple import bauer_verify, expose, genericity_experiment, multi_max_verify
 from .space import (
@@ -46,7 +46,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except (ConsistencyError, IterationLimitError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,11 +3,12 @@
 Two-phase primal simplex on the full tableau.  Pricing is Dantzig's most
 negative reduced cost with ratio ties broken toward the largest pivot
 element; a degeneracy stall switches to Bland's smallest-index anti-cycling
-rule until the objective moves again, and the tableau is refactorized from
-the basis periodically so pivot drift cannot accumulate.  General bounds
-are reduced internally to standard form ``min c.x, Ax = b, x >= 0``:
-shifted lower bounds, reflected upper bounds, free variables split into
-nonnegative pairs, doubly-bounded variables given an explicit range row.
+rule, restricted to well-sized pivots, until the objective moves again,
+and the tableau is refactorized from the basis periodically so pivot drift
+cannot accumulate.  General bounds are reduced internally to standard form
+``min c.x, Ax = b, x >= 0``: shifted lower bounds, reflected upper bounds,
+free variables split into nonnegative pairs, doubly-bounded variables given
+an explicit range row.
 
 The solver is a pure function of its input: identical inputs produce
 identical outputs, and instances may be solved concurrently.  Strict
@@ -198,6 +199,8 @@ def _refactor(A, b, basis, cost):
 
 _REFRESH_EVERY = 64
 _STALL_LIMIT = 32
+_BLAND_PIVOT_FRAC = 0.1
+_BLAND_EXACT_AFTER = 1024
 
 
 def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
@@ -206,8 +209,11 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
     Entering column by Dantzig pricing with ratio ties broken toward the
     largest pivot element; after a degenerate stall Bland's smallest-index
     rule takes over until the objective moves again, which rules out
-    cycling.  The tableau is refactorized from the basis periodically and
-    before any unbounded verdict, so drift cannot corrupt the outcome; an
+    cycling.  Its leaving row is chosen among the ratio ties whose pivot is
+    at least ``_BLAND_PIVOT_FRAC`` of the largest, and among all ties once
+    the stall outlasts ``_BLAND_EXACT_AFTER`` pivots.  The tableau is
+    refactorized from the basis periodically and before any unbounded
+    verdict, so drift cannot corrupt the outcome; an
     unbounded verdict additionally requires a descent rate clearly above
     reduced-cost noise, otherwise the state counts as optimal.
     """
@@ -242,6 +248,11 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
         best = float(ratios.min())
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
         if bland:
+            # a tiny pivot taken for its index alone grows the tableau until
+            # the basis is numerically singular; the unrestricted rule is
+            # kept for long stalls because only it is proven not to cycle
+            if stall < _BLAND_EXACT_AFTER:
+                ties = ties[col[ties] >= _BLAND_PIVOT_FRAC * col[ties].max()]
             leave = int(ties[np.argmin([basis[i] for i in ties])])
         else:
             leave = int(ties[np.argmax(col[ties])])
@@ -518,25 +529,26 @@ def _refined_basis_solution(B, b, cb):
     return xb, y, lambda: float(np.linalg.cond(Bs))
 
 
+def _violations(lp, x):
+    """Violation of each row relation and of each variable's bounds at ``x``.
+
+    Entries are <= 0 where the point satisfies the constraint.
+    """
+    d = lp.constraint_matrix @ x - lp.rhs
+    rel = np.array(lp.relations, dtype=str)
+    rows = np.where(rel == LE, d, np.where(rel == GE, -d, np.abs(d)))
+    bounds = np.maximum(lp.lower - x, x - lp.upper)
+    return rows, bounds
+
+
 def _check_primal(lp, x, feas_tol):
     """Per-row relative (backward-error) feasibility check of the point."""
-    worst = 0.0
-    if lp.n_rows:
-        r = lp.constraint_matrix @ x
-        mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
-        for i, rel in enumerate(lp.relations):
-            d = r[i] - lp.rhs[i]
-            viol = d if rel == LE else (-d if rel == GE else abs(d))
-            worst = max(worst, viol / mag[i])
-    xmag = 1.0 + np.abs(x)
-    lo = lp.lower
-    hi = lp.upper
-    fin_lo = np.isfinite(lo)
-    fin_hi = np.isfinite(hi)
-    if fin_lo.any():
-        worst = max(worst, np.max(((lo - x) / xmag)[fin_lo], initial=0.0))
-    if fin_hi.any():
-        worst = max(worst, np.max(((x - hi) / xmag)[fin_hi], initial=0.0))
+    rows, bounds = _violations(lp, x)
+    mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
+    worst = max(
+        np.max(rows / mag, initial=0.0),
+        np.max(bounds / (1.0 + np.abs(x)), initial=0.0),
+    )
     if worst > feas_tol:
         raise ConsistencyError(
             f"optimal point violates constraints by relative {worst:.3e}"
@@ -545,20 +557,8 @@ def _check_primal(lp, x, feas_tol):
 
 def residual(lp, x):
     """Worst constraint/bound violation of ``x`` (0 means feasible)."""
-    x = np.asarray(x, dtype=float)
-    r = lp.constraint_matrix @ x if lp.n_rows else np.zeros(0)
-    worst = 0.0
-    for i, rel in enumerate(lp.relations):
-        d = r[i] - lp.rhs[i]
-        if rel == LE:
-            worst = max(worst, d)
-        elif rel == GE:
-            worst = max(worst, -d)
-        else:
-            worst = max(worst, abs(d))
-    lo_viol = np.max(lp.lower - x, initial=0.0)
-    hi_viol = np.max(x - lp.upper, initial=0.0)
-    return float(max(worst, lo_viol, hi_viol))
+    rows, bounds = _violations(lp, np.asarray(x, dtype=float))
+    return float(max(np.max(rows, initial=0.0), np.max(bounds, initial=0.0)))
 
 
 def feasible(lp, feas_tol=FEAS_TOL, max_iter=MAX_ITER):

@@ -12,16 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .convexify import ConvexTraceSpec, realize_convex_trace
 from .errors import ConsistencyError, ValidationError
-from .measures import choquet_boundary, is_boundary
-from .sets import coefficient_scales
+from .measures import _self_mass, choquet_boundary
 from .space import PhiFunction, as_field, evaluate
 
 ARGMAX_TOL = 1e-9
 TIE_TOL = 1e-9
-EXPOSE_BOX = 1e3
 
 
 @dataclass(frozen=True)
@@ -127,53 +124,23 @@ def multi_max_verify(system, specs, tol=ARGMAX_TOL, boundary=None):
     return MultiMaxReport(common, b_common, hypothesis_void=False, ok=bool(b_common))
 
 
-def _expose_solve(system, x, box, margin):
-    """Witness search for a strict separator of column x, in row-equilibrated
-    coefficient coordinates; returns the unscaled coefficients or None."""
-    scales = coefficient_scales(system)
-    Beq = system.basis / scales[:, None]
-    rows = [Beq[:, x] - Beq[:, j] for j in range(system.n) if j != x]
-    if not rows:
-        return np.zeros(system.d)
-    A = np.vstack(rows)
-    prog = lp.LinearProgram.build(
-        np.zeros(system.d),
-        A,
-        [lp.GE] * len(rows),
-        np.full(len(rows), margin),
-        bounds=(-box, box),
-    )
-    point = lp.feasible(prog)
-    return None if point is None else point / scales
-
-
-def expose(system, xbar, box=EXPOSE_BOX, tol=ARGMAX_TOL):
+def expose(system, xbar, tol=ARGMAX_TOL):
     """A basis element whose unique maximizer over the space is ``xbar``.
 
-    Requires ``xbar`` to be a boundary point; on a finite space boundary,
-    vertex and exposed coincide, so the separating LP always succeeds.
+    Requires ``xbar`` to be a boundary point.  The dual (y, t) of its
+    self-mass LP is the exposing field B'y + t, with value 1 at ``xbar``
+    and at most 0 elsewhere; the constant t is carried into coefficients
+    through the constants-in-span vector that ``validate`` computes.
     """
     system.require_valid()
-    flag, mass = is_boundary(system, xbar)
-    if not flag:
+    cert = _self_mass(system, xbar)
+    if not cert.vertex:
         raise ValidationError(
             f"point {system.space.labels[xbar]!r} is not a boundary point "
-            f"(min self mass {mass:.3g}); only boundary points are exposed"
+            f"(min self mass {cert.mass:.3g}); only boundary points are exposed"
         )
-    point = None
-    for margin in (1.0, 1e-5):
-        # a vertex very close to the hull of the others admits only steep
-        # separators; lowering the required margin reaches them within the
-        # same coefficient box
-        point = _expose_solve(system, xbar, box, margin)
-        if point is not None:
-            break
-    if point is None:
-        raise ConsistencyError(
-            "no exposing functional found inside the coefficient box although "
-            "the point is a vertex"
-        )
-    phi = PhiFunction(point)
+    y, t = cert.exposing[:-1], cert.exposing[-1]
+    phi = PhiFunction(y + t * system.validate().constants_coeffs)
     amax = argmax_set(system, evaluate(system, phi), tol)
     if amax != (xbar,):
         raise ConsistencyError(f"exposing functional has argmax {amax}, expected {(xbar,)}")
@@ -194,24 +161,16 @@ def boundary_characterization(system, xbar, samples=64, seed=0, tol=ARGMAX_TOL):
     """Characterize ``xbar`` through maximizer sets of convex-trace fields.
 
     Boundary points admit an exposing functional, a convex-trace field
-    maximized at the point alone.  For non-boundary points the exposing LP
-    is infeasible and every sampled convex-trace field maximized at the
-    point is also maximized elsewhere; a singleton argmax at a non-vertex
-    would contradict convexity and raises.  The verdict is compared against
-    the representing-measure test and disagreement raises.
+    maximized at the point alone: the self-mass LP returns one, checked by
+    evaluation.  Otherwise it returns a checked representing measure off
+    the point, and every sampled convex-trace field maximized at the point
+    is also maximized elsewhere; a singleton argmax at a non-vertex would
+    contradict convexity and raises.
     """
     system.require_valid()
     if not 0 <= xbar < system.n:
         raise ValidationError(f"point index {xbar} out of range")
-    flag, _ = is_boundary(system, xbar)
-    exposed = False
-    for margin in (1.0, 1e-5):
-        if _expose_solve(system, xbar, EXPOSE_BOX, margin) is not None:
-            exposed = True
-            break
-    if exposed != flag:
-        raise ConsistencyError("exposing LP disagrees with the self-mass test")
-    if exposed:
+    if _self_mass(system, xbar).vertex:
         return True
     rng = np.random.default_rng(seed)
     for _ in range(samples):

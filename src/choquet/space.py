@@ -18,7 +18,7 @@ All types are immutable after construction and all operations are pure.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import ValidationError
 
 CONSTANTS_TOL = 1e-9
 SEPARATION_TOL = 1e-9
+_SEPARATION_BLOCK_CELLS = 1 << 20
 
 PROBABILITY = "probability"
 SIGNED = "signed"
@@ -72,6 +73,8 @@ class ValidationReport:
     constants_residual: float
     separation_ok: bool
     min_separation: float
+    # least-squares coefficients c with B'c ~ 1 (the constants in the span)
+    constants_coeffs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def ok(self):
@@ -130,18 +133,14 @@ class FunctionSystem:
         ones = np.ones(self.n)
         coef, *_ = np.linalg.lstsq(self.basis.T, ones, rcond=None)
         resid = float(np.max(np.abs(self.basis.T @ coef - ones)))
-        if self.n > 1:
-            diffs = self.basis[:, :, None] - self.basis[:, None, :]
-            dist = np.max(np.abs(diffs), axis=0)
-            dist[np.diag_indices(self.n)] = np.inf
-            min_sep = float(dist.min())
-        else:
-            min_sep = np.inf
+        min_sep = _min_separation(self.basis)
+        coef.setflags(write=False)
         report = ValidationReport(
             constants_ok=resid <= CONSTANTS_TOL,
             constants_residual=resid,
             separation_ok=min_sep > SEPARATION_TOL,
             min_separation=min_sep,
+            constants_coeffs=coef,
         )
         object.__setattr__(self, "_report", report)
         return report
@@ -160,6 +159,26 @@ class FunctionSystem:
                 )
             raise ValidationError("invalid function system: " + "; ".join(problems))
         return self
+
+
+def _min_separation(B):
+    """Least sup-distance between two distinct columns of B (inf if n = 1).
+
+    Each block of columns is compared with itself and every later column,
+    so each pair is seen once and no temporary exceeds about
+    ``_SEPARATION_BLOCK_CELLS`` entries.
+    """
+    d, n = B.shape
+    best = np.inf
+    step = max(1, _SEPARATION_BLOCK_CELLS // (d * n))
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n)
+        diff = B[:, start:, None] - B[:, None, start:stop]
+        dist = np.abs(diff, out=diff).max(axis=0)
+        # row i is column start + i, column k is column start + k
+        dist[np.arange(stop - start), np.arange(stop - start)] = np.inf
+        best = min(best, float(dist.min()))
+    return best
 
 
 @dataclass(frozen=True)

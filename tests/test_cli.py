@@ -246,8 +246,24 @@ def test_dump_lp_flag(tmp_path, capsys):
     code, _, _ = run_cli(["boundary", str(inst), "--dump-lp", str(dump)], capsys=capsys)
     assert code == 0
     lines = dump.read_text().splitlines()
-    assert len(lines) == 6  # two LPs per point
+    assert len(lines) == 3  # one self-mass LP per point
     assert all("status" in json.loads(ln) for ln in lines)
+
+
+def test_iteration_limit_is_a_verification_failure(tmp_path, capsys, monkeypatch):
+    from choquet import cli
+    from choquet.errors import IterationLimitError
+
+    def exhausted(system, *args, **kwargs):
+        raise IterationLimitError("simplex iteration limit 100000 reached")
+
+    inst = tmp_path / "nat.json"
+    run_cli(["gen", "naturals", "3", "-o", str(inst)], capsys=capsys)
+    monkeypatch.setattr(cli.measures, "choquet_boundary", exhausted)
+    code, out, err = run_cli(["boundary", str(inst)], capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "verification failure: simplex iteration limit 100000 reached\n"
 
 
 def test_strict_flag(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_iteration_limit_is_explicit():
         lp.solve(prog, max_iter=1)
 
 
+def test_restricted_bland_rule_cannot_cycle(monkeypatch):
+    # with a wider pivot filter Bland's rule cycles on this degenerate LP;
+    # the unrestricted rule that takes over after a long stall ends it
+    data = json.loads((Path(__file__).parent / "data" / "bland_cycle_lp.json").read_text())
+    prog = lp.LinearProgram.build(
+        data["objective"], data["matrix"], [lp.LE] * len(data["rhs"]), data["rhs"]
+    )
+    ref = linprog(prog.objective, A_ub=prog.constraint_matrix, b_ub=prog.rhs, method="highs")
+    monkeypatch.setattr(lp, "_BLAND_PIVOT_FRAC", 0.25)
+    assert lp.solve(prog, max_iter=5000).value == pytest.approx(ref.fun, abs=1e-9)
+    monkeypatch.setattr(lp, "_BLAND_EXACT_AFTER", 10**9)
+    with pytest.raises(IterationLimitError):
+        lp.solve(prog, max_iter=5000)
+
+
 def test_feasible_simplex_point():
     prog = lp.LinearProgram.build([0.0] * 3, [[1.0, 1.0, 1.0]], ["EQ"], [1.0])
     x = lp.feasible(prog)
@@ -93,6 +109,37 @@ def test_resubstitution_within_feas_tol():
         prog = _random_feasible_bounded(rng)
         out = lp.solve(prog)
         assert lp.residual(prog, out.point) <= 1e-9 * max(1.0, np.abs(prog.rhs).max())
+
+
+def test_residual_by_relation_and_bound():
+    prog = lp.LinearProgram.build(
+        [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]], [lp.LE, lp.GE, lp.EQ],
+        [1.0, 0.0, 0.5], bounds=[(-np.inf, np.inf), (0.0, 1.0)],
+    )
+    assert lp.residual(prog, [0.5, 0.5]) == 0.0
+    assert lp.residual(prog, [2.0, 0.5]) == pytest.approx(1.5)  # LE row
+    assert lp.residual(prog, [0.0, 0.5]) == pytest.approx(0.5)  # GE row
+    assert lp.residual(prog, [0.8, 0.2]) == pytest.approx(0.3)  # EQ row
+    assert lp.residual(prog, [2.5, 1.5]) == pytest.approx(3.0)  # LE row beats bound
+    assert lp.residual(lp.LinearProgram.build([1.0], bounds=(0.0, 1.0)), [-0.25]) == 0.25
+
+
+def _residual_by_row(prog, x):
+    """Row-by-row reference for ``lp.residual``."""
+    r = prog.constraint_matrix @ x
+    worst = 0.0
+    for i, rel in enumerate(prog.relations):
+        d = r[i] - prog.rhs[i]
+        worst = max(worst, d if rel == "LE" else -d if rel == "GE" else abs(d))
+    return max(worst, np.max(prog.lower - x, initial=0.0), np.max(x - prog.upper, initial=0.0))
+
+
+def test_residual_matches_row_loop():
+    rng = np.random.default_rng(78)
+    for _ in range(100):
+        prog = _random_feasible_bounded(rng)
+        x = rng.normal(size=prog.n_vars)
+        assert lp.residual(prog, x) == _residual_by_row(prog, x)
 
 
 def test_deterministic_outcomes():

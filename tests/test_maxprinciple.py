@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from choquet import lp, measures
 from choquet import maxprinciple as mp
-from choquet import measures
 from choquet.convexify import ConvexTraceSpec, realize_convex_trace
 from choquet.errors import ValidationError
 from choquet.generators import gen_disk, gen_interval_affine, gen_random
@@ -144,6 +144,30 @@ def test_boundary_characterization_agrees_random():
             assert mp.boundary_characterization(inst.system, x, seed=seed) == (
                 x in boundary
             )
+
+
+def test_boundary_characterization_ring_point():
+    # an exposing LP of its own exhausted the pivot budget on this point
+    system = gen_disk(n_circle=64, n_interior_rings=2, degree=8).system
+    assert mp.boundary_characterization(system, system.space.index("ring1_007")) is False
+
+
+def test_expose_solves_one_lp(monkeypatch):
+    system = gen_disk(n_circle=16, n_interior_rings=1, degree=3).system
+    system.require_valid()
+    calls = []
+    solve = lp.solve
+
+    def counted(prog, **kwargs):
+        calls.append(prog)
+        return solve(prog, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    for x in range(16):
+        phi = mp.expose(system, x)
+        vals = evaluate(system, phi)
+        assert vals[x] - np.delete(vals, x).max() == pytest.approx(1.0, abs=1e-9)
+    assert len(calls) == 16
 
 
 def test_genericity_zero_field(naturals4):

@@ -1,10 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from choquet import measures
-from choquet.errors import ValidationError
-from choquet.generators import gen_cantor, gen_interval_affine, gen_random
+from choquet import lp, measures
+from choquet._util import dumps
+from choquet.errors import ConsistencyError, ValidationError
+from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, pair
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_representing_measure_minimizing_self_mass(naturals4):
@@ -119,8 +125,79 @@ def test_boundary_vertex_agreement_random():
     for seed in range(25):
         n = 4 + seed % 8
         inst = gen_random(n, 2 + seed % 3, seed=seed)
-        report = measures.choquet_boundary(inst.system)  # raises on disagreement
+        report = measures.choquet_boundary(inst.system)  # raises on a failed witness
         assert report.boundary == inst.expected_boundary
+        oracle = [measures.is_vertex(inst.system, x) for x in range(n)]
+        assert report.is_boundary.tolist() == oracle
+        assert report.vertex.tolist() == oracle
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("naturals4", lambda: gen_naturals(4)),
+        ("interval101", lambda: gen_interval_affine(101)),
+        ("cantor2", lambda: gen_cantor(2)),
+        ("disk64_2_8", lambda: gen_disk(n_circle=64, n_interior_rings=2, degree=8)),
+    ],
+)
+def test_boundary_report_matches_golden(name, make):
+    system = make().system
+    text = dumps(measures.choquet_boundary(system).to_dict(system))
+    assert text == (GOLDEN / f"boundary_{name}.json").read_text(encoding="utf-8")
+
+
+def test_witnesses_check_by_evaluation(naturals4):
+    system = naturals4.system
+    B = system.basis
+    for x in range(system.n):
+        cert = measures._self_mass(system, x)
+        if cert.vertex:
+            y, t = cert.exposing[:-1], cert.exposing[-1]
+            phi = B.T @ y + t
+            assert phi[x] == pytest.approx(1.0, abs=1e-9)
+            assert np.delete(phi, x).max() <= 1e-9
+            assert cert.others is None
+        else:
+            assert cert.others[x] == 0.0 and cert.others.min() >= 0.0
+            assert cert.others.sum() == pytest.approx(1.0, abs=1e-12)
+            assert B @ cert.others == pytest.approx(B[:, x], abs=1e-9)
+
+
+def test_exposing_dual_on_degenerate_vertices():
+    # phase 2 of these self-mass LPs is one long degenerate stall; Bland's
+    # rule must not end it on a numerically singular basis, whose dual
+    # exposes nothing
+    system = gen_disk(n_circle=128, n_interior_rings=3, degree=12).system
+    for label in ("circ107", "circ108"):
+        x = system.space.index(label)
+        cert = measures._self_mass(system, x)
+        assert cert.vertex and cert.mass == pytest.approx(1.0, abs=1e-9)
+
+
+def _tampered_solve(monkeypatch, corrupt):
+    solve = lp.solve
+
+    def bad_solve(prog, *args, **kwargs):
+        return corrupt(solve(prog, *args, **kwargs))
+
+    monkeypatch.setattr(lp, "solve", bad_solve)
+
+
+def test_corrupted_dual_is_caught(naturals4, monkeypatch):
+    _tampered_solve(monkeypatch, lambda out: replace(out, dual_point=-out.dual_point))
+    with pytest.raises(ConsistencyError, match="does not expose"):
+        measures.choquet_boundary(naturals4.system)
+
+
+@pytest.mark.parametrize(
+    "point, message", [(np.full(4, 0.25), "misses it"), (np.eye(4)[1], "no mass off")]
+)
+def test_corrupted_measure_is_caught(naturals4, monkeypatch, point, message):
+    # point 1 (label "2") is interior, so its witness is the primal measure
+    _tampered_solve(monkeypatch, lambda out: replace(out, point=point))
+    with pytest.raises(ConsistencyError, match=message):
+        measures.min_self_mass(naturals4.system, 1)
 
 
 def test_key_interval_monotone_in_basis():

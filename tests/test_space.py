@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet.errors import ValidationError
+from choquet.generators import gen_disk
 from choquet.space import (
     FiniteSpace,
     FunctionSystem,
@@ -42,6 +43,36 @@ def test_validate_missing_constants_fail():
     rep = sys_nc.validate()
     assert not rep.constants_ok
     assert rep.separation_ok
+
+
+def _dense_min_separation(B):
+    n = B.shape[1]
+    if n == 1:
+        return np.inf
+    dist = np.max(np.abs(B[:, :, None] - B[:, None, :]), axis=0)
+    dist[np.diag_indices(n)] = np.inf
+    return float(dist.min())
+
+
+def test_chunked_separation_matches_dense(monkeypatch):
+    import choquet.space as space
+
+    rng = np.random.default_rng(3)
+    systems = [rng.normal(size=(rng.integers(1, 5), rng.integers(1, 30))) for _ in range(40)]
+    near = rng.normal(size=(3, 12))
+    near[:, 7] = near[:, 2] + 1e-12
+    systems.append(near)
+    disk = gen_disk(n_circle=64, n_interior_rings=2, degree=8).system.basis
+    for cells in (space._SEPARATION_BLOCK_CELLS, 50):  # one block, then many
+        monkeypatch.setattr(space, "_SEPARATION_BLOCK_CELLS", cells)
+        for B in systems + [disk]:
+            assert space._min_separation(B) == _dense_min_separation(B)
+
+
+def test_validate_keeps_constants_coefficients():
+    system = gen_disk(n_circle=16, n_interior_rings=1, degree=3).system
+    coef = system.validate().constants_coeffs
+    assert system.basis.T @ coef == pytest.approx(np.ones(system.n), abs=1e-9)
 
 
 def test_embed_naturals(naturals4):
