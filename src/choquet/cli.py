@@ -35,6 +35,16 @@ from .space import (
 
 STRICT_TOL = 1e-12
 
+# gen subcommand: each family's integer arguments, in the order its
+# generator takes them, with the default of each optional flag
+_GEN_ARGS = {
+    "naturals": [("n", None)],
+    "interval": [("n_grid", None)],
+    "cantor": [("level", None), ("--points-per-cell", 3)],
+    "disk": [("--n-circle", 64), ("--rings", 2), ("--degree", 8)],
+    "random": [("n", None), ("d", None), ("--seed", None)],
+}
+
 
 def main(argv=None):
     parser = _build_parser()
@@ -85,23 +95,14 @@ def _build_parser():
 
     p = sub.add_parser("gen", parents=[common], help="generate an instance")
     gsub = p.add_subparsers(dest="generator", required=True)
-    g = gsub.add_parser("naturals", parents=[common])
-    g.add_argument("n", type=int)
-    g = gsub.add_parser("interval", parents=[common])
-    g.add_argument("n_grid", type=int)
-    g = gsub.add_parser("cantor", parents=[common])
-    g.add_argument("level", type=int)
-    g.add_argument("--points-per-cell", type=int, default=3)
-    g = gsub.add_parser("disk", parents=[common])
-    g.add_argument("--n-circle", type=int, default=64)
-    g.add_argument("--rings", type=int, default=2)
-    g.add_argument("--degree", type=int, default=8)
-    g = gsub.add_parser("random", parents=[common])
-    g.add_argument("n", type=int)
-    g.add_argument("d", type=int)
-    g.add_argument("--seed", type=int, default=None)
-    for gp in gsub.choices.values():
-        gp.set_defaults(handler=_cmd_gen)
+    for name, arguments in _GEN_ARGS.items():
+        g = gsub.add_parser(name, parents=[common])
+        for flag, default in arguments:
+            if flag.startswith("-"):
+                g.add_argument(flag, type=int, default=default)
+            else:
+                g.add_argument(flag, type=int)
+        g.set_defaults(handler=_cmd_gen)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("boundary", parents=[common, inst, tol],
@@ -270,17 +271,11 @@ def _seed(args):
 
 
 def _cmd_gen(args):
-    name = args.generator
-    if name == "naturals":
-        inst = GENERATORS[name](args.n)
-    elif name == "interval":
-        inst = GENERATORS[name](args.n_grid)
-    elif name == "cantor":
-        inst = GENERATORS[name](args.level, args.points_per_cell)
-    elif name == "disk":
-        inst = GENERATORS[name](args.n_circle, args.rings, args.degree)
-    else:
-        inst = GENERATORS[name](args.n, args.d, _seed(args))
+    values = [
+        _seed(args) if flag == "--seed" else getattr(args, flag.lstrip("-").replace("-", "_"))
+        for flag, _ in _GEN_ARGS[args.generator]
+    ]
+    inst = GENERATORS[args.generator](*values)
     doc = system_to_dict(inst.system, expected=inst.expected_dict())
     return _write(args, dumps(doc))
 
@@ -395,9 +390,9 @@ def _cmd_convexify(args):
     tol = _classification_tol(args, 1e-7)
     if args.alpha <= 0:
         raise ValidationError("--alpha must be positive")
-    fxx = biconjugate(system, f, threads=args.threads)
-    hpos = hat_positive(system, f, threads=args.threads)
-    hsig = hat_signed(system, f, alpha=args.alpha, threads=args.threads)
+    fxx = biconjugate(system, f)
+    hpos = hat_positive(system, f)
+    hsig = hat_signed(system, f, alpha=args.alpha)
     doc = {
         "field": [float(v) for v in f],
         "biconjugate": [float(v) for v in fxx],
@@ -415,7 +410,7 @@ def _cmd_check_convex(args):
     system = _load_system(args).require_valid()
     f = _load_field(system, args.field)
     tol = _classification_tol(args, 1e-7)
-    fxx = biconjugate(system, f, threads=args.threads)
+    fxx = biconjugate(system, f)
     gap = float(np.max(f - fxx))
     doc = {"is_choquet_convex": gap <= tol, "max_gap": gap, "tolerance": tol}
     return _write(args, dumps(doc))

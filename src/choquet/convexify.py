@@ -3,22 +3,44 @@
 The conjugate of a field f at a basis element phi is max_j (phi_j - f_j);
 the biconjugate f** is the pointwise largest basis combination below f:
 
-    f**(x) = max { phi(x) : phi in span(B), phi <= f }      (one LP per point)
+    f**(x) = max { phi(x) : phi in span(B), phi <= f }
 
-f** is the canonical convexification: f is Choquet convex exactly when
-f == f**, and by LP duality f**(x) equals the lower end of the key
-interval of f at x (the measure-side route; see ``measures.key_interval``).
+f** is the lower envelope of f over the span and the canonical
+convexification: f is Choquet convex exactly when f == f**.  By LP duality
+f**(x) is also the least pairing <mu, f> over the representing measures
+mu of x, the lower end of the key interval (``measures.key_interval``).
 
-Two variants of the inf-over-equivalence-class convexification are shipped.
-``hat_positive`` restricts the class of the Dirac mass at x to probability
-measures, which is exactly the representing-measure polytope, so it agrees
-with the biconjugate; it is computed through the measure-side LP and serves
-as the default.  ``hat_signed`` takes the class over signed measures,
-constrained to the closed strip  min f - alpha <= <nu, f> <= max f + alpha.
-On a finite space this collapses to the constant min f - alpha whenever f
-lies outside the row span of B (the pairing is unbounded below on the
-affine set), and to f itself otherwise; it is kept as a diagnostic and its
-gap against ``hat_positive`` is surfaced in reports.
+``biconjugate`` sweeps the envelope facet by facet, so it solves one LP
+per facet it reaches rather than one per point.  At a point x that no
+earlier facet certifies, the LP above returns two witnesses, each
+checked by direct evaluation that does not trust the simplex engine:
+
+* a minorant phi = B'c + min f, lowered by its largest excess over f so
+  that phi <= f holds; phi(x) is a lower bound on f**(x);
+* a representing measure mu of x from the dual, checked by B mu = B e_x
+  within relative 1e-9; <mu, f> is an upper bound on f**(x).
+
+The two bounds must agree within 1e-7 (1 + max |f|); otherwise, or when
+mu misses x, ConsistencyError is raised.  Before it is stored, phi is
+moved within the LP's optimal face toward the uncertified points until it
+touches as many of them as a vertex of that face allows.  One facet then
+certifies further points with no LP:
+
+* every point j where phi touches f takes min(phi_j, f_j), bracketed by
+  phi_j and the Dirac mass's f_j;
+* a point j in the convex hull of the touched points of the facet with
+  the largest phi(j) takes phi(j): the nonnegative least-squares weights
+  that reproduce column j are its representing measure, checked like mu.
+
+``hat_positive`` takes the inf-over-equivalence-class convexification
+over probability measures.  The probability measures equivalent to the
+Dirac mass at x are the representing measures of x, so it is the
+biconjugate.  ``hat_signed`` takes the class over signed measures nu,
+constrained to the closed strip min f - alpha <= <nu, f> <= max f + alpha.
+If f lies in the row span of B, the pairing is f(x) on every signed
+representation of x, so the value is f itself.  Otherwise the pairing is
+unbounded below on that affine set, and the value is the constant
+min f - alpha.  ``hat_signed`` returns this closed form directly.
 """
 
 from dataclasses import dataclass
@@ -26,11 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from ._util import pmap
 from .errors import ConsistencyError, ValidationError
+from .measures import CERT_TOL, representation_error
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
+# the lower (minorant) and upper (measure) bounds of a value must agree
+# within this, relative to 1 + max |f|
+AGREE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,34 +117,135 @@ def phi_conjugate(system, f, phi):
     return float(np.max(vals - f))
 
 
-def _biconjugate_at(system, f, x, offset):
-    # maximize phi(x) over coefficients with phi <= f pointwise; row x of the
-    # constraint already caps the value at f(x), so the LP is bounded.  The
-    # field is pre-shifted by its minimum (constants lie in the span, so the
-    # optimum just shifts back), which keeps the rhs nonnegative and lets the
-    # solver start from the slack basis.
+def _facet(system, f, x, low, scale, free):
+    """Solve the envelope LP at x and return its certified minorant.
+
+    The LP maximizes phi(x) over coefficients c with B'c <= f - low; row x
+    caps the value at f(x), so it is bounded, and the shift by the minimum
+    keeps the rhs nonnegative so the solver starts from the slack basis.
+    Its dual gives a representing measure mu of x, its point the minorant
+    phi = B'c + low after ``_lift`` has moved c toward the points in
+    ``free``.  phi is lowered by its largest excess over f (the engine's
+    point is only feasible within its tolerance), and phi(x) must then
+    agree with <mu, f>.
+    """
     B = system.basis
+    label = system.space.labels[x]
     prog = lp.LinearProgram.build(
-        -B[:, x],
-        B.T,
-        [lp.LE] * system.n,
-        f - offset,
-        bounds=(-np.inf, np.inf),
+        -B[:, x], B.T, [lp.LE] * system.n, f - low, bounds=(-np.inf, np.inf)
     )
     out = lp.solve(prog)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(f"biconjugate LP reported {out.status}; engine bug")
-    return offset - float(out.value)
+    mu = np.maximum(-out.dual_point, 0.0)
+    miss = representation_error(B, mu, B[:, x])
+    if miss > CERT_TOL:
+        raise ConsistencyError(
+            f"biconjugate dual at point {label!r} misses it by relative {miss:.3e}"
+        )
+    c = out.point
+    phi = _lift(B, f - low - B.T @ c, c, x, free, CERT_TOL * scale) + low
+    phi -= max(0.0, float(np.max(phi - f)))
+    upper = float(mu @ f)
+    if abs(upper - phi[x]) > AGREE_TOL * scale:
+        raise ConsistencyError(
+            f"biconjugate bounds at point {label!r} disagree: "
+            f"minorant {phi[x]:.12g}, measure {upper:.12g}"
+        )
+    return phi
 
 
-def biconjugate(system, f, threads=1):
-    """Pointwise largest minorant of f within the span of the basis."""
+def _lift(B, slack, c, x, free, tol):
+    """B'c after moving c within the optimal face toward the free points.
+
+    The optimal face is the set of c with phi(x) at its optimum and
+    phi <= f, so c may move along any direction orthogonal to column x and
+    to the columns where phi already touches f (slack at most ``tol``).  Each step follows the projection
+    of the gradient of the sum of phi over ``free`` until a further point
+    is touched, then adds that column to the orthonormal span it must
+    stay orthogonal to.  At most d steps; the minorant then touches a
+    larger set, often a whole facet, which certifies more points.
+    """
+    d = B.shape[0]
+    u, sv, _ = np.linalg.svd(B[:, (slack <= tol) | (np.arange(B.shape[1]) == x)],
+                             full_matrices=False)
+    Q = u[:, sv > 1e-10 * sv[0]]
+    grad = B[:, free].sum(axis=1)
+    norms = np.linalg.norm(B, axis=0)
+    while Q.shape[1] < d:
+        delta = grad - Q @ (Q.T @ grad)
+        delta -= Q @ (Q.T @ delta)  # a second pass keeps delta orthogonal
+        size = np.linalg.norm(delta)
+        if size <= 1e-12 * (1.0 + np.linalg.norm(grad)):
+            break
+        rate = B.T @ delta
+        up = rate > 1e-9 * size * norms
+        if not up.any():
+            break
+        steps = np.maximum(slack[up], 0.0) / rate[up]
+        k = int(np.argmin(steps))
+        j = np.flatnonzero(up)[k]
+        c = c + steps[k] * delta
+        slack = slack - steps[k] * rate
+        w = B[:, j] - Q @ (Q.T @ B[:, j])
+        w -= Q @ (Q.T @ w)
+        Q = np.column_stack([Q, w / np.linalg.norm(w)])
+    return B.T @ c
+
+
+def _cone_value(A, f, facets, j, scale):
+    """phi(j) of the best stored facet when its touched points represent j.
+
+    ``A`` is the basis with the ones row appended.  The facet with the
+    largest value at j is the only candidate; a nonnegative least-squares
+    combination of its touched columns that reproduces column j is a
+    representing measure, so <mu, f> bounds f**(j) from above while the
+    minorant bounds it from below.  Returns None when either check fails.
+    """
+    phi, touched = max(facets, key=lambda facet: facet[0][j])
+    At = A[:, touched]
+    mu = np.maximum(np.linalg.lstsq(At, A[:, j], rcond=None)[0], 0.0)
+    if representation_error(At, mu, A[:, j]) > CERT_TOL:
+        return None
+    if abs(float(mu @ f[touched]) - phi[j]) > AGREE_TOL * scale:
+        return None
+    return phi[j]
+
+
+def biconjugate(system, f):
+    """Pointwise largest minorant of f within the span of the basis.
+
+    A facet sweep: one checked LP per envelope facet reached, whose
+    minorant then certifies every point it touches and every point in the
+    convex hull of those (see the module docstring).
+    """
     system.require_valid()
     f = as_field(system, f)
-    m = float(f.min())
-    return np.array(
-        pmap(lambda x: _biconjugate_at(system, f, x, m), range(system.n), threads)
-    )
+    low = float(f.min())
+    scale = 1.0 + float(np.abs(f).max())
+    A = np.vstack([system.basis, np.ones((1, system.n))])
+    value = np.empty(system.n)
+    done = np.zeros(system.n, dtype=bool)
+    facets = []
+    for x in range(system.n):
+        if done[x]:
+            continue
+        if facets:
+            v = _cone_value(A, f, facets, x, scale)
+            if v is not None:
+                value[x] = v
+                done[x] = True
+                continue
+        phi = _facet(system, f, x, low, scale, ~done)
+        touched = np.flatnonzero(f - phi <= CERT_TOL * scale)
+        fresh = touched[~done[touched]]
+        value[fresh] = np.minimum(phi[fresh], f[fresh])
+        done[fresh] = True
+        if not done[x]:
+            value[x] = phi[x]
+            done[x] = True
+        facets.append((phi, touched))
+    return value
 
 
 def convexity_gap(system, f):
@@ -133,48 +259,32 @@ def is_choquet_convex(system, f, tol=CONVEX_TOL):
     return convexity_gap(system, f) <= tol
 
 
-def hat_positive(system, f, threads=1):
+def hat_positive(system, f):
     """Probability-measure convexification; equals the biconjugate.
 
-    Computed through the measure-side LP (minimize the pairing over the
-    representing polytope) so it stays an independent route from
-    ``biconjugate``; the two agree within LP duality noise.
+    The probability measures equivalent to the Dirac mass at x are the
+    representing measures of x, so this is the lower end of the key
+    interval, which LP duality makes the biconjugate.  Every value already
+    carries both certificates from ``biconjugate``.
     """
-    from .measures import _mx_program  # local import to avoid a cycle
-
-    system.require_valid()
-    f = as_field(system, f)
-
-    def at(x):
-        out = lp.solve(_mx_program(system, x, f))
-        if out.status != lp.OPTIMAL:
-            raise ConsistencyError("convexification LP infeasible; engine bug")
-        return float(out.value)
-
-    return np.array(pmap(at, range(system.n), threads))
+    return biconjugate(system, f)
 
 
-def hat_signed(system, f, alpha=1.0, threads=1):
-    """Signed-measure convexification over the closed pairing strip."""
+def hat_signed(system, f, alpha=1.0):
+    """Signed-measure convexification over the closed pairing strip.
+
+    f itself when f lies in the row span of B (least-squares residual at
+    most ``CERT_TOL`` relative), the constant min f - alpha otherwise.
+    """
     system.require_valid()
     f = as_field(system, f)
     if alpha <= 0:
         raise ValidationError("strip width alpha must be positive")
     B = system.basis
-    strip_lo = float(f.min()) - alpha
-    strip_hi = float(f.max()) + alpha
-    A = np.vstack([B, f[None, :], f[None, :]])
-    rels = [lp.EQ] * system.d + [lp.GE, lp.LE]
-
-    def at(x):
-        rhs = np.concatenate([B[:, x], [strip_lo, strip_hi]])
-        prog = lp.LinearProgram.build(f, A, rels, rhs, bounds=(-np.inf, np.inf))
-        out = lp.solve(prog)
-        if out.status != lp.OPTIMAL:
-            raise ConsistencyError(f"signed convexification LP reported {out.status}")
-        return float(out.value)
-
-    return np.array(pmap(at, range(system.n), threads))
+    coef = np.linalg.lstsq(B.T, f, rcond=None)[0]
+    if np.abs(B.T @ coef - f).max() <= CERT_TOL * (1.0 + np.abs(f).max()):
+        return f.copy()
+    return np.full(system.n, float(f.min()) - alpha)
 
 
 def sup_family(system, fields, tol=CONVEX_TOL):

@@ -286,66 +286,47 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
 def _standardize(lp):
     """Rewrite ``lp`` as min c.y, Ay = b (b >= 0), y >= 0.
 
-    Returns (A, b, c, const, col_map, shift, row_factor, n_orig_rows,
-    slack_of_row).  ``col_map[k] = (j, sign)`` reconstructs
-    x_j = shift_j + sum sign * y_k; ``row_factor`` is the combined
-    sign/equilibration factor per row (standard-form duals map back via
-    y_i = row_factor_i * y_std_i); ``slack_of_row[i]`` is the slack column
-    of row i (or -1 for an equality row).
+    Returns (A, b, c, const, col_of, sign_of, shift, row_factor,
+    n_orig_rows, slack_of_row).  Standard column k carries original
+    variable ``col_of[k]`` with sign ``sign_of[k]``, so that
+    x_j = shift_j + sum over k with col_of[k] = j of sign_of[k] * y_k;
+    ``row_factor`` is the combined sign/equilibration factor per row
+    (standard-form duals map back via y_i = row_factor_i * y_std_i);
+    ``slack_of_row[i]`` is the slack column of row i (or -1 for an
+    equality row).
     """
     A0, b0, c0 = lp.constraint_matrix, lp.rhs, lp.objective
     m, n = A0.shape
-    col_map = []
-    col_vectors = []
-    cvals = []
-    shift = np.zeros(n)
-    range_rows = []  # (std column, width) for doubly bounded variables
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        aj = A0[:, j]
-        if np.isinf(lo) and np.isinf(hi):
-            col_map.append((j, 1.0))
-            col_vectors.append(aj)
-            cvals.append(c0[j])
-            col_map.append((j, -1.0))
-            col_vectors.append(-aj)
-            cvals.append(-c0[j])
-        elif np.isinf(hi):
-            shift[j] = lo
-            col_map.append((j, 1.0))
-            col_vectors.append(aj)
-            cvals.append(c0[j])
-        elif np.isinf(lo):
-            shift[j] = hi
-            col_map.append((j, -1.0))
-            col_vectors.append(-aj)
-            cvals.append(-c0[j])
-        else:
-            shift[j] = lo
-            col_map.append((j, 1.0))
-            col_vectors.append(aj)
-            cvals.append(c0[j])
-            range_rows.append((len(col_map) - 1, hi - lo))
+    lo, hi = lp.lower, lp.upper
+    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+    free = lo_inf & hi_inf
+    ranged = ~lo_inf & ~hi_inf
+    # a free variable splits into a (+, -) pair of columns; an upper-only
+    # one is reflected; every other one is shifted by its lower bound
+    reps = np.where(free, 2, 1)
+    first = np.cumsum(reps) - reps
+    col_of = np.repeat(np.arange(n), reps)
+    k = col_of.shape[0]
+    sign_of = np.ones(k)
+    sign_of[first[free] + 1] = -1.0
+    sign_of[first[lo_inf & ~hi_inf]] = -1.0
+    shift = np.where(lo_inf, np.where(hi_inf, 0.0, hi), lo)
+    range_cols = first[ranged]
+    n_range = range_cols.shape[0]
 
-    k = len(col_map)
-    A = np.empty((m + len(range_rows), k))
-    A[:m] = np.column_stack(col_vectors) if k else np.zeros((m, 0))
-    b = np.concatenate([b0 - A0 @ shift, [w for _, w in range_rows]])
-    rels = list(lp.relations) + [LE] * len(range_rows)
-    for i, (col, _) in enumerate(range_rows):
-        A[m + i] = 0.0
-        A[m + i, col] = 1.0
+    A = np.zeros((m + n_range, k))
+    A[:m] = A0[:, col_of] * sign_of
+    A[m + np.arange(n_range), range_cols] = 1.0
+    b = np.concatenate([b0 - A0 @ shift, (hi - lo)[ranged]])
+    rels = np.array(list(lp.relations) + [LE] * n_range, dtype=str)
 
     # Row equilibration: every row is scaled by its coefficient magnitude;
     # rows that will need an artificial variable (equalities, and
     # inequalities violated at y = 0) additionally count their rhs, so the
     # phase-1 infeasibility measure is relative per row.  Slack-started rows
     # never carry artificial mass and keep their natural coefficient scale.
-    needs_artificial = np.array(
-        [
-            r == EQ or (r == LE and b[i] < 0) or (r == GE and b[i] >= 0)
-            for i, r in enumerate(rels)
-        ]
+    needs_artificial = (
+        (rels == EQ) | ((rels == LE) & (b < 0)) | ((rels == GE) & (b >= 0))
     )
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     row_scale = np.maximum(row_scale, np.where(needs_artificial, np.abs(b), 0.0))
@@ -354,26 +335,20 @@ def _standardize(lp):
     b = b / row_scale
 
     # slack / surplus columns turn every row into an equality
-    slack_cols = []
+    slack_rows = np.flatnonzero(rels != EQ)
+    n_slack = slack_rows.shape[0]
     slack_of_row = np.full(A.shape[0], -1, dtype=int)
-    for i, r in enumerate(rels):
-        if r == LE:
-            slack_of_row[i] = k + len(slack_cols)
-            slack_cols.append((i, 1.0))
-        elif r == GE:
-            slack_of_row[i] = k + len(slack_cols)
-            slack_cols.append((i, -1.0))
-    S = np.zeros((A.shape[0], len(slack_cols)))
-    for p, (i, s) in enumerate(slack_cols):
-        S[i, p] = s
+    slack_of_row[slack_rows] = k + np.arange(n_slack)
+    S = np.zeros((A.shape[0], n_slack))
+    S[slack_rows, np.arange(n_slack)] = np.where(rels[slack_rows] == LE, 1.0, -1.0)
     A = np.hstack([A, S])
-    c = np.concatenate([np.asarray(cvals, dtype=float), np.zeros(len(slack_cols))])
+    c = np.concatenate([c0[col_of] * sign_of, np.zeros(n_slack)])
 
     signs = np.where(b < 0, -1.0, 1.0)
     A *= signs[:, None]
     b = b * signs
     const = float(c0 @ shift)
-    return A, b, c, const, col_map, shift, signs / row_scale, m, slack_of_row
+    return A, b, c, const, col_of, sign_of, shift, signs / row_scale, m, slack_of_row
 
 
 def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
@@ -397,28 +372,22 @@ def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
 
 
 def _solve_inner(lp, feas_tol, gap_tol, max_iter):
-    A, b, c, const, col_map, shift, signs, m_orig, slack_of_row = _standardize(lp)
+    A, b, c, const, col_of, sign_of, shift, signs, m_orig, slack_of_row = _standardize(lp)
     nrows, ncols = A.shape
 
     # Phase 1: slacks with coefficient +1 start basic (their rows are already
     # satisfied since b >= 0); the remaining rows get artificial columns.
-    need_art = [
-        i for i in range(nrows)
-        if slack_of_row[i] < 0 or A[i, slack_of_row[i]] != 1.0
-    ]
+    slack_rows = np.flatnonzero(slack_of_row >= 0)
+    need = np.ones(nrows, dtype=bool)
+    need[slack_rows] = A[slack_rows, slack_of_row[slack_rows]] != 1.0
+    need_art = np.flatnonzero(need)
+    nart = need_art.shape[0]
     # only artificial rows can carry phase-1 mass; their rhs sets the scale
     # of the infeasibility verdict
-    bscale = max(1.0, float(np.abs(b[need_art]).max())) if need_art else 1.0
-    nart = len(need_art)
-    art_rows = set(need_art)
+    bscale = max(1.0, float(np.abs(b[need_art]).max())) if nart else 1.0
     art = np.zeros((nrows, nart))
-    basis = [0] * nrows
-    for p, i in enumerate(need_art):
-        art[i, p] = 1.0
-        basis[i] = ncols + p
-    for i in range(nrows):
-        if i not in art_rows:
-            basis[i] = int(slack_of_row[i])
+    art[need_art, np.arange(nart)] = 1.0
+    basis = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row).tolist()
     A1 = np.hstack([A, art])
     T = np.hstack([A1, b[:, None]])
     cost1 = np.concatenate([np.zeros(ncols), np.ones(nart)])
@@ -484,8 +453,7 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
         dual = np.zeros(0)
         cond_of = None
     x = shift.copy()
-    for k, (j, s) in enumerate(col_map):
-        x[j] += s * y_std[k]
+    np.add.at(x, col_of, sign_of * y_std[: col_of.shape[0]])
     primal_std = float(c @ y_std)
     dual_std = float(dual @ b_kept) if basis else 0.0
     scale = max(1.0, abs(primal_std))

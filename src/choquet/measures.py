@@ -80,6 +80,13 @@ class BoundaryReport:
         }
 
 
+def representation_error(A, mu, target):
+    """Worst relative (backward-error) miss of ``A @ mu`` against ``target``."""
+    gap = np.abs(A @ mu - target)
+    scale = 1.0 + np.abs(A) @ np.abs(mu) + np.abs(target)
+    return float(np.max(gap / scale))
+
+
 def _check_point(system, x):
     if not 0 <= x < system.n:
         raise ValidationError(f"point index {x} out of range [0, {system.n})")
@@ -167,9 +174,7 @@ def _self_mass(system, x, tol=BOUNDARY_TOL):
     if not rest > 0.0:
         raise ConsistencyError(f"self-mass LP left no mass off point {label!r}")
     mu /= rest
-    gap = np.abs(B @ mu - B[:, x])
-    scale = 1.0 + np.abs(B) @ mu + np.abs(B[:, x])
-    worst = float(np.max(gap / scale))
+    worst = representation_error(B, mu, B[:, x])
     if worst > CERT_TOL:
         raise ConsistencyError(
             f"representing measure of point {label!r} off the other points "

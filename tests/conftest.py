@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from choquet import lp, measures
 from choquet.generators import gen_disk, gen_interval_affine, gen_naturals
 
 
@@ -40,3 +41,52 @@ def lower_convex_envelope_1d(q, f):
                 t = (q[i] - q[a]) / (q[b] - q[a])
                 env[i] = min(env[i], (1 - t) * f[a] + t * f[b])
     return env
+
+
+def biconjugate_lp(system, f):
+    """Per-point envelope LP, the route ``biconjugate`` took before its sweep.
+
+    At every point x: maximize phi(x) over coefficients with B'c <= f.
+    """
+    B = system.basis
+    low = float(np.min(f))
+    out = []
+    for x in range(system.n):
+        prog = lp.LinearProgram.build(
+            -B[:, x], B.T, [lp.LE] * system.n, f - low, bounds=(-np.inf, np.inf)
+        )
+        res = lp.solve(prog)
+        assert res.status == lp.OPTIMAL
+        out.append(low - res.value)
+    return np.array(out)
+
+
+def hat_positive_lp(system, f):
+    """Measure-side route: the least pairing <mu, f> over representing measures."""
+    out = []
+    for x in range(system.n):
+        res = lp.solve(measures._mx_program(system, x, f))
+        assert res.status == lp.OPTIMAL
+        out.append(res.value)
+    return np.array(out)
+
+
+def hat_signed_lp(system, f, alpha):
+    """Signed convexification by one strip LP per point.
+
+    Minimize <nu, f> over signed nu with B nu = B e_x and
+    min f - alpha <= <nu, f> <= max f + alpha.
+    """
+    B = system.basis
+    A = np.vstack([B, f[None, :], f[None, :]])
+    rels = [lp.EQ] * system.d + [lp.GE, lp.LE]
+    strip = [float(f.min()) - alpha, float(f.max()) + alpha]
+    out = []
+    for x in range(system.n):
+        prog = lp.LinearProgram.build(
+            f, A, rels, np.concatenate([B[:, x], strip]), bounds=(-np.inf, np.inf)
+        )
+        res = lp.solve(prog)
+        assert res.status == lp.OPTIMAL
+        out.append(res.value)
+    return np.array(out)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,24 @@ def test_gen_boundary_pipe(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["boundary"] == ["1", "4"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("naturals", ["naturals", "5"]),
+        ("interval", ["interval", "7"]),
+        ("cantor", ["cantor", "1", "--points-per-cell", "2"]),
+        ("disk", ["disk", "--n-circle", "8", "--rings", "1", "--degree", "2"]),
+        ("random", ["random", "6", "3", "--seed", "4"]),
+    ],
+)
+def test_gen_output_matches_golden(name, argv, capsys, monkeypatch):
+    monkeypatch.delenv("CHOQUET_SEED", raising=False)
+    code, out, _ = run_cli(["gen", *argv], capsys=capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"gen_{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_gen_writes_expected_block(tmp_path, capsys):

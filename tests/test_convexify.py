@@ -1,11 +1,51 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from choquet import convexify, measures
+from choquet import convexify, lp, measures
 from choquet.convexify import ConvexTraceSpec
-from choquet.errors import ValidationError
-from choquet.generators import gen_interval_affine, gen_random
-from conftest import lower_convex_envelope_1d
+from choquet.errors import ConsistencyError, ValidationError
+from choquet.generators import (
+    gen_cantor,
+    gen_disk,
+    gen_interval_affine,
+    gen_naturals,
+    gen_random,
+)
+from conftest import (
+    biconjugate_lp,
+    hat_positive_lp,
+    hat_signed_lp,
+    lower_convex_envelope_1d,
+)
+
+
+def _convex_field(rng, system, pieces=4):
+    """Max of random affine functionals of the embedded points."""
+    vals = [system.basis.T @ rng.normal(size=system.d) + rng.normal() for _ in range(pieces)]
+    return np.max(vals, axis=0)
+
+
+def _random_systems(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(4, 13))
+        out.append(gen_random(n, min(int(rng.integers(2, 5)), n), seed=seed + i).system)
+    return out
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    solve = lp.solve
+
+    def counting(prog, *args, **kwargs):
+        calls.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
 
 
 def test_phi_conjugate_examples(naturals4):
@@ -67,6 +107,87 @@ def test_hat_positive_equals_biconjugate(naturals4):
         a = convexify.hat_positive(naturals4.system, f)
         b = convexify.biconjugate(naturals4.system, f)
         assert a == pytest.approx(b, abs=1e-7)
+        assert a == pytest.approx(hat_positive_lp(naturals4.system, f), abs=1e-9)
+
+
+def test_sweep_matches_per_point_lp_oracles():
+    systems = [
+        gen_naturals(4).system,
+        gen_cantor(3).system,
+        gen_disk(32, 1, 8).system,
+        gen_interval_affine(60).system,
+    ] + _random_systems(20, 50_000)
+    rng = np.random.default_rng(2024)
+    for system in systems:
+        f = _convex_field(rng, system)
+        fields = {
+            "convex": f,
+            "noisy": f + rng.uniform(0.05, 0.25, size=system.n),
+            "basis": system.basis.T @ rng.normal(size=system.d),
+        }
+        for name, g in fields.items():
+            got = convexify.biconjugate(system, g)
+            tol = 1e-9 * (1.0 + np.abs(g).max())
+            assert np.abs(got - biconjugate_lp(system, g)).max() <= tol, name
+            assert np.abs(got - hat_positive_lp(system, g)).max() <= tol, name
+            if name != "noisy":
+                assert np.abs(got - g).max() <= tol, name
+
+
+def test_noisy_interval_takes_one_lp_per_envelope_edge(monkeypatch):
+    # the envelope of a noisy field on a grid is the lower hull of its
+    # graph; the sweep solves one LP per hull edge it reaches, and the cone
+    # rule certifies every grid point between the edge's endpoints
+    system = gen_interval_affine(200).system
+    q = system.basis[1]
+    calls = _count_lps(monkeypatch)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        f = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
+        hull = _lower_hull(q, f)
+        calls.clear()
+        got = convexify.biconjugate(system, f)
+        assert len(calls) <= len(hull) - 1
+        assert got == pytest.approx(np.interp(q, q[hull], f[hull]), abs=1e-9)
+
+
+def _lower_hull(q, f):
+    """Vertices of the lower convex hull of the points (q_j, f_j), by q."""
+    hull = []
+    for j in np.argsort(q, kind="stable"):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (q[b] - q[a]) * (f[j] - f[a]) - (f[b] - f[a]) * (q[j] - q[a]) > 0:
+                break
+            hull.pop()
+        hull.append(j)
+    return np.array(hull)
+
+
+def test_convex_field_on_cantor_takes_fewer_lps_than_points(monkeypatch):
+    system = gen_cantor(3).system
+    calls = _count_lps(monkeypatch)
+    for seed in range(10):
+        f = _convex_field(np.random.default_rng(seed), system)
+        calls.clear()
+        assert convexify.is_choquet_convex(system, f)
+        assert len(calls) < system.n
+
+
+@pytest.mark.parametrize("field", ["point", "dual_point"])
+def test_corrupted_envelope_witness_raises(monkeypatch, field):
+    system = gen_interval_affine(21).system
+    t = np.linspace(0, 1, 21)
+    solve = lp.solve
+
+    def corrupted(prog, *args, **kwargs):
+        out = solve(prog, *args, **kwargs)
+        value = getattr(out, field)
+        return dataclasses.replace(out, **{field: value + np.linspace(0.1, 0.3, value.shape[0])})
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    with pytest.raises(ConsistencyError):
+        convexify.biconjugate(system, -(t**2))
 
 
 def test_hat_signed_examples(naturals4):
@@ -78,6 +199,45 @@ def test_hat_signed_examples(naturals4):
     assert convexify.hat_signed(system, phi, 1.0) == pytest.approx(phi, abs=1e-9)
     with pytest.raises(ValidationError):
         convexify.hat_signed(system, f, 0.0)
+
+
+def test_slightly_infeasible_engine_point_still_gives_a_minorant(monkeypatch):
+    # the engine's point is feasible only within its tolerance; the sweep
+    # lowers the minorant by its excess, so no value exceeds the envelope
+    # (the chord -t of the concave field -t^2)
+    system = gen_interval_affine(21).system
+    t = np.linspace(0, 1, 21)
+    solve = lp.solve
+
+    def nudged(prog, *args, **kwargs):
+        out = solve(prog, *args, **kwargs)
+        return dataclasses.replace(out, point=out.point + 1e-10)
+
+    monkeypatch.setattr(lp, "solve", nudged)
+    got = convexify.biconjugate(system, -(t**2))
+    assert np.all(got <= -t + 1e-13)
+    assert got == pytest.approx(-t, abs=1e-9)
+
+
+def test_hat_signed_closed_form_matches_strip_lp(monkeypatch):
+    systems = [
+        gen_naturals(4).system,
+        gen_interval_affine(51).system,
+        gen_cantor(2).system,
+        gen_disk(n_circle=20, n_interior_rings=1, degree=3).system,
+    ] + _random_systems(20, 60_000)
+    rng = np.random.default_rng(31)
+    cases = []
+    for system in systems:
+        inside = system.basis.T @ rng.normal(size=system.d)
+        for f in (rng.normal(size=system.n), inside):
+            for alpha in (0.5, 1.0, 3.0):
+                cases.append((system, f, alpha, hat_signed_lp(system, f, alpha)))
+    calls = _count_lps(monkeypatch)
+    for system, f, alpha, want in cases:
+        got = convexify.hat_signed(system, f, alpha)
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(f).max())
+    assert not calls
 
 
 def test_hat_ordering_chain(naturals4):

@@ -226,3 +226,149 @@ def test_json_round_trip_with_infinite_bounds():
     assert np.array_equal(again.lower, prog.lower)
     assert np.array_equal(again.upper, prog.upper)
     assert lp.solve(again).value == pytest.approx(lp.solve(prog).value)
+
+
+def _standardize_loop(prog):
+    """``lp._standardize`` as a per-column loop, frozen as its reference."""
+    A0, b0, c0 = prog.constraint_matrix, prog.rhs, prog.objective
+    m, n = A0.shape
+    col_map = []
+    col_vectors = []
+    cvals = []
+    shift = np.zeros(n)
+    range_rows = []  # (std column, width) for doubly bounded variables
+    for j in range(n):
+        lo, hi = prog.lower[j], prog.upper[j]
+        aj = A0[:, j]
+        if np.isinf(lo) and np.isinf(hi):
+            col_map.append((j, 1.0))
+            col_vectors.append(aj)
+            cvals.append(c0[j])
+            col_map.append((j, -1.0))
+            col_vectors.append(-aj)
+            cvals.append(-c0[j])
+        elif np.isinf(hi):
+            shift[j] = lo
+            col_map.append((j, 1.0))
+            col_vectors.append(aj)
+            cvals.append(c0[j])
+        elif np.isinf(lo):
+            shift[j] = hi
+            col_map.append((j, -1.0))
+            col_vectors.append(-aj)
+            cvals.append(-c0[j])
+        else:
+            shift[j] = lo
+            col_map.append((j, 1.0))
+            col_vectors.append(aj)
+            cvals.append(c0[j])
+            range_rows.append((len(col_map) - 1, hi - lo))
+
+    k = len(col_map)
+    A = np.empty((m + len(range_rows), k))
+    A[:m] = np.column_stack(col_vectors) if k else np.zeros((m, 0))
+    b = np.concatenate([b0 - A0 @ shift, [w for _, w in range_rows]])
+    rels = list(prog.relations) + [lp.LE] * len(range_rows)
+    for i, (col, _) in enumerate(range_rows):
+        A[m + i] = 0.0
+        A[m + i, col] = 1.0
+
+    # Row equilibration: every row is scaled by its coefficient magnitude;
+    # rows that will need an artificial variable (equalities, and
+    # inequalities violated at y = 0) additionally count their rhs, so the
+    # phase-1 infeasibility measure is relative per row.  Slack-started rows
+    # never carry artificial mass and keep their natural coefficient scale.
+    needs_artificial = np.array(
+        [
+            r == lp.EQ or (r == lp.LE and b[i] < 0) or (r == lp.GE and b[i] >= 0)
+            for i, r in enumerate(rels)
+        ]
+    )
+    row_scale = np.abs(A).max(axis=1, initial=0.0)
+    row_scale = np.maximum(row_scale, np.where(needs_artificial, np.abs(b), 0.0))
+    row_scale[row_scale == 0.0] = 1.0
+    A /= row_scale[:, None]
+    b = b / row_scale
+
+    # slack / surplus columns turn every row into an equality
+    slack_cols = []
+    slack_of_row = np.full(A.shape[0], -1, dtype=int)
+    for i, r in enumerate(rels):
+        if r == lp.LE:
+            slack_of_row[i] = k + len(slack_cols)
+            slack_cols.append((i, 1.0))
+        elif r == lp.GE:
+            slack_of_row[i] = k + len(slack_cols)
+            slack_cols.append((i, -1.0))
+    S = np.zeros((A.shape[0], len(slack_cols)))
+    for p, (i, s) in enumerate(slack_cols):
+        S[i, p] = s
+    A = np.hstack([A, S])
+    c = np.concatenate([np.asarray(cvals, dtype=float), np.zeros(len(slack_cols))])
+
+    signs = np.where(b < 0, -1.0, 1.0)
+    A *= signs[:, None]
+    b = b * signs
+    const = float(c0 @ shift)
+    return A, b, c, const, col_map, shift, signs / row_scale, m, slack_of_row
+
+
+def _random_bounded_lp(rng, m_max=6, n_max=6):
+    """Random LP over every bound class: free, lower-only, ranged, upper-only."""
+    m = int(rng.integers(1, m_max))
+    n = int(rng.integers(1, n_max))
+    A = rng.normal(size=(m, n))
+    rels = [("LE", "EQ", "GE")[i] for i in rng.integers(0, 3, m)]
+    kinds = rng.integers(0, 4, n)
+    lo = np.where((kinds == 0) | (kinds == 3), -np.inf, -rng.uniform(0, 2, n))
+    hi = np.where(kinds <= 1, np.inf, rng.uniform(0.5, 3, n))
+    x0 = np.clip(rng.uniform(-0.5, 0.5, n),
+                 np.where(np.isfinite(lo), lo, -0.5),
+                 np.where(np.isfinite(hi), hi, 0.5))
+    b = A @ x0 + np.where([r == "LE" for r in rels], rng.uniform(0, 1, m), 0.0)
+    return lp.LinearProgram.build(rng.normal(size=n), A, rels, b, bounds=list(zip(lo, hi)))
+
+
+def _loop_as_arrays(prog):
+    A, b, c, const, col_map, shift, row_factor, m, slack_of_row = _standardize_loop(prog)
+    col_of = np.array([j for j, _ in col_map], dtype=int)
+    sign_of = np.array([s for _, s in col_map], dtype=float)
+    return A, b, c, const, col_of, sign_of, shift, row_factor, m, slack_of_row
+
+
+def _lp_corpus():
+    rng = np.random.default_rng(1234)
+    progs = [_random_feasible_bounded(rng) for _ in range(100)]
+    rng = np.random.default_rng(42)
+    return progs + [_random_bounded_lp(rng) for _ in range(200)]
+
+
+def test_standardize_matches_column_loop():
+    rng = np.random.default_rng(3)
+    for prog in _lp_corpus():
+        new = lp._standardize(prog)
+        ref = _loop_as_arrays(prog)
+        for a, r in zip(new, ref):
+            assert np.array_equal(a, r)
+        # the scatter that rebuilds x adds in the loop's order
+        col_of, sign_of, shift = new[4], new[5], new[6]
+        y = rng.uniform(0.0, 2.0, col_of.shape[0])
+        x = shift.copy()
+        for k, (j, s) in enumerate(zip(col_of, sign_of)):
+            x[j] += s * y[k]
+        scattered = shift.copy()
+        np.add.at(scattered, col_of, sign_of * y)
+        assert np.array_equal(scattered, x)
+
+
+def test_solve_bit_identical_to_column_loop(monkeypatch):
+    progs = _lp_corpus()
+    new = [lp.solve(prog) for prog in progs]
+    monkeypatch.setattr(lp, "_standardize", _loop_as_arrays)
+    for prog, out in zip(progs, new):
+        ref = lp.solve(prog)
+        assert out.status == ref.status
+        if ref.status == lp.OPTIMAL:
+            assert out.value == ref.value
+            assert np.array_equal(out.point, ref.point)
+            assert np.array_equal(out.dual_point, ref.dual_point)
