@@ -1,23 +1,8 @@
-"""Small shared helpers: deterministic parallel map and canonical JSON."""
+"""Small shared helpers: canonical JSON."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-
-def pmap(fn, items, threads=1):
-    """Map ``fn`` over ``items`` preserving order.
-
-    With ``threads > 1`` a thread pool is used; results are collected in
-    input order, so the output is identical to the sequential run regardless
-    of scheduling.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def jsonable(obj):

@@ -78,8 +78,6 @@ def _build_parser():
     common.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     common.add_argument("--dump-lp", metavar="PATH",
                         help="append every solved LP instance to PATH as JSON lines")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for per-point LP maps (default 1)")
 
     inst = argparse.ArgumentParser(add_help=False)
     inst.add_argument("instance", nargs="?", default="-",
@@ -283,7 +281,7 @@ def _cmd_gen(args):
 def _cmd_boundary(args):
     system = _load_system(args).require_valid()
     tol = _classification_tol(args, measures.BOUNDARY_TOL)
-    report = measures.choquet_boundary(system, tol=tol, threads=args.threads)
+    report = measures.choquet_boundary(system, tol=tol)
     if args.plot:
         svg = plotting.render_svg(system, boundary=report.boundary)
         with open(args.plot, "w", encoding="utf-8") as fh:
@@ -303,7 +301,7 @@ def _cmd_hull(args):
     system = _load_system(args).require_valid()
     S = _labels_to_indices(system, args.points)
     ambient = _labels_to_indices(system, args.ambient) if args.ambient else None
-    hull = sets.trace_hull(system, S, ambient=ambient, threads=args.threads)
+    hull = sets.trace_hull(system, S, ambient=ambient)
     if args.plot:
         svg = plotting.render_svg(system, hull=hull)
         with open(args.plot, "w", encoding="utf-8") as fh:
@@ -330,14 +328,14 @@ def _cmd_separate(args):
 def _cmd_extreme(args):
     system = _load_system(args).require_valid()
     S = _labels_to_indices(system, args.points) if args.points else tuple(range(system.n))
-    ext = sets.phi_extreme_points(system, S, threads=args.threads)
+    ext = sets.phi_extreme_points(system, S)
     doc = {
         "points": [system.space.labels[j] for j in S],
         "extreme": [system.space.labels[j] for j in ext],
     }
     code = 0
     if args.krein_milman:
-        km = sets.krein_milman_verify(system, S, threads=args.threads)
+        km = sets.krein_milman_verify(system, S)
         doc["krein_milman"] = km.to_dict(system)
         code = 0 if km.ok else 1
     _write(args, dumps(doc))
@@ -351,7 +349,7 @@ def _cmd_kyfan(args):
         yz = _labels_to_indices(system, args.segment)
         if len(yz) != 2:
             raise ValidationError("--segment needs exactly two labels")
-        seg = sets.kyfan_segment(system, yz[0], yz[1], threads=args.threads)
+        seg = sets.kyfan_segment(system, yz[0], yz[1])
         doc["segment"] = {
             "endpoints": [system.space.labels[j] for j in yz],
             "members": [system.space.labels[j] for j in seg],
@@ -470,11 +468,10 @@ def _cmd_plot(args):
     axes = None
     if args.axes:
         axes = tuple(int(a) for a in args.axes.split(","))
-    boundary = measures.choquet_boundary(system, threads=args.threads).boundary if args.boundary else ()
+    boundary = measures.choquet_boundary(system).boundary if args.boundary else ()
     hull = ()
     if args.hull:
-        hull = sets.trace_hull(system, _labels_to_indices(system, args.hull),
-                               threads=args.threads)
+        hull = sets.trace_hull(system, _labels_to_indices(system, args.hull))
     return _write(args, plotting.render_svg(system, boundary=boundary, hull=hull, axes=axes))
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from ._util import pmap
 from .errors import ConsistencyError, ValidationError
 from .space import Measure, as_field
 
@@ -218,10 +217,10 @@ def is_vertex(system, x):
     return lp.feasible(prog) is None
 
 
-def choquet_boundary(system, tol=BOUNDARY_TOL, threads=1):
+def choquet_boundary(system, tol=BOUNDARY_TOL):
     """Classify every point by its self-mass LP and checked witness."""
     system.require_valid()
-    certs = pmap(lambda x: _self_mass(system, x, tol), range(system.n), threads=threads)
+    certs = [_self_mass(system, x, tol) for x in range(system.n)]
     mass = np.array([c.mass for c in certs])
     vertex = np.array([c.vertex for c in certs], dtype=bool)
     return BoundaryReport(min_self_mass=mass, vertex=vertex, is_boundary=vertex, tol=tol)

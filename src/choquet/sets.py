@@ -4,6 +4,8 @@ A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
 set is one small feasibility LP (convex combination of the set's columns).
+Ky Fan betweenness needs no LP: it has a closed form in the directions from
+a point to the two endpoints (see ``kyfan_strictly_between``).
 
 An optional ``ambient`` point set restricts where hull membership is
 reported: points outside it stand for ideal points of a compactification
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from ._util import pmap
 from .errors import ConsistencyError, ValidationError
 from .space import PhiFunction, evaluate
 
@@ -75,6 +76,7 @@ class KreinMilmanReport:
 def in_hull(system, x, S):
     """Is column x a convex combination of the columns indexed by S?"""
     system.require_valid()
+    as_point_set([x], system.n)
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("membership test against an empty set")
@@ -88,15 +90,14 @@ def in_hull(system, x, S):
     return lp.feasible(prog) is not None
 
 
-def trace_hull(system, S, ambient=None, threads=1):
+def trace_hull(system, S, ambient=None):
     """All (ambient) points whose column lies in the hull of the columns of S."""
     system.require_valid()
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("trace hull of the empty set")
     scope = range(system.n) if ambient is None else as_point_set(ambient, system.n)
-    flags = pmap(lambda x: in_hull(system, x, S), scope, threads=threads)
-    return tuple(x for x, m in zip(scope, flags) if m)
+    return tuple(x for x in scope if in_hull(system, x, S))
 
 
 def is_trace_convex(system, C, ambient=None):
@@ -131,8 +132,7 @@ def separate(system, C, xbar, box=WITNESS_BOX):
     C = as_point_set(C, system.n)
     if not C:
         raise ValidationError("cannot separate from an empty set")
-    if not 0 <= xbar < system.n:
-        raise ValidationError(f"point index {xbar} out of range")
+    as_point_set([xbar], system.n)
     if xbar in C:
         raise ValidationError("the separated point must lie outside the set")
     scales = coefficient_scales(system)
@@ -167,7 +167,7 @@ def separate(system, C, xbar, box=WITNESS_BOX):
     return SeparationResult(separable=True, witness=witness, margin=margin)
 
 
-def phi_extreme_points(system, S, threads=1):
+def phi_extreme_points(system, S):
     """Points of S whose column is a vertex of the hull of S's columns."""
     system.require_valid()
     S = as_point_set(S, system.n)
@@ -178,84 +178,93 @@ def phi_extreme_points(system, S, threads=1):
         rest = [j for j in S if j != x]
         return not rest or not in_hull(system, x, rest)
 
-    flags = pmap(extreme, S, threads=threads)
-    return tuple(x for x, e in zip(S, flags) if e)
+    return tuple(x for x in S if extreme(x))
 
 
-def krein_milman_verify(system, S, threads=1):
+def krein_milman_verify(system, S):
     """Compare the hull of S with the hull of its extreme points."""
-    hull = trace_hull(system, S, threads=threads)
-    ext = phi_extreme_points(system, S, threads=threads)
-    ext_hull = trace_hull(system, ext, threads=threads) if ext else ()
+    hull = trace_hull(system, S)
+    ext = phi_extreme_points(system, S)
+    ext_hull = trace_hull(system, ext) if ext else ()
     return KreinMilmanReport(hull=hull, extreme=ext, extreme_hull=ext_hull)
+
+
+def _equilibrated(system):
+    """The basis with every row at unit scale.  Betweenness is invariant
+    under row scaling; these coordinates keep small-magnitude basis rows
+    visible in the direction dot products."""
+    return system.basis / coefficient_scales(system)[:, None]
+
+
+def _directions(B, origin, cols=slice(None)):
+    """Unit vectors from column ``origin`` of B to its columns ``cols``; a
+    column equal to the origin column gives the zero vector."""
+    D = B[:, cols] - B[:, [origin]]
+    norms = np.linalg.norm(D, axis=0)
+    return D / np.where(norms > 0.0, norms, 1.0)
+
+
+def _antiparallel(cosines):
+    """The Ky Fan direction test on cosines between unit directions; a zero
+    direction has cosine 0 with everything and passes nothing."""
+    return cosines <= -1.0 + _ANTIPARALLEL_TOL
 
 
 def kyfan_strictly_between(system, x, y, z):
     """Strict segment membership: every phi with phi(x) <= min(phi(y), phi(z))
     takes equal values at x, y and z.
 
-    x fails the test iff some basis element phi has phi(x) <= phi(y),
-    phi(x) <= phi(z) and phi(y) + phi(z) - 2 phi(x) >= 1 (the unit
-    normalizes "not all equal" by homogeneity), an LP feasibility question.
+    With u = B_y - B_x and v = B_z - B_x, x fails the test iff some c has
+    c.u >= 0 and c.v >= 0, not both zero.  By Gordan's alternative in
+    Stiemke's form no such c exists iff a u + b v = 0 for some a, b > 0,
+    that is iff u and v are both zero (x == y == z) or both nonzero and
+    antiparallel.  The direction test runs in row-equilibrated
+    coordinates; the feasibility LP it replaces is kept in the tests as an
+    oracle.
     """
     system.require_valid()
-    B = system.basis
-    u = B[:, y] - B[:, x]
-    v = B[:, z] - B[:, x]
-    A = np.vstack([-u, -v, u + v])
-    prog = lp.LinearProgram.build(
-        np.zeros(system.d),
-        A,
-        [lp.LE, lp.LE, lp.GE],
-        np.array([0.0, 0.0, 1.0]),
-        bounds=(-np.inf, np.inf),
-    )
-    return lp.feasible(prog) is None
+    as_point_set([x, y, z], system.n)
+    if x == y == z:
+        return True
+    W = _directions(_equilibrated(system), x, [y, z])
+    return bool(_antiparallel(W[:, 0] @ W[:, 1]))
 
 
-def kyfan_segment(system, y, z, threads=1):
+def kyfan_segment(system, y, z):
     """The Ky Fan segment between y and z: the endpoints together with any
     point lying strictly between them in the sense of
-    ``kyfan_strictly_between``."""
+    ``kyfan_strictly_between``.
+
+    One vectorized direction test over all points, no LP: the unit
+    directions from y and from z to x are the negated directions from x
+    to y and to z, so their columnwise dot product is the cosine that
+    Gordan's alternative tests.
+    """
     system.require_valid()
-    for p in (y, z):
-        if not 0 <= p < system.n:
-            raise ValidationError(f"point index {p} out of range")
-
-    def member(x):
-        return x in (y, z) or kyfan_strictly_between(system, x, y, z)
-
-    flags = pmap(member, range(system.n), threads=threads)
-    return tuple(x for x, m in zip(range(system.n), flags) if m)
+    as_point_set([y, z], system.n)
+    B = _equilibrated(system)
+    cosines = np.einsum("ij,ij->j", _directions(B, y), _directions(B, z))
+    member = _antiparallel(cosines)
+    member[[y, z]] = True
+    return tuple(int(x) for x in np.flatnonzero(member))
 
 
 def kyfan_extreme_points(system, S):
     """Points of S lying strictly between no pair of points of S.
 
-    A point x sits strictly inside a segment [y, z] exactly when its column
-    lies between the columns of y and z on a line, i.e. the difference
-    vectors to y and to z are antiparallel.  The pairwise direction test
-    reproduces the per-segment LP verdicts (cross-checked in the tests) at
-    a cost quadratic, not cubic, in the size of S.
+    A point x sits strictly inside a segment [y, z] exactly when the
+    directions from x to y and to z are antiparallel, so one Gram matrix of
+    unit directions per point decides it, at a cost quadratic, not cubic,
+    in the size of S.
     """
     system.require_valid()
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("extreme points of the empty set")
-    # betweenness is invariant under row scaling; equilibrated coordinates
-    # keep small-magnitude basis rows visible in the direction dot products
-    B = system.basis / coefficient_scales(system)[:, None]
+    B = _equilibrated(system)
     out = []
     for x in S:
-        rest = [j for j in S if j != x]
-        if not rest:
-            out.append(x)
-            continue
-        U = B[:, rest] - B[:, [x]]
-        norms = np.linalg.norm(U, axis=0)
-        W = U / norms  # separation guarantees nonzero columns
-        G = W.T @ W
-        np.fill_diagonal(G, 1.0)
-        if G.min() > -1.0 + _ANTIPARALLEL_TOL:
+        W = _directions(B, x, [j for j in S if j != x])
+        if not _antiparallel(W.T @ W).any():
             out.append(x)
     return tuple(out)

@@ -90,3 +90,24 @@ def hat_signed_lp(system, f, alpha):
         assert res.status == lp.OPTIMAL
         out.append(res.value)
     return np.array(out)
+
+
+def kyfan_between_lp(system, x, y, z):
+    """Strict Ky Fan betweenness by feasibility LP, the route
+    ``kyfan_strictly_between`` took before its closed form.
+
+    x fails the test iff some basis element phi has phi(x) <= phi(y),
+    phi(x) <= phi(z) and phi(y) + phi(z) - 2 phi(x) >= 1 (the unit
+    normalizes "not all equal" by homogeneity).
+    """
+    B = system.basis
+    u = B[:, y] - B[:, x]
+    v = B[:, z] - B[:, x]
+    prog = lp.LinearProgram.build(
+        np.zeros(system.d),
+        np.vstack([-u, -v, u + v]),
+        [lp.LE, lp.LE, lp.GE],
+        np.array([0.0, 0.0, 1.0]),
+        bounds=(-np.inf, np.inf),
+    )
+    return lp.feasible(prog) is None

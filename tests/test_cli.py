@@ -94,6 +94,9 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "inst.json", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_hull_and_separate(tmp_path, capsys):
@@ -267,6 +270,17 @@ def test_dump_lp_flag(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert len(lines) == 3  # one self-mass LP per point
     assert all("status" in json.loads(ln) for ln in lines)
+
+    # Ky Fan segments are a closed form: the run solves no LP
+    nat4 = tmp_path / "nat4.json"
+    kyfan_dump = tmp_path / "kyfan.jsonl"
+    run_cli(["gen", "naturals", "4", "-o", str(nat4)], capsys=capsys)
+    code, out, _ = run_cli(
+        ["kyfan", str(nat4), "--segment", "1,4", "--dump-lp", str(kyfan_dump)], capsys=capsys
+    )
+    assert code == 0
+    assert json.loads(out)["segment"]["members"] == ["1", "2", "3", "4"]
+    assert not kyfan_dump.exists() or kyfan_dump.read_text() == ""
 
 
 def test_iteration_limit_is_a_verification_failure(tmp_path, capsys, monkeypatch):

@@ -235,13 +235,6 @@ def test_point_index_validation(naturals4):
         measures.key_interval(naturals4.system, np.zeros(4), -1)
 
 
-def test_parallel_map_matches_sequential(naturals4):
-    seq = measures.choquet_boundary(naturals4.system, threads=1)
-    par = measures.choquet_boundary(naturals4.system, threads=4)
-    assert np.array_equal(seq.min_self_mass, par.min_self_mass)
-    assert np.array_equal(seq.vertex, par.vertex)
-
-
 def test_interval_generator_output_validates():
     inst = gen_interval_affine(31)
     assert inst.system.validate().ok

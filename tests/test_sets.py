@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from choquet import measures, sets
+from choquet import lp, measures, sets
 from choquet.errors import ValidationError
-from choquet.generators import gen_disk, gen_random
-from choquet.space import evaluate
+from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
+from choquet.space import FiniteSpace, FunctionSystem, evaluate
+from conftest import kyfan_between_lp
 
 
 def test_trace_hull_naturals(naturals4):
@@ -147,19 +148,92 @@ def test_kyfan_extreme_contains_phi_extreme(naturals4):
 
 
 def test_kyfan_direction_filter_matches_segment_lp():
-    # the antiparallel-direction shortcut must reproduce the per-segment LP
+    # the pairwise direction test must reproduce the per-segment LP oracle
     for seed in range(5):
         inst = gen_random(5, 3, seed=600 + seed)
         system = inst.system
         for x in range(5):
             in_some_segment = any(
-                sets.kyfan_strictly_between(system, x, y, z)
+                kyfan_between_lp(system, x, y, z)
                 for y in range(5)
                 for z in range(5)
                 if y != x and z != x
             )
             extreme = x in sets.kyfan_extreme_points(system, range(5))
             assert extreme == (not in_some_segment)
+
+
+def test_kyfan_degenerate_triples_match_lp_oracle(naturals4, monkeypatch):
+    system = naturals4.system
+    triples = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)
+               if len({x, y, z}) < 3]
+    oracle = [kyfan_between_lp(system, *t) for t in triples]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("Ky Fan betweenness solved an LP")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    got = [sets.kyfan_strictly_between(system, *t) for t in triples]
+    assert got == oracle
+    # x == y == z is between; x equal to exactly one endpoint, or y == z != x, is not
+    assert sets.kyfan_strictly_between(system, 2, 2, 2)
+    assert not sets.kyfan_strictly_between(system, 1, 1, 3)
+    assert not sets.kyfan_strictly_between(system, 1, 3, 1)
+    assert not sets.kyfan_strictly_between(system, 1, 2, 2)
+    assert sets.kyfan_segment(system, 0, 3) == (0, 1, 2, 3)
+
+
+def _kyfan_verdicts(system, pairs, S):
+    """Segments of ``pairs`` and Ky Fan extreme points of S and of all points."""
+    return (
+        [sets.kyfan_segment(system, y, z) for y, z in pairs],
+        sets.kyfan_extreme_points(system, S),
+        sets.kyfan_extreme_points(system, range(system.n)),
+    )
+
+
+def test_kyfan_verdicts_invariant_under_basis_change_and_relabeling():
+    rng = np.random.default_rng(41)
+    named = [gen_naturals(20).system, gen_interval_affine(21).system, gen_cantor(2).system]
+    randoms = [gen_random(7, 2 + seed % 2, seed=700 + seed).system for seed in range(10)]
+    for system, every_triple in [(s, False) for s in named] + [(s, True) for s in randoms]:
+        n, d = system.n, system.d
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        S = tuple(sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist()))
+        want = _kyfan_verdicts(system, pairs, S)
+
+        # change of basis of the same span, condition number at most 4
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        G = Q * rng.uniform(0.5, 2.0, size=d)
+        based = FunctionSystem(system.space, G @ system.basis)
+        assert _kyfan_verdicts(based, pairs, S) == want
+
+        # relabeling: new point k is old point perm[k]
+        perm = rng.permutation(n)
+        new = np.argsort(perm)
+        relabeled = FunctionSystem(
+            FiniteSpace(tuple(system.space.labels[j] for j in perm)), system.basis[:, perm]
+        )
+        segments, ext_S, ext_all = _kyfan_verdicts(
+            relabeled, [(new[y], new[z]) for y, z in pairs], [new[j] for j in S]
+        )
+        def back(pts):
+            return tuple(sorted(int(perm[k]) for k in pts))
+
+        assert [back(seg) for seg in segments] == want[0]
+        assert (back(ext_S), back(ext_all)) == want[1:]
+
+        # the LP oracle on sampled segments of every system, on every triple
+        # of the random ones
+        for y, z in (pairs[k] for k in rng.choice(len(pairs), size=6, replace=False)):
+            oracle = tuple(x for x in range(n)
+                           if x in (y, z) or kyfan_between_lp(system, x, y, z))
+            assert sets.kyfan_segment(system, y, z) == oracle
+        if every_triple:
+            for x, y, z in itertools.product(range(n), repeat=3):
+                assert sets.kyfan_strictly_between(system, x, y, z) == kyfan_between_lp(
+                    system, x, y, z
+                )
 
 
 def test_kyfan_disk_segments_trivial():
@@ -187,3 +261,10 @@ def test_point_set_validation(naturals4):
     with pytest.raises(ValidationError):
         sets.as_point_set([0, 9], 4)
     assert sets.as_point_set([3, 1, 1], 4) == (1, 3)
+    for bad in (-1, 4):
+        with pytest.raises(ValidationError):
+            sets.in_hull(naturals4.system, bad, [0, 2])
+        with pytest.raises(ValidationError):
+            sets.kyfan_strictly_between(naturals4.system, bad, 0, 3)
+        with pytest.raises(ValidationError):
+            sets.kyfan_strictly_between(naturals4.system, 1, 0, bad)
