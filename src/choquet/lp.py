@@ -17,7 +17,8 @@ with a margin of their choosing and rescale afterwards.
 
 Optimal outcomes are certified: the returned point is checked feasible
 within ``feas_tol`` and the objective value is matched against the dual
-value within ``gap_tol``.
+value within ``gap_tol``.  An infeasible outcome carries the phase-1 dual
+in ``dual_point``: over x >= 0 with EQ rows, a Farkas ray y'A <= 0, y'b > 0.
 """
 
 import json
@@ -163,7 +164,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict; ``value``/``point``/``dual_point`` set when optimal."""
+    """Solver verdict; ``value``/``point`` set when optimal, ``dual_point`` also if infeasible."""
 
     status: str
     value: float | None = None
@@ -387,7 +388,8 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
     bscale = max(1.0, float(np.abs(b[need_art]).max())) if nart else 1.0
     art = np.zeros((nrows, nart))
     art[need_art, np.arange(nart)] = 1.0
-    basis = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row).tolist()
+    start = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row)
+    basis = start.tolist()
     A1 = np.hstack([A, art])
     T = np.hstack([A1, b[:, None]])
     cost1 = np.concatenate([np.zeros(ncols), np.ones(nart)])
@@ -396,7 +398,9 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
         raise ConsistencyError("phase 1 reported unbounded")
     if -z[-1] > feas_tol * bscale:
-        return LPOutcome(status=INFEASIBLE)
+        # the phase-1 dual, read off the starting identity columns' reduced costs
+        ray = (cost1 - z[:-1])[start[:m_orig]]
+        return LPOutcome(status=INFEASIBLE, dual_point=signs[:m_orig] * ray)
 
     # Drive artificial variables out of the basis (largest pivot in the row
     # keeps this stable); rows with no real pivot left are redundant.

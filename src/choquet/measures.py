@@ -86,6 +86,14 @@ def representation_error(A, mu, target):
     return float(np.max(gap / scale))
 
 
+def separation_margin(B, y, t, x, rest):
+    """phi(x) - max phi(rest) for phi = B'y + t, less a bound on the rounding
+    error of evaluating phi: positive iff phi certifiably separates x."""
+    phi = B.T @ y + t
+    err = _ROUNDING * (np.abs(B).T @ np.abs(y) + abs(t))
+    return float(phi[x] - err[x] - (phi[rest] + err[rest]).max(initial=-np.inf))
+
+
 def _check_point(system, x):
     if not 0 <= x < system.n:
         raise ValidationError(f"point index {x} out of range [0, {system.n})")
@@ -157,14 +165,10 @@ def _self_mass(system, x, tol=BOUNDARY_TOL):
     label = system.space.labels[x]
     if mass >= 1.0 - tol:
         dual = out.dual_point
-        y, t = dual[:-1], dual[-1]
-        phi = B.T @ y + t
-        err = _ROUNDING * (np.abs(B).T @ np.abs(y) + abs(t))
-        top = np.delete(phi + err, x).max(initial=-np.inf)
-        if not phi[x] - err[x] > top:
+        margin = separation_margin(B, dual[:-1], dual[-1], x, np.arange(system.n) != x)
+        if not margin > 0.0:
             raise ConsistencyError(
-                f"self-mass dual does not expose point {label!r} "
-                f"(value {phi[x]:.3e} there, {top:.3e} elsewhere)"
+                f"self-mass dual does not expose point {label!r} (margin {margin:.3e})"
             )
         return _SelfMass(mass, dual, None)
     mu = np.maximum(out.point, 0.0)

@@ -3,7 +3,9 @@
 A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
-set is one small feasibility LP (convex combination of the set's columns).
+set is one small feasibility LP whose verdict carries a witness checked by
+evaluation: convex weights, or the Farkas ray of the infeasible LP, which
+is the separator that ``separate`` returns.
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -19,15 +21,10 @@ import numpy as np
 
 from . import lp
 from .errors import ConsistencyError, ValidationError
+from .measures import CERT_TOL, representation_error, separation_margin
 from .space import PhiFunction, evaluate
 
-WITNESS_BOX = 1e3
 _ANTIPARALLEL_TOL = 1e-12
-
-# relative margin floor for witness searches; must stay a safe factor above
-# feas_tol * box, or an infeasible margin row drowns in the phase-1
-# tolerance after the box shift moves its rhs to ~box * |coefficients|
-MIN_MARGIN = 1e-5
 
 
 def as_point_set(indices, n):
@@ -73,6 +70,34 @@ class KreinMilmanReport:
         }
 
 
+def _membership(system, x, S):
+    """The membership LP of column x against S; returns (member, witness)
+    checked by evaluation: weights reproducing column x within ``CERT_TOL``,
+    or a Farkas ray (c, t) with B'c + t larger at x than on S beyond rounding.
+    Rows spanning at most ``CERT_TOL`` of their scale over S and x stay out
+    of the LP: no convex combination misses them by more."""
+    P = system.basis[:, list(S) + [x]]  # the columns of S, then x
+    keep = np.ptp(P, axis=1) > CERT_TOL * coefficient_scales(system)
+    A = np.vstack([P[keep, :-1], np.ones((1, len(S)))])
+    rhs = np.append(P[keep, -1], 1.0)
+    out = lp.solve(lp.LinearProgram.build(np.zeros(len(S)), A, [lp.EQ] * len(rhs), rhs))
+    if out.status == lp.OPTIMAL:
+        w = np.maximum(out.point, 0.0)
+        w /= w.sum()
+        miss = representation_error(P[:, :-1], w, P[:, -1])
+        if miss <= CERT_TOL:
+            return True, w
+        problem = f"hull weights miss it by relative {miss:.3e}"
+    else:
+        c = np.zeros(system.d)
+        c[keep], t = out.dual_point[:-1], out.dual_point[-1]
+        margin = separation_margin(P, c, t, -1, slice(-1))
+        if margin > 0.0:
+            return False, (c, t)
+        problem = f"Farkas ray separates it by {margin:.3e}"
+    raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
+
+
 def in_hull(system, x, S):
     """Is column x a convex combination of the columns indexed by S?"""
     system.require_valid()
@@ -80,14 +105,7 @@ def in_hull(system, x, S):
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("membership test against an empty set")
-    if x in S:
-        return True
-    B = system.basis
-    cols = list(S)
-    A = np.vstack([B[:, cols], np.ones((1, len(cols)))])
-    rhs = np.concatenate([B[:, x], [1.0]])
-    prog = lp.LinearProgram.build(np.zeros(len(cols)), A, [lp.EQ] * A.shape[0], rhs)
-    return lp.feasible(prog) is not None
+    return x in S or _membership(system, x, S)[0]
 
 
 def trace_hull(system, S, ambient=None):
@@ -109,24 +127,18 @@ def is_trace_convex(system, C, ambient=None):
 
 
 def coefficient_scales(system):
-    """Magnitude of each basis row; witness searches run in coordinates
-    where every row has unit scale, making box and margin scale-free."""
+    """Magnitude of each basis row (1 for an all-zero row)."""
     s = np.abs(system.basis).max(axis=1)
     s[s == 0.0] = 1.0
     return s
 
 
-def separate(system, C, xbar, box=WITNESS_BOX):
-    """Search a basis element with values <= 0 on C and >= margin at ``xbar``.
+def separate(system, C, xbar):
+    """A basis element larger at ``xbar`` than anywhere on C, if one exists.
 
-    Homogeneity makes the margin a free normalization: any strict separator
-    can be shifted and scaled into this form.  A unit margin is tried
-    first; if the separator would need coefficients beyond the box, the
-    margin drops to its floor, which reaches the same hull distances as a
-    far wider box while keeping every quantity well scaled.  The search
-    runs in row-equilibrated coefficient coordinates and the verdict is
-    cross-checked against hull membership; disagreement raises
-    ConsistencyError.
+    By Farkas' lemma one exists iff ``xbar`` is outside the hull of C; the
+    witness is the checked ray of the membership LP with its constant folded
+    in through ``validate``'s constants-in-span vector.
     """
     system.require_valid()
     C = as_point_set(C, system.n)
@@ -135,36 +147,15 @@ def separate(system, C, xbar, box=WITNESS_BOX):
     as_point_set([xbar], system.n)
     if xbar in C:
         raise ValidationError("the separated point must lie outside the set")
-    scales = coefficient_scales(system)
-    Beq = system.basis / scales[:, None]
-    rows = [Beq[:, j] for j in C] + [Beq[:, xbar]]
-    A = np.vstack(rows)
-    point = None
-    for margin in (1.0, MIN_MARGIN):
-        prog = lp.LinearProgram.build(
-            np.zeros(system.d),
-            A,
-            [lp.LE] * len(C) + [lp.GE],
-            np.concatenate([np.zeros(len(C)), [margin]]),
-            bounds=(-box, box),
-        )
-        point = lp.feasible(prog)
-        if point is not None:
-            point = point / scales
-            break
-
-    member = in_hull(system, xbar, C)
-    if member == (point is not None):
-        raise ConsistencyError(
-            "separation and hull membership disagree; the point sits within "
-            "solver tolerance of the hull boundary"
-        )
-    if point is None:
+    member, ray = _membership(system, xbar, C)
+    if member:
         return SeparationResult(separable=False, witness=None, margin=0.0)
-    witness = PhiFunction(point)
+    witness = PhiFunction(ray[0] + ray[1] * system.validate().constants_coeffs)
+    margin = separation_margin(system.basis, witness.coeffs, 0.0, xbar, list(C))
+    if not margin > 0.0:
+        raise ConsistencyError(f"separator with its constant folded in has margin {margin:.3e}")
     vals = evaluate(system, witness)
-    margin = float(vals[xbar] - max(vals[j] for j in C))
-    return SeparationResult(separable=True, witness=witness, margin=margin)
+    return SeparationResult(True, witness, float(vals[xbar] - vals[list(C)].max()))
 
 
 def phi_extreme_points(system, S):

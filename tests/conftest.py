@@ -21,6 +21,19 @@ def disk_small():
     return gen_disk(n_circle=20, n_interior_rings=1, degree=3)
 
 
+def count_lps(monkeypatch):
+    """Record every LinearProgram passed to ``lp.solve`` from here on."""
+    calls = []
+    solve = lp.solve
+
+    def counting(prog, *args, **kwargs):
+        calls.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
+
+
 def lower_convex_envelope_1d(q, f):
     """Brute-force lower convex envelope on a 1-D grid.
 

@@ -47,6 +47,33 @@ def test_gen_output_matches_golden(name, argv, capsys, monkeypatch):
     assert out == golden.read_text(encoding="utf-8")
 
 
+_GOLDEN_FIXTURES = {
+    "naturals4": ["naturals", "4"],
+    "interval101": ["interval", "101"],
+    "cantor2": ["cantor", "2"],
+    "disk64_2_8": ["disk", "--n-circle", "64", "--rings", "2", "--degree", "8"],
+}
+_EVERY_2ND_CIRCLE = ",".join(f"circ{k:03d}" for k in range(0, 64, 2))
+_HULL_REPORTS = {
+    "hull_naturals4": ("naturals4", ["hull", "--points", "1,4"]),
+    "hull_interval101": ("interval101", ["hull", "--points", "0.1,0.5,0.9"]),
+    "hull_cantor2": ("cantor2", ["hull", "--points", "0,0.5,1"]),
+    "hull_disk64_2_8": ("disk64_2_8", ["hull", "--points", _EVERY_2ND_CIRCLE]),
+    **{f"extreme_{fx}": (fx, ["extreme", "--krein-milman"]) for fx in _GOLDEN_FIXTURES},
+}
+
+
+@pytest.mark.parametrize("name", _HULL_REPORTS)
+def test_hull_reports_match_golden(name, tmp_path, capsys):
+    fixture, argv = _HULL_REPORTS[name]
+    inst = tmp_path / "inst.json"
+    run_cli(["gen", *_GOLDEN_FIXTURES[fixture], "-o", str(inst)], capsys=capsys)
+    code, out, _ = run_cli([argv[0], str(inst), *argv[1:]], capsys=capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_gen_writes_expected_block(tmp_path, capsys):
     path = tmp_path / "inst.json"
     code, _, _ = run_cli(["gen", "interval", "5", "-o", str(path)], capsys=capsys)
@@ -281,6 +308,16 @@ def test_dump_lp_flag(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["segment"]["members"] == ["1", "2", "3", "4"]
     assert not kyfan_dump.exists() or kyfan_dump.read_text() == ""
+
+    # separation reads its witness from the one membership LP
+    sep_dump = tmp_path / "separate.jsonl"
+    code, out, _ = run_cli(
+        ["separate", str(nat4), "--points", "2,3", "--target", "1", "--dump-lp", str(sep_dump)],
+        capsys=capsys,
+    )
+    assert code == 0 and json.loads(out)["separable"] is True
+    records = [json.loads(ln) for ln in sep_dump.read_text().splitlines()]
+    assert [r["status"] for r in records] == ["infeasible"]
 
 
 def test_iteration_limit_is_a_verification_failure(tmp_path, capsys, monkeypatch):

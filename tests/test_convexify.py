@@ -15,6 +15,7 @@ from choquet.generators import (
 )
 from conftest import (
     biconjugate_lp,
+    count_lps,
     hat_positive_lp,
     hat_signed_lp,
     lower_convex_envelope_1d,
@@ -34,18 +35,6 @@ def _random_systems(count, seed):
         n = int(rng.integers(4, 13))
         out.append(gen_random(n, min(int(rng.integers(2, 5)), n), seed=seed + i).system)
     return out
-
-
-def _count_lps(monkeypatch):
-    calls = []
-    solve = lp.solve
-
-    def counting(prog, *args, **kwargs):
-        calls.append(prog)
-        return solve(prog, *args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve", counting)
-    return calls
 
 
 def test_phi_conjugate_examples(naturals4):
@@ -140,7 +129,7 @@ def test_noisy_interval_takes_one_lp_per_envelope_edge(monkeypatch):
     # rule certifies every grid point between the edge's endpoints
     system = gen_interval_affine(200).system
     q = system.basis[1]
-    calls = _count_lps(monkeypatch)
+    calls = count_lps(monkeypatch)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         f = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
@@ -166,7 +155,7 @@ def _lower_hull(q, f):
 
 def test_convex_field_on_cantor_takes_fewer_lps_than_points(monkeypatch):
     system = gen_cantor(3).system
-    calls = _count_lps(monkeypatch)
+    calls = count_lps(monkeypatch)
     for seed in range(10):
         f = _convex_field(np.random.default_rng(seed), system)
         calls.clear()
@@ -233,7 +222,7 @@ def test_hat_signed_closed_form_matches_strip_lp(monkeypatch):
         for f in (rng.normal(size=system.n), inside):
             for alpha in (0.5, 1.0, 3.0):
                 cases.append((system, f, alpha, hat_signed_lp(system, f, alpha)))
-    calls = _count_lps(monkeypatch)
+    calls = count_lps(monkeypatch)
     for system, f, alpha, want in cases:
         got = convexify.hat_signed(system, f, alpha)
         assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(f).max())

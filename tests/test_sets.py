@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from choquet import lp, measures, sets
-from choquet.errors import ValidationError
+from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
-from conftest import kyfan_between_lp
+from conftest import count_lps, kyfan_between_lp
 
 
 def test_trace_hull_naturals(naturals4):
@@ -192,28 +194,43 @@ def _kyfan_verdicts(system, pairs, S):
     )
 
 
-def test_kyfan_verdicts_invariant_under_basis_change_and_relabeling():
-    rng = np.random.default_rng(41)
+def _invariance_systems():
+    """Named systems (False) and random ones (True, small enough for every triple)."""
     named = [gen_naturals(20).system, gen_interval_affine(21).system, gen_cantor(2).system]
     randoms = [gen_random(7, 2 + seed % 2, seed=700 + seed).system for seed in range(10)]
-    for system, every_triple in [(s, False) for s in named] + [(s, True) for s in randoms]:
-        n, d = system.n, system.d
+    return [(s, False) for s in named] + [(s, True) for s in randoms]
+
+
+def _basis_change(rng, system):
+    """The system under B -> G B, G a seeded basis change of condition at most 4."""
+    d = system.d
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    G = Q * rng.uniform(0.5, 2.0, size=d)
+    return FunctionSystem(system.space, G @ system.basis)
+
+
+def _relabeling(rng, system):
+    """(relabeled system, perm, new): new point k is old point perm[k],
+    old point j is new point new[j]."""
+    perm = rng.permutation(system.n)
+    relabeled = FunctionSystem(
+        FiniteSpace(tuple(system.space.labels[j] for j in perm)), system.basis[:, perm]
+    )
+    return relabeled, perm, np.argsort(perm)
+
+
+def test_kyfan_verdicts_invariant_under_basis_change_and_relabeling():
+    rng = np.random.default_rng(41)
+    for system, every_triple in _invariance_systems():
+        n = system.n
         pairs = list(itertools.combinations_with_replacement(range(n), 2))
         S = tuple(sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist()))
         want = _kyfan_verdicts(system, pairs, S)
 
         # change of basis of the same span, condition number at most 4
-        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        G = Q * rng.uniform(0.5, 2.0, size=d)
-        based = FunctionSystem(system.space, G @ system.basis)
-        assert _kyfan_verdicts(based, pairs, S) == want
+        assert _kyfan_verdicts(_basis_change(rng, system), pairs, S) == want
 
-        # relabeling: new point k is old point perm[k]
-        perm = rng.permutation(n)
-        new = np.argsort(perm)
-        relabeled = FunctionSystem(
-            FiniteSpace(tuple(system.space.labels[j] for j in perm)), system.basis[:, perm]
-        )
+        relabeled, perm, new = _relabeling(rng, system)
         segments, ext_S, ext_all = _kyfan_verdicts(
             relabeled, [(new[y], new[z]) for y, z in pairs], [new[j] for j in S]
         )
@@ -268,3 +285,136 @@ def test_point_set_validation(naturals4):
             sets.kyfan_strictly_between(naturals4.system, bad, 0, 3)
         with pytest.raises(ValidationError):
             sets.kyfan_strictly_between(naturals4.system, 1, 0, bad)
+
+
+def _hull_verdicts(system, S, queries):
+    """trace_hull of S, then in_hull of each query (x, T), checked against
+    separate; every separating witness must separate by evaluation."""
+    verdicts = [sets.trace_hull(system, S)]
+    for x, T in queries:
+        member = sets.in_hull(system, x, T)
+        res = sets.separate(system, T, x)
+        assert res.separable == (not member)
+        if res.separable:
+            vals = evaluate(system, res.witness)
+            assert vals[x] - vals[list(T)].max() >= res.margin > 0.0
+        verdicts.append(member)
+    return verdicts
+
+
+def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
+    rng = np.random.default_rng(43)
+    for system, _ in _invariance_systems():
+        n = system.n
+        S = tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False).tolist()))
+        queries = []
+        for _ in range(6):
+            T = tuple(sorted(rng.choice(n, size=int(rng.integers(2, n // 2 + 1)), replace=False)))
+            queries.append((int(rng.choice([j for j in range(n) if j not in T])), T))
+        want = _hull_verdicts(system, S, queries)
+        assert _hull_verdicts(_basis_change(rng, system), S, queries) == want
+
+        relabeled, perm, new = _relabeling(rng, system)
+        got = _hull_verdicts(
+            relabeled,
+            [new[j] for j in S],
+            [(new[x], tuple(new[j] for j in T)) for x, T in queries],
+        )
+        assert tuple(sorted(int(perm[k]) for k in got[0])) == want[0]
+        assert got[1:] == want[1:]
+
+
+def test_in_hull_and_separate_solve_one_lp(naturals4, monkeypatch):
+    system = naturals4.system
+    calls = count_lps(monkeypatch)
+    for call, args in [
+        (sets.in_hull, (0, [1, 2])),
+        (sets.in_hull, (1, [0, 3])),
+        (sets.separate, ([1, 2], 0)),
+        (sets.separate, ([0, 3], 1)),
+    ]:
+        calls.clear()
+        call(system, *args)
+        assert len(calls) == 1
+
+
+def test_membership_witnesses_check_by_evaluation(naturals4):
+    system = naturals4.system
+    B = system.basis
+    member, w = sets._membership(system, 1, (0, 3))
+    assert member and w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert B[:, [0, 3]] @ w == pytest.approx(B[:, 1], abs=1e-9)
+    member, (c, t) = sets._membership(system, 0, (1, 2))
+    phi = B.T @ c + t
+    assert not member and phi[0] > max(phi[1], phi[2]) + 1e-6
+
+
+@pytest.mark.parametrize(
+    "field, x, S, message",
+    [("dual_point", 0, (1, 2), "Farkas ray"), ("point", 1, (0, 3), "hull weights")],
+    ids=["ray", "weights"],
+)
+def test_corrupted_membership_witness_raises(naturals4, monkeypatch, field, x, S, message):
+    # a negated ray separates the wrong way; shifted weights miss the column
+    solve = lp.solve
+
+    def corrupted(prog, *args, **kwargs):
+        out = solve(prog, *args, **kwargs)
+        value = getattr(out, field)
+        bad = -value if field == "dual_point" else value + np.linspace(0.1, 0.3, value.shape[0])
+        return dataclasses.replace(out, **{field: bad})
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    with pytest.raises(ConsistencyError, match=message):
+        sets.in_hull(naturals4.system, x, S)
+    with pytest.raises(ConsistencyError, match=message):
+        sets.separate(naturals4.system, S, x)
+
+
+def _nnls_member(B, x, S):
+    """Membership by NNLS, never calling the simplex engine: weights on S
+    and the ones row that reproduce column x within 1e-9."""
+    A = np.vstack([B[:, list(S)], np.ones((1, len(S)))])
+    b = np.append(B[:, x], 1.0)
+    w, _ = nnls(A, b, maxiter=50 * A.shape[1])
+    return bool(np.abs(A @ w - b).max() <= 1e-9 * (1.0 + np.abs(A).max()))
+
+
+# On every 4th circle point of disk(64,2,8) and every 16th of disk(256,4,8)
+# the sin 8t basis row is ~1e-16 noise; the membership LP leaves such rows
+# out, so the engine's row equilibration cannot blow the noise up into a
+# false "not a member".
+@pytest.fixture(scope="module")
+def disk64():
+    return gen_disk(n_circle=64, n_interior_rings=2, degree=8).system
+
+
+_EVERY_4TH = tuple(range(0, 64, 4))
+
+
+def test_center_is_in_hull_of_every_4th_circle_point(disk64):
+    center = disk64.space.index("center")
+    assert _nnls_member(disk64.basis, center, _EVERY_4TH)
+    assert sets.in_hull(disk64, center, _EVERY_4TH)
+
+
+def test_trace_hull_of_every_4th_circle_point_matches_nnls(disk64):
+    hull = sets.trace_hull(disk64, _EVERY_4TH)
+    assert len(hull) == 49
+    assert hull == tuple(x for x in range(disk64.n) if _nnls_member(disk64.basis, x, _EVERY_4TH))
+
+
+def test_trace_hull_of_every_16th_circle_point_matches_nnls():
+    big = gen_disk(n_circle=256, n_interior_rings=4, degree=8).system
+    S = tuple(range(0, 256, 16))
+    hull = sets.trace_hull(big, S)
+    assert len(hull) == 81
+    assert hull == tuple(x for x in range(big.n) if _nnls_member(big.basis, x, S))
+
+
+@pytest.mark.parametrize("label", ["ring1_000", "ring1_004", "ring1_008"])
+def test_ring_points_inside_every_4th_circle_point_are_not_separable(disk64, label):
+    ring = disk64.space.index(label)
+    assert _nnls_member(disk64.basis, ring, _EVERY_4TH)
+    res = sets.separate(disk64, _EVERY_4TH, ring)
+    assert not res.separable and res.witness is None
