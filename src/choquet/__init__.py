@@ -1,5 +1,6 @@
 """Choquet boundaries, trace-convex hulls and maximum principles on finite
-point spaces, computed exactly by dense linear programming."""
+point spaces, computed by dense linear programming and certified by
+witnesses checked by evaluation."""
 
 from .convexify import (
     ConvexTraceSpec,
@@ -37,7 +38,6 @@ from .measures import (
     KeyInterval,
     choquet_boundary,
     is_boundary,
-    is_vertex,
     key_interval,
     min_self_mass,
     representing_measure,

@@ -103,7 +103,7 @@ def _build_parser():
         g.set_defaults(handler=_cmd_gen)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("boundary", parents=[common, inst, tol],
+    p = sub.add_parser("boundary", parents=[common, inst],
                        help="classify every point against the Choquet boundary")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument("--plot", metavar="PATH", help="also write an SVG rendering")
@@ -280,8 +280,7 @@ def _cmd_gen(args):
 
 def _cmd_boundary(args):
     system = _load_system(args).require_valid()
-    tol = _classification_tol(args, measures.BOUNDARY_TOL)
-    report = measures.choquet_boundary(system, tol=tol)
+    report = measures.choquet_boundary(system)
     if args.plot:
         svg = plotting.render_svg(system, boundary=report.boundary)
         with open(args.plot, "w", encoding="utf-8") as fh:

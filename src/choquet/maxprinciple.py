@@ -127,10 +127,11 @@ def multi_max_verify(system, specs, tol=ARGMAX_TOL, boundary=None):
 def expose(system, xbar, tol=ARGMAX_TOL):
     """A basis element whose unique maximizer over the space is ``xbar``.
 
-    Requires ``xbar`` to be a boundary point.  The dual (y, t) of its
-    self-mass LP is the exposing field B'y + t, with value 1 at ``xbar``
-    and at most 0 elsewhere; the constant t is carried into coefficients
-    through the constants-in-span vector that ``validate`` computes.
+    Requires ``xbar`` to be a boundary point.  The Farkas ray that puts
+    ``xbar`` outside the hull of the other points, rescaled to value 1 at
+    ``xbar`` and maximum 0 elsewhere, is the exposing field B'y + t; the
+    constant t is carried into coefficients through the constants-in-span
+    vector that ``validate`` computes.
     """
     system.require_valid()
     cert = _self_mass(system, xbar)
@@ -161,11 +162,12 @@ def boundary_characterization(system, xbar, samples=64, seed=0, tol=ARGMAX_TOL):
     """Characterize ``xbar`` through maximizer sets of convex-trace fields.
 
     Boundary points admit an exposing functional, a convex-trace field
-    maximized at the point alone: the self-mass LP returns one, checked by
-    evaluation.  Otherwise it returns a checked representing measure off
-    the point, and every sampled convex-trace field maximized at the point
-    is also maximized elsewhere; a singleton argmax at a non-vertex would
-    contradict convexity and raises.
+    maximized at the point alone: the membership LP of the point against
+    the other points returns one, checked by evaluation.  Otherwise it
+    returns checked weights on the other points that represent it, and
+    every sampled convex-trace field maximized at the point is also
+    maximized elsewhere; a singleton argmax at a non-vertex would contradict
+    convexity and raises.
     """
     system.require_valid()
     if not 0 <= xbar < system.n:

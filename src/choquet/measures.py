@@ -3,19 +3,25 @@
 A probability measure mu represents point x when integrating any basis
 function against mu reproduces its value at x, i.e. B mu = B e_x with
 mu >= 0 and total mass 1.  The Dirac mass at x always qualifies, so the
-feasible polytope is never empty.
+feasible polytope is never empty.  Every LP over such measures is built by
+``_measure_program``: it keeps the basis rows that vary over the support
+and x, plus the ones row.  A row constant (within ``CERT_TOL`` of its
+scale) there holds for every probability measure on the support, so the
+constant row that the bases carry never duplicates the ones row.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
-representing measure.  One LP per point decides it: minimize the mass a
-representing measure leaves on x.  The optimum is 0 or 1, and LP duality
-hands back a witness for either answer.  At optimum 1 the dual (y, t)
-gives the field phi = B'y + t with phi_x = 1 and phi_j <= 0 for j != x,
-so phi exposes x and column x is a vertex of the hull of all columns.  At
-optimum 0 the primal mu with mu_x zeroed and the rest renormalized writes
-x as a convex combination of the other points.  Each witness is checked by
-direct O(nd) evaluation that does not trust the simplex engine; a failed
-check raises ConsistencyError.  ``is_vertex`` keeps the independent
-membership LP as an oracle for tests.
+representing measure, i.e. when every representing measure leaves mass 1
+on it.  The least such mass is exactly 0 or 1: a convex combination of the
+other columns that reproduces column x leaves mass 0, and otherwise a
+representing measure mu with mu_x < 1 would give one, (mu - mu_x e_x) /
+(1 - mu_x).  So one feasibility LP per point decides it: is column x in
+the hull of the other columns?  Its verdict carries a witness checked by
+O(nd) evaluation that does not trust the simplex engine: weights on the
+other points that reproduce column x (mass 0), or a Farkas ray (c, t)
+whose field B'c + t is larger at x than at every other point beyond
+rounding (mass 1).  Rescaled to value 1 at x and maximum 0 elsewhere, the
+ray is the exposing field that ``maxprinciple.expose`` returns.  A failed
+check raises ConsistencyError.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,6 @@ from . import lp
 from .errors import ConsistencyError, ValidationError
 from .space import Measure, as_field
 
-BOUNDARY_TOL = 1e-7
 CERT_TOL = 1e-9
 # relative rounding bound for evaluating an exposing field B'y + t
 _ROUNDING = 64.0 * np.finfo(float).eps
@@ -48,15 +53,20 @@ class KeyInterval:
 class BoundaryReport:
     """Per-point boundary classification.
 
-    ``vertex`` records which witness each point's self-mass LP returned
-    (an exposing field, not a representing measure off the point); it
-    equals ``is_boundary`` once both are checked.
+    A point's least self mass is 1 on the boundary and 0 off it, and it is
+    a vertex of the hull of all columns exactly when it is on the boundary,
+    so both are read off ``is_boundary``.
     """
 
-    min_self_mass: np.ndarray
-    vertex: np.ndarray
     is_boundary: np.ndarray
-    tol: float
+
+    @property
+    def min_self_mass(self):
+        return self.is_boundary.astype(float)
+
+    @property
+    def vertex(self):
+        return self.is_boundary
 
     @property
     def boundary(self):
@@ -66,17 +76,13 @@ class BoundaryReport:
         pts = [
             {
                 "label": system.space.labels[j],
-                "is_boundary": bool(self.is_boundary[j]),
-                "min_self_mass": float(self.min_self_mass[j]),
-                "vertex": bool(self.vertex[j]),
+                "is_boundary": bool(flag),
+                "min_self_mass": float(flag),
+                "vertex": bool(flag),
             }
-            for j in range(len(self.min_self_mass))
+            for j, flag in enumerate(self.is_boundary)
         ]
-        return {
-            "boundary": [system.space.labels[j] for j in self.boundary],
-            "points": pts,
-            "tolerance": self.tol,
-        }
+        return {"boundary": [system.space.labels[j] for j in self.boundary], "points": pts}
 
 
 def representation_error(A, mu, target):
@@ -94,19 +100,65 @@ def separation_margin(B, y, t, x, rest):
     return float(phi[x] - err[x] - (phi[rest] + err[rest]).max(initial=-np.inf))
 
 
+def coefficient_scales(system):
+    """Magnitude of each basis row (1 for an all-zero row)."""
+    s = np.abs(system.basis).max(axis=1)
+    s[s == 0.0] = 1.0
+    return s
+
+
 def _check_point(system, x):
     if not 0 <= x < system.n:
         raise ValidationError(f"point index {x} out of range [0, {system.n})")
 
 
+def _measure_program(P, col, scales, objective=None):
+    """LP over probability weights on the columns P that reproduce ``col``;
+    returns it with the mask of basis rows it keeps.  Rows spanning at most
+    ``CERT_TOL`` of their scale over P and ``col`` stay out: no probability
+    weights miss them by more."""
+    span = np.maximum(P.max(axis=1, initial=-np.inf), col)
+    span -= np.minimum(P.min(axis=1, initial=np.inf), col)
+    keep = span > CERT_TOL * scales
+    A = np.vstack([P[keep], np.ones((1, P.shape[1]))])
+    rhs = np.append(col[keep], 1.0)
+    obj = np.zeros(P.shape[1]) if objective is None else objective
+    return lp.LinearProgram.build(obj, A, [lp.EQ] * len(rhs), rhs), keep
+
+
 def _mx_program(system, x, objective=None):
     """LP over the representing-measure polytope of point x."""
+    obj = None if objective is None else as_field(system, objective)
     B = system.basis
-    n = system.n
-    A = np.vstack([B, np.ones((1, n))])
-    rhs = np.concatenate([B[:, x], [1.0]])
-    obj = np.zeros(n) if objective is None else as_field(system, objective)
-    return lp.LinearProgram.build(obj, A, [lp.EQ] * A.shape[0], rhs)
+    return _measure_program(B, B[:, x], coefficient_scales(system), obj)[0]
+
+
+def _membership(system, x, S, scales=None):
+    """The membership LP of column x against the points S (indices or a
+    mask); returns (member, witness) checked by evaluation: weights on S
+    reproducing column x within ``CERT_TOL``, or a Farkas ray (c, t) with
+    B'c + t larger at x than on S beyond rounding."""
+    B, S = system.basis, np.asarray(S)
+    P = B[:, S]
+    prog, keep = _measure_program(
+        P, B[:, x], coefficient_scales(system) if scales is None else scales
+    )
+    out = lp.solve(prog)
+    if out.status == lp.OPTIMAL:
+        w = np.maximum(out.point, 0.0)
+        w /= w.sum()
+        miss = representation_error(P, w, B[:, x])
+        if miss <= CERT_TOL:
+            return True, w
+        problem = f"hull weights miss it by relative {miss:.3e}"
+    else:
+        c = np.zeros(system.d)
+        c[keep], t = out.dual_point[:-1], out.dual_point[-1]
+        margin = separation_margin(B, c, t, x, S)
+        if margin > 0.0:
+            return False, (c, t)
+        problem = f"Farkas ray separates it by {margin:.3e}"
+    raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
 
 
 def representing_measure(system, x, objective=None):
@@ -136,14 +188,14 @@ def key_interval(system, f, x):
 
 @dataclass(frozen=True)
 class _SelfMass:
-    """Optimum of the self-mass LP of one point with its checked witness.
+    """The least self mass of one point with its checked witness.
 
-    ``exposing`` holds the dual (y, t) of an exposing field B'y + t when
-    the point is a vertex, ``others`` a representing measure that puts no
-    mass on the point otherwise; the other one is None.
+    ``exposing`` holds (y, t) of a field B'y + t equal to 1 at the point and
+    at most 0 elsewhere when the point is a vertex (mass 1), ``others`` a
+    representing measure with no mass on the point otherwise (mass 0); the
+    other one is None.
     """
 
-    mass: float
     exposing: np.ndarray | None
     others: np.ndarray | None
 
@@ -151,39 +203,25 @@ class _SelfMass:
     def vertex(self):
         return self.exposing is not None
 
+    @property
+    def mass(self):
+        return float(self.vertex)
 
-def _self_mass(system, x, tol=BOUNDARY_TOL):
-    """Solve the self-mass LP of x and check the witness its verdict names."""
+
+def _self_mass(system, x):
+    """Decide whether column x is in the hull of the other columns and turn
+    the checked membership witness into the self-mass witness."""
     _check_point(system, x)
-    obj = np.zeros(system.n)
-    obj[x] = 1.0
-    out = lp.solve(_mx_program(system, x, obj))
-    if out.status != lp.OPTIMAL:
-        raise ConsistencyError("self-mass LP infeasible; engine bug")
-    mass = float(out.value)
-    B = system.basis
-    label = system.space.labels[x]
-    if mass >= 1.0 - tol:
-        dual = out.dual_point
-        margin = separation_margin(B, dual[:-1], dual[-1], x, np.arange(system.n) != x)
-        if not margin > 0.0:
-            raise ConsistencyError(
-                f"self-mass dual does not expose point {label!r} (margin {margin:.3e})"
-            )
-        return _SelfMass(mass, dual, None)
-    mu = np.maximum(out.point, 0.0)
-    mu[x] = 0.0
-    rest = mu.sum()
-    if not rest > 0.0:
-        raise ConsistencyError(f"self-mass LP left no mass off point {label!r}")
-    mu /= rest
-    worst = representation_error(B, mu, B[:, x])
-    if worst > CERT_TOL:
-        raise ConsistencyError(
-            f"representing measure of point {label!r} off the other points "
-            f"misses it by relative {worst:.3e}"
-        )
-    return _SelfMass(mass, None, mu)
+    rest = np.arange(system.n) != x
+    member, witness = _membership(system, x, rest)
+    if member:
+        others = np.zeros(system.n)
+        others[rest] = witness
+        return _SelfMass(None, others)
+    c, t = witness
+    phi = system.basis.T @ c + t
+    top = phi[rest].max() if system.n > 1 else phi[x] - 1.0
+    return _SelfMass(np.append(c, t - top) / (phi[x] - top), None)
 
 
 def min_self_mass(system, x):
@@ -192,39 +230,17 @@ def min_self_mass(system, x):
     return _self_mass(system, x).mass
 
 
-def is_boundary(system, x, tol=BOUNDARY_TOL):
-    """Whether M_x is the Dirac singleton; returns (flag, min_self_mass).
-
-    Mass 1 pinned at x forces the Dirac measure, so the singleton test
-    reduces to one LP: minimize the weight at x itself.
-    """
+def is_boundary(system, x):
+    """Whether M_x is the Dirac singleton; returns (flag, min_self_mass)."""
     system.require_valid()
-    cert = _self_mass(system, x, tol)
+    cert = _self_mass(system, x)
     return cert.vertex, cert.mass
 
 
-def is_vertex(system, x):
-    """Whether column x is outside the convex hull of the other columns.
-
-    An independent LP on the hull of the other columns; the boundary
-    routines do not call it, tests use it as their oracle.
-    """
+def choquet_boundary(system):
+    """Classify every point by its membership LP and checked witness."""
     system.require_valid()
-    _check_point(system, x)
-    others = [j for j in range(system.n) if j != x]
-    if not others:
-        return True
-    B = system.basis
-    A = np.vstack([B[:, others], np.ones((1, len(others)))])
-    rhs = np.concatenate([B[:, x], [1.0]])
-    prog = lp.LinearProgram.build(np.zeros(len(others)), A, [lp.EQ] * A.shape[0], rhs)
-    return lp.feasible(prog) is None
-
-
-def choquet_boundary(system, tol=BOUNDARY_TOL):
-    """Classify every point by its self-mass LP and checked witness."""
-    system.require_valid()
-    certs = [_self_mass(system, x, tol) for x in range(system.n)]
-    mass = np.array([c.mass for c in certs])
-    vertex = np.array([c.vertex for c in certs], dtype=bool)
-    return BoundaryReport(min_self_mass=mass, vertex=vertex, is_boundary=vertex, tol=tol)
+    scales = coefficient_scales(system)
+    points = np.arange(system.n)
+    flags = [not _membership(system, x, points != x, scales)[0] for x in points]
+    return BoundaryReport(is_boundary=np.array(flags, dtype=bool))

@@ -3,9 +3,10 @@
 A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
-set is one small feasibility LP whose verdict carries a witness checked by
-evaluation: convex weights, or the Farkas ray of the infeasible LP, which
-is the separator that ``separate`` returns.
+set is one small feasibility LP, built and checked by ``measures`` (the
+Choquet boundary asks the same question), whose verdict carries a witness
+checked by evaluation: convex weights, or the Farkas ray of the infeasible
+LP, which is the separator that ``separate`` returns.
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .errors import ConsistencyError, ValidationError
-from .measures import CERT_TOL, representation_error, separation_margin
+from .measures import _membership, coefficient_scales, separation_margin
 from .space import PhiFunction, evaluate
 
 _ANTIPARALLEL_TOL = 1e-12
@@ -70,34 +70,6 @@ class KreinMilmanReport:
         }
 
 
-def _membership(system, x, S):
-    """The membership LP of column x against S; returns (member, witness)
-    checked by evaluation: weights reproducing column x within ``CERT_TOL``,
-    or a Farkas ray (c, t) with B'c + t larger at x than on S beyond rounding.
-    Rows spanning at most ``CERT_TOL`` of their scale over S and x stay out
-    of the LP: no convex combination misses them by more."""
-    P = system.basis[:, list(S) + [x]]  # the columns of S, then x
-    keep = np.ptp(P, axis=1) > CERT_TOL * coefficient_scales(system)
-    A = np.vstack([P[keep, :-1], np.ones((1, len(S)))])
-    rhs = np.append(P[keep, -1], 1.0)
-    out = lp.solve(lp.LinearProgram.build(np.zeros(len(S)), A, [lp.EQ] * len(rhs), rhs))
-    if out.status == lp.OPTIMAL:
-        w = np.maximum(out.point, 0.0)
-        w /= w.sum()
-        miss = representation_error(P[:, :-1], w, P[:, -1])
-        if miss <= CERT_TOL:
-            return True, w
-        problem = f"hull weights miss it by relative {miss:.3e}"
-    else:
-        c = np.zeros(system.d)
-        c[keep], t = out.dual_point[:-1], out.dual_point[-1]
-        margin = separation_margin(P, c, t, -1, slice(-1))
-        if margin > 0.0:
-            return False, (c, t)
-        problem = f"Farkas ray separates it by {margin:.3e}"
-    raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
-
-
 def in_hull(system, x, S):
     """Is column x a convex combination of the columns indexed by S?"""
     system.require_valid()
@@ -124,13 +96,6 @@ def is_trace_convex(system, C, ambient=None):
     if not C:
         raise ValidationError("empty set cannot be tested for trace convexity")
     return trace_hull(system, C, ambient=ambient) == C
-
-
-def coefficient_scales(system):
-    """Magnitude of each basis row (1 for an all-zero row)."""
-    s = np.abs(system.basis).max(axis=1)
-    s[s == 0.0] = 1.0
-    return s
 
 
 def separate(system, C, xbar):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from choquet import lp, measures
 from choquet.generators import gen_disk, gen_interval_affine, gen_naturals
@@ -32,6 +33,22 @@ def count_lps(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", counting)
     return calls
+
+
+def is_vertex(system, x):
+    """Whether column x is outside the convex hull of the other columns.
+
+    The boundary's own membership LP decides the same question, so this
+    oracle asks HiGHS instead of ``choquet.lp``.
+    """
+    others = [j for j in range(system.n) if j != x]
+    if not others:
+        return True
+    B = system.basis
+    A = np.vstack([B[:, others], np.ones((1, len(others)))])
+    res = linprog(np.zeros(len(others)), A_eq=A, b_eq=np.append(B[:, x], 1.0), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 2
 
 
 def lower_convex_envelope_1d(q, f):

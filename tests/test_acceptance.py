@@ -20,6 +20,7 @@ from choquet.generators import (
     gen_random,
 )
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
+from conftest import is_vertex
 
 
 def _report(k, elapsed, text):
@@ -135,11 +136,11 @@ def test_criterion_06_boundary_test_agreement():
     fixtures += [_random_system(i).system for i in range(100)]
     for system in fixtures:
         report = measures.choquet_boundary(system)  # raises on a failed witness
-        oracle = [measures.is_vertex(system, x) for x in range(system.n)]
+        oracle = [is_vertex(system, x) for x in range(system.n)]
         assert report.is_boundary.tolist() == oracle
         assert report.vertex.tolist() == oracle
     elapsed = time.perf_counter() - t0
-    _report(6, elapsed, "certified self-mass verdicts match the vertex LP on "
+    _report(6, elapsed, "certified boundary verdicts match the HiGHS vertex LP on "
                         "fixtures + 100 random systems")
 
 

@@ -3,7 +3,9 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from choquet.cli import main
 
@@ -338,14 +340,37 @@ def test_iteration_limit_is_a_verification_failure(tmp_path, capsys, monkeypatch
 
 def test_strict_flag(tmp_path, capsys):
     inst = tmp_path / "nat.json"
+    field = tmp_path / "f.json"
     run_cli(["gen", "naturals", "4", "-o", str(inst)], capsys=capsys)
-    code, out, _ = run_cli(["boundary", str(inst), "--strict"], capsys=capsys)
+    field.write_text("[0, 1, 1, 0]")
+    argv = ["check-convex", str(inst), "--field", str(field), "--strict"]
+    code, out, _ = run_cli(argv, capsys=capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["boundary"] == ["1", "4"]
+    assert doc["is_choquet_convex"] is False
     assert doc["tolerance"] == 1e-12
-    code, _, _ = run_cli(["boundary", str(inst), "--strict", "--tol", "1e-5"], capsys=capsys)
+    code, _, _ = run_cli(argv + ["--tol", "1e-5"], capsys=capsys)
     assert code == 2
+
+
+def test_boundary_takes_no_tolerance():
+    # boundary verdicts are certified 0/1 self masses: no tolerance to set
+    for flag in (["--strict"], ["--tol", "1e-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary", "inst.json", *flag])
+        assert exc.value.code == 2
+
+
+def test_gen_random_80_6_seed_3_boundary_is_its_hull(capsys):
+    # the self-mass LP of p55 used to end on a singular basis whose dual
+    # failed the exposing check, so this command exited 1
+    code, out, _ = run_cli(["gen", "random", "80", "6", "--seed", "3"], capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    B = np.array(doc["basis"])
+    vertices = sorted(ConvexHull(B[1:].T).vertices)
+    assert len(vertices) == 57
+    assert doc["expected"]["boundary"] == [doc["labels"][j] for j in vertices]
 
 
 def test_multimax_subcommand(tmp_path, capsys):

@@ -372,3 +372,25 @@ def test_solve_bit_identical_to_column_loop(monkeypatch):
             assert out.value == ref.value
             assert np.array_equal(out.point, ref.point)
             assert np.array_equal(out.dual_point, ref.dual_point)
+
+
+@pytest.mark.parametrize("extra", [0, 2], ids=["one-dependency", "five-dependencies"])
+def test_dependent_row_dropped_by_its_weight_and_dual_certified(extra):
+    # the self-mass LP of p55 in gen_random(80, 6, seed=3): min mu_55 over
+    # probability measures representing column 55, whose appended ones row
+    # duplicates the basis's constant row.  Dropping the constraint row of
+    # the stuck artificial kept both ones rows and ended on a basis of
+    # condition 6.6e16 whose dual had value 0.45 and reduced costs down to
+    # -2.3; the dependency's heaviest row must go instead.  With extra
+    # dependent rows each dependency must drop a different row.
+    rng = np.random.default_rng(3)
+    B = np.vstack([np.ones(80), rng.uniform(0.0, 1.0, size=(5, 80))])
+    A = np.vstack([B, np.ones((1, 80)), 2.0 * B[:extra], B[1:1 + extra] + B[2:2 + extra]])
+    rhs = A[:, 55].copy()
+    c = np.eye(80)[55]
+    out = lp.solve(lp.LinearProgram.build(c, A, [lp.EQ] * len(rhs), rhs))
+    assert out.status == lp.OPTIMAL
+    assert out.value == pytest.approx(1.0, abs=1e-9)
+    y = out.dual_point
+    assert rhs @ y == pytest.approx(1.0, abs=1e-9)
+    assert (c - A.T @ y).min() >= -1e-9

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from choquet import lp, measures
 from choquet._util import dumps
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, pair
+from conftest import is_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,13 +85,13 @@ def test_is_boundary_interval_endpoint(interval5):
 
 
 def test_is_vertex(naturals4):
-    assert measures.is_vertex(naturals4.system, 3)
-    assert not measures.is_vertex(naturals4.system, 2)
+    assert is_vertex(naturals4.system, 3)
+    assert not is_vertex(naturals4.system, 2)
 
 
 def test_single_point_space_is_vertex():
     system = FunctionSystem(FiniteSpace(("only",)), [[1.0]])
-    assert measures.is_vertex(system, 0)
+    assert is_vertex(system, 0)
     report = measures.choquet_boundary(system)
     assert report.boundary == (0,)
 
@@ -127,7 +129,7 @@ def test_boundary_vertex_agreement_random():
         inst = gen_random(n, 2 + seed % 3, seed=seed)
         report = measures.choquet_boundary(inst.system)  # raises on a failed witness
         assert report.boundary == inst.expected_boundary
-        oracle = [measures.is_vertex(inst.system, x) for x in range(n)]
+        oracle = [is_vertex(inst.system, x) for x in range(n)]
         assert report.is_boundary.tolist() == oracle
         assert report.vertex.tolist() == oracle
 
@@ -185,18 +187,19 @@ def _tampered_solve(monkeypatch, corrupt):
 
 
 def test_corrupted_dual_is_caught(naturals4, monkeypatch):
+    # point 0 (label "1") is a vertex: a negated Farkas ray separates it the
+    # wrong way
     _tampered_solve(monkeypatch, lambda out: replace(out, dual_point=-out.dual_point))
-    with pytest.raises(ConsistencyError, match="does not expose"):
+    with pytest.raises(ConsistencyError, match="Farkas ray"):
         measures.choquet_boundary(naturals4.system)
 
 
-@pytest.mark.parametrize(
-    "point, message", [(np.full(4, 0.25), "misses it"), (np.eye(4)[1], "no mass off")]
-)
-def test_corrupted_measure_is_caught(naturals4, monkeypatch, point, message):
-    # point 1 (label "2") is interior, so its witness is the primal measure
+@pytest.mark.parametrize("point", [np.full(3, 1 / 3), np.eye(3)[0]], ids=["uniform", "dirac"])
+def test_corrupted_measure_is_caught(naturals4, monkeypatch, point):
+    # point 1 (label "2") is interior, so its witness is weights on the
+    # other three points; these two miss its column
     _tampered_solve(monkeypatch, lambda out: replace(out, point=point))
-    with pytest.raises(ConsistencyError, match=message):
+    with pytest.raises(ConsistencyError, match="hull weights miss it"):
         measures.min_self_mass(naturals4.system, 1)
 
 
@@ -242,3 +245,28 @@ def test_interval_generator_output_validates():
     # interior grid point: mass moves to the endpoints
     assert mu.weights[15] == pytest.approx(0.0, abs=1e-9)
     assert pair(mu, np.linspace(0, 1, 31)) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_disk_200_3_10_boundary_is_the_circle():
+    # the self-mass LP of circ017 used to return a point that failed the
+    # primal check by relative 1.44e-9
+    report = measures.choquet_boundary(gen_disk(200, 3, 10).system)
+    assert report.boundary == tuple(range(200))
+
+
+@pytest.mark.parametrize("label", ["circ109", "circ115"])
+def test_key_interval_on_disk_matches_highs(label):
+    # the measure-side LP with the redundant ones row cycled to the
+    # iteration limit at these two points
+    system = gen_disk(n_circle=128, n_interior_rings=3, degree=12).system
+    rng = np.random.default_rng(101)
+    pieces = [(rng.normal(size=system.d), rng.normal()) for _ in range(4)]
+    f = np.max([system.basis.T @ a + b for a, b in pieces], axis=0)
+    x = system.space.index(label)
+    A = np.vstack([system.basis, np.ones((1, system.n))])
+    rhs = np.append(system.basis[:, x], 1.0)
+    lo = linprog(f, A_eq=A, b_eq=rhs, method="highs").fun
+    hi = -linprog(-f, A_eq=A, b_eq=rhs, method="highs").fun
+    iv = measures.key_interval(system, f, x)
+    bound = 1e-9 * (1.0 + np.abs(f).max())
+    assert abs(iv.lo - lo) <= bound and abs(iv.hi - hi) <= bound
