@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp, measures, plotting, sets
 from ._util import dumps
-from .convexify import ConvexTraceSpec, biconjugate, hat_positive, hat_signed
+from .convexify import ConvexTraceSpec, biconjugate, hat_signed
 from .errors import ConsistencyError, IterationLimitError, ValidationError
 from .generators import GENERATORS
 from .maxprinciple import bauer_verify, expose, genericity_experiment, multi_max_verify
@@ -387,17 +387,16 @@ def _cmd_convexify(args):
     tol = _classification_tol(args, 1e-7)
     if args.alpha <= 0:
         raise ValidationError("--alpha must be positive")
-    fxx = biconjugate(system, f)
-    hpos = hat_positive(system, f)
+    fxx = biconjugate(system, f)  # hat_positive is this same sweep
     hsig = hat_signed(system, f, alpha=args.alpha)
     doc = {
         "field": [float(v) for v in f],
         "biconjugate": [float(v) for v in fxx],
-        "hat_positive": [float(v) for v in hpos],
+        "hat_positive": [float(v) for v in fxx],
         "hat_signed": [float(v) for v in hsig],
         "alpha": args.alpha,
         "is_choquet_convex": bool(np.max(f - fxx) <= tol),
-        "signed_vs_positive_gap": float(np.max(hpos - hsig)),
+        "signed_vs_positive_gap": float(np.max(fxx - hsig)),
         "tolerance": tol,
     }
     return _write(args, dumps(doc))

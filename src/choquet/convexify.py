@@ -21,10 +21,11 @@ checked by direct evaluation that does not trust the simplex engine:
   within relative 1e-9; <mu, f> is an upper bound on f**(x).
 
 The two bounds must agree within 1e-7 (1 + max |f|); otherwise, or when
-mu misses x, ConsistencyError is raised.  Before it is stored, phi is
-moved within the LP's optimal face toward the uncertified points until it
-touches as many of them as a vertex of that face allows.  One facet then
-certifies further points with no LP:
+mu misses x, ConsistencyError is raised; ``measures._bracket`` makes
+these checks for each end of a key interval too.  Before it is stored,
+phi is moved within the LP's optimal face toward the uncertified points
+until it touches as many of them as a vertex of that face allows.  One
+facet then certifies further points with no LP:
 
 * every point j where phi touches f takes min(phi_j, f_j), bracketed by
   phi_j and the Dirac mass's f_j;
@@ -49,13 +50,10 @@ import numpy as np
 
 from . import lp
 from .errors import ConsistencyError, ValidationError
-from .measures import CERT_TOL, representation_error
+from .measures import AGREE_TOL, CERT_TOL, _bracket, representation_error
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
-# the lower (minorant) and upper (measure) bounds of a value must agree
-# within this, relative to 1 + max |f|
-AGREE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -125,34 +123,20 @@ def _facet(system, f, x, low, scale, free):
     keeps the rhs nonnegative so the solver starts from the slack basis.
     Its dual gives a representing measure mu of x, its point the minorant
     phi = B'c + low after ``_lift`` has moved c toward the points in
-    ``free``.  phi is lowered by its largest excess over f (the engine's
-    point is only feasible within its tolerance), and phi(x) must then
-    agree with <mu, f>.
+    ``free``; ``measures._bracket`` checks the pair and lowers phi by its
+    largest excess over f (the engine's point is only feasible within its
+    tolerance).
     """
     B = system.basis
-    label = system.space.labels[x]
     prog = lp.LinearProgram.build(
         -B[:, x], B.T, [lp.LE] * system.n, f - low, bounds=(-np.inf, np.inf)
     )
     out = lp.solve(prog)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(f"biconjugate LP reported {out.status}; engine bug")
-    mu = np.maximum(-out.dual_point, 0.0)
-    miss = representation_error(B, mu, B[:, x])
-    if miss > CERT_TOL:
-        raise ConsistencyError(
-            f"biconjugate dual at point {label!r} misses it by relative {miss:.3e}"
-        )
     c = out.point
     phi = _lift(B, f - low - B.T @ c, c, x, free, CERT_TOL * scale) + low
-    phi -= max(0.0, float(np.max(phi - f)))
-    upper = float(mu @ f)
-    if abs(upper - phi[x]) > AGREE_TOL * scale:
-        raise ConsistencyError(
-            f"biconjugate bounds at point {label!r} disagree: "
-            f"minorant {phi[x]:.12g}, measure {upper:.12g}"
-        )
-    return phi
+    return _bracket(system, f, x, np.maximum(-out.dual_point, 0.0), phi)
 
 
 def _lift(B, slack, c, x, free, tol):

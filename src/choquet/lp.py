@@ -3,7 +3,7 @@
 Two-phase primal simplex on the full tableau.  Pricing is Dantzig's most
 negative reduced cost with ratio ties broken toward the largest pivot
 element; a degeneracy stall switches to Bland's smallest-index anti-cycling
-rule, restricted to well-sized pivots, until the objective moves again,
+rule, restricted to well-sized pivots, until the objective falls again,
 and the tableau is refactorized from the basis periodically so pivot drift
 cannot accumulate.  General bounds are reduced internally to standard form
 ``min c.x, Ax = b, x >= 0``: shifted lower bounds, reflected upper bounds,
@@ -210,8 +210,9 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
 
     Entering column by Dantzig pricing with ratio ties broken toward the
     largest pivot element; after a degenerate stall Bland's smallest-index
-    rule takes over until the objective moves again, which rules out
-    cycling.  Its leaving row is chosen among the ratio ties whose pivot is
+    rule takes over until the objective falls below its best value, which
+    rules out cycling (rounding noise cannot keep resetting the stall).
+    Its leaving row is chosen among the ratio ties whose pivot is
     at least ``_BLAND_PIVOT_FRAC`` of the largest, and among all ties once
     the stall outlasts ``_BLAND_EXACT_AFTER`` pivots.  The tableau is
     refactorized from the basis periodically and before any unbounded
@@ -265,6 +266,7 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
             raise IterationLimitError(f"simplex iteration limit {max_iter} reached")
         obj = -z[-1]
         if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
+            last_obj = obj
             stall = 0
             bland = False
         else:
@@ -276,7 +278,6 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
                     fresh = True
                 except np.linalg.LinAlgError:  # pragma: no cover
                     pass
-        last_obj = obj
         if it % _REFRESH_EVERY == 0:
             try:
                 T, z = _refactor(A, b, basis, cost)

@@ -3,7 +3,8 @@ boundary characterization and the generic-uniqueness experiment.
 
 Every convex-trace field attains its maximum on the Choquet boundary; the
 verifiers below realize fields from their max-of-affine specs, compute the
-argmax set and check the boundary actually carries the maximum.  The
+argmax set and check the boundary actually carries the maximum.  Exposing
+fields are ``measures._separator``'s, like every separating witness.  The
 genericity experiment perturbs a field by random basis elements and counts
 how often the perturbed maximizer is unique.
 """
@@ -14,8 +15,8 @@ import numpy as np
 
 from .convexify import ConvexTraceSpec, realize_convex_trace
 from .errors import ConsistencyError, ValidationError
-from .measures import _self_mass, choquet_boundary
-from .space import PhiFunction, as_field, evaluate
+from .measures import _check_point, _separator, choquet_boundary, min_self_mass
+from .space import PhiFunction, as_field
 
 ARGMAX_TOL = 1e-9
 TIE_TOL = 1e-9
@@ -124,28 +125,22 @@ def multi_max_verify(system, specs, tol=ARGMAX_TOL, boundary=None):
     return MultiMaxReport(common, b_common, hypothesis_void=False, ok=bool(b_common))
 
 
-def expose(system, xbar, tol=ARGMAX_TOL):
+def expose(system, xbar):
     """A basis element whose unique maximizer over the space is ``xbar``.
 
-    Requires ``xbar`` to be a boundary point.  The Farkas ray that puts
-    ``xbar`` outside the hull of the other points, rescaled to value 1 at
-    ``xbar`` and maximum 0 elsewhere, is the exposing field B'y + t; the
-    constant t is carried into coefficients through the constants-in-span
-    vector that ``validate`` computes.
+    Requires ``xbar`` to be a boundary point.  The exposing field is
+    ``measures._separator`` of ``xbar`` against all other points: 1 at
+    ``xbar`` and at most 0 elsewhere, checked by evaluation.
     """
     system.require_valid()
-    cert = _self_mass(system, xbar)
-    if not cert.vertex:
+    _check_point(system, xbar)
+    coeffs = _separator(system, xbar, np.arange(system.n) != xbar)
+    if coeffs is None:
         raise ValidationError(
             f"point {system.space.labels[xbar]!r} is not a boundary point "
-            f"(min self mass {cert.mass:.3g}); only boundary points are exposed"
+            "(min self mass 0); only boundary points are exposed"
         )
-    y, t = cert.exposing[:-1], cert.exposing[-1]
-    phi = PhiFunction(y + t * system.validate().constants_coeffs)
-    amax = argmax_set(system, evaluate(system, phi), tol)
-    if amax != (xbar,):
-        raise ConsistencyError(f"exposing functional has argmax {amax}, expected {(xbar,)}")
-    return phi
+    return PhiFunction(coeffs)
 
 
 def random_spec(system, rng, max_pieces=4, scale=1.0):
@@ -169,10 +164,7 @@ def boundary_characterization(system, xbar, samples=64, seed=0, tol=ARGMAX_TOL):
     maximized elsewhere; a singleton argmax at a non-vertex would contradict
     convexity and raises.
     """
-    system.require_valid()
-    if not 0 <= xbar < system.n:
-        raise ValidationError(f"point index {xbar} out of range")
-    if _self_mass(system, xbar).vertex:
+    if min_self_mass(system, xbar) == 1.0:
         return True
     rng = np.random.default_rng(seed)
     for _ in range(samples):

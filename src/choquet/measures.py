@@ -9,19 +9,27 @@ and x, plus the ones row.  A row constant (within ``CERT_TOL`` of its
 scale) there holds for every probability measure on the support, so the
 constant row that the bases carry never duplicates the ones row.
 
+Every hull question is decided here, by one membership LP: is column x
+in the hull of the columns of the points S?  Its verdict carries a witness
+checked by O(nd) evaluation that does not trust the simplex engine:
+weights on S that reproduce column x, or a Farkas ray (c, t) whose field
+B'c + t is larger at x than on S beyond rounding.  ``_separator`` rescales
+the ray into the separator and exposing field that ``sets`` and
+``maxprinciple`` return, and ``_extreme`` asks the question of each point
+of a set against the rest of it.
+
 A point belongs to the Choquet boundary when the Dirac mass is its only
-representing measure, i.e. when every representing measure leaves mass 1
-on it.  The least such mass is exactly 0 or 1: a convex combination of the
-other columns that reproduces column x leaves mass 0, and otherwise a
-representing measure mu with mu_x < 1 would give one, (mu - mu_x e_x) /
-(1 - mu_x).  So one feasibility LP per point decides it: is column x in
-the hull of the other columns?  Its verdict carries a witness checked by
-O(nd) evaluation that does not trust the simplex engine: weights on the
-other points that reproduce column x (mass 0), or a Farkas ray (c, t)
-whose field B'c + t is larger at x than at every other point beyond
-rounding (mass 1).  Rescaled to value 1 at x and maximum 0 elsewhere, the
-ray is the exposing field that ``maxprinciple.expose`` returns.  A failed
-check raises ConsistencyError.
+representing measure.  The least mass a representing measure leaves on x
+is exactly 0 or 1: weights on the other points that reproduce column x
+leave 0, and a representing measure mu with mu_x < 1 would give such
+weights, (mu - mu_x e_x) / (1 - mu_x).  So the boundary is the set of
+points outside the hull of the others.
+
+Each end of a key interval, like each facet of ``convexify.biconjugate``,
+is one LP with two witnesses that ``_bracket`` checks: a representing
+measure mu, whose pairing <mu, f> bounds the value from above, and from
+the LP dual a minorant phi <= f in the span, whose phi(x) bounds it from
+below.  A failed check raises ConsistencyError.
 """
 
 from dataclasses import dataclass
@@ -33,6 +41,9 @@ from .errors import ConsistencyError, ValidationError
 from .space import Measure, as_field
 
 CERT_TOL = 1e-9
+# the lower (minorant) and upper (measure) bounds of a value must agree
+# within this, relative to 1 + max |f|
+AGREE_TOL = 1e-7
 # relative rounding bound for evaluating an exposing field B'y + t
 _ROUNDING = 64.0 * np.finfo(float).eps
 
@@ -161,6 +172,53 @@ def _membership(system, x, S, scales=None):
     raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
 
 
+def _separator(system, x, S):
+    """Coefficients of a basis element equal to 1 at x and at most 0 on S,
+    or None when column x is in the hull of S: the membership ray rescaled,
+    then its constant folded in through ``validate``'s constants-in-span
+    vector, and checked again by evaluation."""
+    S = np.asarray(S)
+    member, witness = _membership(system, x, S)
+    if member:
+        return None
+    B, (c, t) = system.basis, witness
+    phi = B.T @ c + t
+    rest = phi[S]
+    top = rest.max() if rest.size else phi[x] - 1.0
+    unit = np.append(c, t - top) / (phi[x] - top)
+    coeffs = unit[:-1] + unit[-1] * system.validate().constants_coeffs
+    margin = separation_margin(B, coeffs, 0.0, x, S)
+    if not margin > 0.0:
+        raise ConsistencyError(f"separator with its constant folded in has margin {margin:.3e}")
+    return coeffs
+
+
+def _extreme(system, S):
+    """Mask over the distinct points S: is each one's column outside the hull
+    of the other points' columns?  One membership LP per point."""
+    S, scales = np.asarray(S), coefficient_scales(system)
+    return np.array([not _membership(system, x, S[S != x], scales)[0] for x in S], dtype=bool)
+
+
+def _bracket(system, f, x, mu, phi):
+    """Check the witnesses of the least pairing of f at x and return the
+    minorant phi lowered by its largest excess over f: mu must represent x
+    within ``CERT_TOL``, and <mu, f> and phi(x) agree within ``AGREE_TOL``
+    (1 + max |f|)."""
+    B, label = system.basis, system.space.labels[x]
+    miss = representation_error(B, mu, B[:, x])
+    if miss > CERT_TOL:
+        raise ConsistencyError(f"measure at point {label!r} misses it by relative {miss:.3e}")
+    phi = phi - max(0.0, float(np.max(phi - f)))
+    upper = float(mu @ f)
+    if abs(upper - phi[x]) > AGREE_TOL * (1.0 + float(np.abs(f).max())):
+        raise ConsistencyError(
+            f"value bounds at point {label!r} disagree: "
+            f"minorant {phi[x]:.12g}, measure {upper:.12g}"
+        )
+    return phi
+
+
 def representing_measure(system, x, objective=None):
     """A representing measure for x, minimizing ``objective`` when given."""
     system.require_valid()
@@ -175,72 +233,40 @@ def representing_measure(system, x, objective=None):
 
 
 def key_interval(system, f, x):
-    """Min and max of the pairing of ``f`` over representing measures of x."""
+    """Min and max of the pairing of ``f`` over representing measures of x;
+    each end's LP point and dual (c, t), a minorant B'c + t, are bracketed."""
     system.require_valid()
     _check_point(system, x)
     f = as_field(system, f)
-    lo = lp.solve(_mx_program(system, x, f))
-    hi = lp.solve(_mx_program(system, x, -f))
-    if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
-        raise ConsistencyError("key-interval LP infeasible; engine bug")
-    return KeyInterval(lo=float(lo.value), hi=float(-hi.value))
-
-
-@dataclass(frozen=True)
-class _SelfMass:
-    """The least self mass of one point with its checked witness.
-
-    ``exposing`` holds (y, t) of a field B'y + t equal to 1 at the point and
-    at most 0 elsewhere when the point is a vertex (mass 1), ``others`` a
-    representing measure with no mass on the point otherwise (mass 0); the
-    other one is None.
-    """
-
-    exposing: np.ndarray | None
-    others: np.ndarray | None
-
-    @property
-    def vertex(self):
-        return self.exposing is not None
-
-    @property
-    def mass(self):
-        return float(self.vertex)
-
-
-def _self_mass(system, x):
-    """Decide whether column x is in the hull of the other columns and turn
-    the checked membership witness into the self-mass witness."""
-    _check_point(system, x)
-    rest = np.arange(system.n) != x
-    member, witness = _membership(system, x, rest)
-    if member:
-        others = np.zeros(system.n)
-        others[rest] = witness
-        return _SelfMass(None, others)
-    c, t = witness
-    phi = system.basis.T @ c + t
-    top = phi[rest].max() if system.n > 1 else phi[x] - 1.0
-    return _SelfMass(np.append(c, t - top) / (phi[x] - top), None)
+    B = system.basis
+    scales = coefficient_scales(system)
+    ends = []
+    for g in (f, -f):
+        prog, keep = _measure_program(B, B[:, x], scales, g)
+        out = lp.solve(prog)
+        if out.status != lp.OPTIMAL:
+            raise ConsistencyError("key-interval LP infeasible; engine bug")
+        c = np.zeros(system.d)
+        c[keep] = out.dual_point[:-1]
+        _bracket(system, g, x, np.maximum(out.point, 0.0), B.T @ c + out.dual_point[-1])
+        ends.append(float(out.value))
+    return KeyInterval(lo=ends[0], hi=-ends[1])
 
 
 def min_self_mass(system, x):
     """Least weight a representing measure of x can leave on x itself."""
     system.require_valid()
-    return _self_mass(system, x).mass
+    _check_point(system, x)
+    return 0.0 if _membership(system, x, np.arange(system.n) != x)[0] else 1.0
 
 
 def is_boundary(system, x):
     """Whether M_x is the Dirac singleton; returns (flag, min_self_mass)."""
-    system.require_valid()
-    cert = _self_mass(system, x)
-    return cert.vertex, cert.mass
+    mass = min_self_mass(system, x)
+    return mass == 1.0, mass
 
 
 def choquet_boundary(system):
     """Classify every point by its membership LP and checked witness."""
     system.require_valid()
-    scales = coefficient_scales(system)
-    points = np.arange(system.n)
-    flags = [not _membership(system, x, points != x, scales)[0] for x in points]
-    return BoundaryReport(is_boundary=np.array(flags, dtype=bool))
+    return BoundaryReport(is_boundary=_extreme(system, np.arange(system.n)))

@@ -3,10 +3,9 @@
 A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
-set is one small feasibility LP, built and checked by ``measures`` (the
-Choquet boundary asks the same question), whose verdict carries a witness
-checked by evaluation: convex weights, or the Farkas ray of the infeasible
-LP, which is the separator that ``separate`` returns.
+set is one small feasibility LP, decided and checked in ``measures`` (the
+Choquet boundary asks the same question): hull membership, separation and
+extreme points here read their verdicts and witnesses from it.
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
-from .measures import _membership, coefficient_scales, separation_margin
+from .errors import ValidationError
+from .measures import _extreme, _membership, _separator, coefficient_scales
 from .space import PhiFunction, evaluate
 
 _ANTIPARALLEL_TOL = 1e-12
@@ -87,7 +86,8 @@ def trace_hull(system, S, ambient=None):
     if not S:
         raise ValidationError("trace hull of the empty set")
     scope = range(system.n) if ambient is None else as_point_set(ambient, system.n)
-    return tuple(x for x in scope if in_hull(system, x, S))
+    cols, scales = np.array(S), coefficient_scales(system)
+    return tuple(x for x in scope if x in S or _membership(system, x, cols, scales)[0])
 
 
 def is_trace_convex(system, C, ambient=None):
@@ -102,8 +102,8 @@ def separate(system, C, xbar):
     """A basis element larger at ``xbar`` than anywhere on C, if one exists.
 
     By Farkas' lemma one exists iff ``xbar`` is outside the hull of C; the
-    witness is the checked ray of the membership LP with its constant folded
-    in through ``validate``'s constants-in-span vector.
+    witness is ``measures._separator``'s, equal to 1 at ``xbar`` and at most
+    0 on C, so the margin is 1 up to rounding.
     """
     system.require_valid()
     C = as_point_set(C, system.n)
@@ -112,13 +112,10 @@ def separate(system, C, xbar):
     as_point_set([xbar], system.n)
     if xbar in C:
         raise ValidationError("the separated point must lie outside the set")
-    member, ray = _membership(system, xbar, C)
-    if member:
+    coeffs = _separator(system, xbar, C)
+    if coeffs is None:
         return SeparationResult(separable=False, witness=None, margin=0.0)
-    witness = PhiFunction(ray[0] + ray[1] * system.validate().constants_coeffs)
-    margin = separation_margin(system.basis, witness.coeffs, 0.0, xbar, list(C))
-    if not margin > 0.0:
-        raise ConsistencyError(f"separator with its constant folded in has margin {margin:.3e}")
+    witness = PhiFunction(coeffs)
     vals = evaluate(system, witness)
     return SeparationResult(True, witness, float(vals[xbar] - vals[list(C)].max()))
 
@@ -129,12 +126,7 @@ def phi_extreme_points(system, S):
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("extreme points of the empty set")
-
-    def extreme(x):
-        rest = [j for j in S if j != x]
-        return not rest or not in_hull(system, x, rest)
-
-    return tuple(x for x in S if extreme(x))
+    return tuple(x for x, extreme in zip(S, _extreme(system, S)) if extreme)
 
 
 def krein_milman_verify(system, S):

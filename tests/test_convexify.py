@@ -179,6 +179,22 @@ def test_corrupted_envelope_witness_raises(monkeypatch, field):
         convexify.biconjugate(system, -(t**2))
 
 
+@pytest.mark.parametrize("field", ["point", "dual_point"])
+def test_corrupted_key_interval_witness_raises(monkeypatch, field):
+    system = gen_interval_affine(21).system
+    t = np.linspace(0, 1, 21)
+    solve = lp.solve
+
+    def corrupted(prog, *args, **kwargs):
+        out = solve(prog, *args, **kwargs)
+        value = getattr(out, field)
+        return dataclasses.replace(out, **{field: value + np.linspace(0.1, 0.3, value.shape[0])})
+
+    monkeypatch.setattr(lp, "solve", corrupted)
+    with pytest.raises(ConsistencyError):
+        measures.key_interval(system, -(t**2), 10)
+
+
 def test_hat_signed_examples(naturals4):
     system = naturals4.system
     f = np.array([0.0, 1.0, 1.0, 0.0])

@@ -9,7 +9,8 @@ from choquet import lp, measures
 from choquet._util import dumps
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
-from choquet.space import FiniteSpace, FunctionSystem, pair
+from choquet.maxprinciple import expose
+from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
 from conftest import is_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,17 +154,15 @@ def test_witnesses_check_by_evaluation(naturals4):
     system = naturals4.system
     B = system.basis
     for x in range(system.n):
-        cert = measures._self_mass(system, x)
-        if cert.vertex:
-            y, t = cert.exposing[:-1], cert.exposing[-1]
-            phi = B.T @ y + t
+        rest = np.arange(system.n) != x
+        member, w = measures._membership(system, x, rest)
+        if member:
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert B[:, rest] @ w == pytest.approx(B[:, x], abs=1e-9)
+        else:
+            phi = evaluate(system, expose(system, x))
             assert phi[x] == pytest.approx(1.0, abs=1e-9)
             assert np.delete(phi, x).max() <= 1e-9
-            assert cert.others is None
-        else:
-            assert cert.others[x] == 0.0 and cert.others.min() >= 0.0
-            assert cert.others.sum() == pytest.approx(1.0, abs=1e-12)
-            assert B @ cert.others == pytest.approx(B[:, x], abs=1e-9)
 
 
 def test_exposing_dual_on_degenerate_vertices():
@@ -173,8 +172,10 @@ def test_exposing_dual_on_degenerate_vertices():
     system = gen_disk(n_circle=128, n_interior_rings=3, degree=12).system
     for label in ("circ107", "circ108"):
         x = system.space.index(label)
-        cert = measures._self_mass(system, x)
-        assert cert.vertex and cert.mass == pytest.approx(1.0, abs=1e-9)
+        assert not measures._membership(system, x, np.arange(system.n) != x)[0]
+        phi = evaluate(system, expose(system, x))
+        assert phi[x] == pytest.approx(1.0, abs=1e-9)
+        assert np.delete(phi, x).max() <= 1e-9
 
 
 def _tampered_solve(monkeypatch, corrupt):

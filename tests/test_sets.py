@@ -412,6 +412,16 @@ def test_trace_hull_of_every_16th_circle_point_matches_nnls():
     assert hull == tuple(x for x in range(big.n) if _nnls_member(big.basis, x, S))
 
 
+def test_membership_lp_with_noisy_degenerate_stall_terminates():
+    # phase 1 stalls here with +-5e-12 rounding noise in its objective; the
+    # noise must not reset the stall count, or Bland's rule never takes
+    # over and the LP cycles into the pivot limit.  NNLS puts 897 outside
+    big = gen_disk(n_circle=256, n_interior_rings=4, degree=8).system
+    S = (59, 254, 263, 351, 493, 566, 632, 832, 841, 1000, 1001, 1016, 1093, 1203, 1234)
+    assert not _nnls_member(big.basis, 897, S)
+    assert sets.in_hull(big, 897, S) is False
+
+
 @pytest.mark.parametrize("label", ["ring1_000", "ring1_004", "ring1_008"])
 def test_ring_points_inside_every_4th_circle_point_are_not_separable(disk64, label):
     ring = disk64.space.index(label)
