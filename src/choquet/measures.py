@@ -16,7 +16,12 @@ weights on S that reproduce column x, or a Farkas ray (c, t) whose field
 B'c + t is larger at x than on S beyond rounding.  ``_separator`` rescales
 the ray into the separator and exposing field that ``sets`` and
 ``maxprinciple`` return, and ``_extreme`` asks the question of each point
-of a set against the rest of it.
+of a set against the rest of it.  ``_hull_members`` asks it of many points
+against one fixed S and solves an LP only where no witness it already
+holds answers: a ray separates every point where it beats S, and a weight
+support often represents the next point too.  A reused witness is checked
+as strictly as the LP's own, and a ray only where it is zero on every row
+that point's own LP drops.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -97,18 +102,24 @@ class BoundaryReport:
 
 
 def representation_error(A, mu, target):
-    """Worst relative (backward-error) miss of ``A @ mu`` against ``target``."""
+    """Worst relative (backward-error) miss of ``A @ mu`` against ``target``,
+    one per column when ``mu`` and ``target`` are matrices."""
     gap = np.abs(A @ mu - target)
     scale = 1.0 + np.abs(A) @ np.abs(mu) + np.abs(target)
-    return float(np.max(gap / scale))
+    return np.max(gap / scale, axis=0)
+
+
+def _margins(B, y, t, rest):
+    """``separation_margin`` at every point."""
+    phi = B.T @ y + t
+    err = _ROUNDING * (np.abs(B).T @ np.abs(y) + abs(t))
+    return phi - err - (phi[rest] + err[rest]).max(initial=-np.inf)
 
 
 def separation_margin(B, y, t, x, rest):
     """phi(x) - max phi(rest) for phi = B'y + t, less a bound on the rounding
     error of evaluating phi: positive iff phi certifiably separates x."""
-    phi = B.T @ y + t
-    err = _ROUNDING * (np.abs(B).T @ np.abs(y) + abs(t))
-    return float(phi[x] - err[x] - (phi[rest] + err[rest]).max(initial=-np.inf))
+    return float(_margins(B, y, t, rest)[x])
 
 
 def coefficient_scales(system):
@@ -170,6 +181,52 @@ def _membership(system, x, S, scales=None):
             return False, (c, t)
         problem = f"Farkas ray separates it by {margin:.3e}"
     raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
+
+
+def _hull_members(system, S, points):
+    """Mask over the distinct ``points``: is each one's column in the hull of
+    the columns of the points S?  The points of S are members.  The others
+    are visited in ascending order, and one gets its own membership LP only
+    when no witness found so far certifies it: each witness is checked
+    against every point still open as soon as it is found.
+
+    - A ray (c, t) certifies x when c is zero on every row that x's own LP
+      drops and ``separation_margin`` against S is positive.
+    - The support J of member weights certifies x when least squares on
+      the rows x's LP keeps, [P[:, J]; 1] w = [column x; 1], clipped at 0
+      and renormalized, reproduces column x within ``CERT_TOL`` on all rows.
+    """
+    B, S, points = system.basis, np.asarray(S), np.asarray(points, dtype=int)
+    scales = coefficient_scales(system)
+    P, X = B[:, S], B[:, points]
+    # each point's kept rows, by ``_measure_program``'s rule
+    span = np.maximum(P.max(axis=1)[:, None], X) - np.minimum(P.min(axis=1)[:, None], X)
+    keep = span > (CERT_TOL * scales)[:, None]
+    rows, group = np.unique(keep, axis=1, return_inverse=True)
+    member = np.isin(points, S)
+    todo = ~member
+    while todo.any():
+        i = int(np.argmax(todo))
+        found, witness = _membership(system, points[i], S, scales)
+        member[i], todo[i] = found, False
+        if not found:
+            c, t = witness
+            hit = todo & keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0)
+            todo &= ~hit
+            continue
+        PJ = P[:, np.flatnonzero(witness)]
+        for g, kept in enumerate(rows.T):
+            idx = np.flatnonzero(todo & (group == g))
+            if idx.size == 0:
+                continue
+            A = np.vstack([PJ[kept], np.ones((1, PJ.shape[1]))])
+            rhs = np.vstack([X[kept][:, idx], np.ones((1, idx.size))])
+            w = np.maximum(np.linalg.lstsq(A, rhs, rcond=None)[0], 0.0)
+            total = w.sum(axis=0)
+            w /= np.where(total > 0.0, total, 1.0)
+            hit = idx[(total > 0.0) & (representation_error(PJ, w, X[:, idx]) <= CERT_TOL)]
+            member[hit], todo[hit] = True, False
+    return member
 
 
 def _separator(system, x, S):

@@ -5,7 +5,9 @@ intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
 set is one small feasibility LP, decided and checked in ``measures`` (the
 Choquet boundary asks the same question): hull membership, separation and
-extreme points here read their verdicts and witnesses from it.
+extreme points here read their verdicts and witnesses from it.  The trace
+hull asks it of every point against one set, and solves an LP only for a
+point that no cached, checked witness answers (``measures._hull_members``).
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import _extreme, _membership, _separator, coefficient_scales
+from .measures import _extreme, _hull_members, _membership, _separator, coefficient_scales
 from .space import PhiFunction, evaluate
 
 _ANTIPARALLEL_TOL = 1e-12
@@ -86,8 +88,8 @@ def trace_hull(system, S, ambient=None):
     if not S:
         raise ValidationError("trace hull of the empty set")
     scope = range(system.n) if ambient is None else as_point_set(ambient, system.n)
-    cols, scales = np.array(S), coefficient_scales(system)
-    return tuple(x for x in scope if x in S or _membership(system, x, cols, scales)[0])
+    scope = np.array(scope, dtype=int)
+    return tuple(int(x) for x in scope[_hull_members(system, S, scope)])
 
 
 def is_trace_convex(system, C, ambient=None):

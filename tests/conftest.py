@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from choquet import lp, measures
+from choquet import lp, measures, sets
 from choquet.generators import gen_disk, gen_interval_affine, gen_naturals
 
 
@@ -141,3 +141,12 @@ def kyfan_between_lp(system, x, y, z):
         bounds=(-np.inf, np.inf),
     )
     return lp.feasible(prog) is None
+
+
+def trace_hull_lp(system, S, ambient=None):
+    """One membership LP per point, the route ``trace_hull`` took before its
+    witness-reusing oracle."""
+    S = sets.as_point_set(S, system.n)
+    scope = range(system.n) if ambient is None else sets.as_point_set(ambient, system.n)
+    cols, scales = np.array(S), measures.coefficient_scales(system)
+    return tuple(x for x in scope if x in S or measures._membership(system, x, cols, scales)[0])

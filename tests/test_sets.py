@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -9,7 +10,7 @@ from choquet import lp, measures, sets
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
-from conftest import count_lps, kyfan_between_lp
+from conftest import count_lps, kyfan_between_lp, trace_hull_lp
 
 
 def test_trace_hull_naturals(naturals4):
@@ -428,3 +429,106 @@ def test_ring_points_inside_every_4th_circle_point_are_not_separable(disk64, lab
     assert _nnls_member(disk64.basis, ring, _EVERY_4TH)
     res = sets.separate(disk64, _EVERY_4TH, ring)
     assert not res.separable and res.witness is None
+
+
+@functools.cache
+def _named_system(name):
+    return {
+        "disk(256,4,8)": lambda: gen_disk(256, 4, 8),
+        "disk(128,3,12)": lambda: gen_disk(128, 3, 12),
+        "disk(64,2,8)": lambda: gen_disk(64, 2, 8),
+        "cantor(4)": lambda: gen_cantor(4),
+        "interval(101)": lambda: gen_interval_affine(101),
+        "naturals(40)": lambda: gen_naturals(40),
+        "naturals(4)": lambda: gen_naturals(4),
+    }[name]().system
+
+
+def _oracle_cases():
+    """(system name, S, ambient): symmetric circle subsets, seeded random
+    subsets, and ambient restrictions."""
+    rng = np.random.default_rng(8)
+
+    def subsets(name, n, lo, hi, count):
+        return [
+            (name, tuple(sorted(rng.choice(n, size=size, replace=False))), None)
+            for size in rng.integers(lo, hi + 1, size=count)
+        ]
+
+    cases = [
+        ("disk(256,4,8)", tuple(range(0, 256, 16)), None),
+        *subsets("disk(256,4,8)", 1281, 12, 40, 6),
+        ("disk(64,2,8)", _EVERY_4TH, None),
+        ("disk(64,2,8)", tuple(range(0, 64, 2)), None),
+        ("disk(128,3,12)", tuple(range(0, 128, 8)), None),
+        *subsets("cantor(4)", 63, 2, 20, 3),
+        *subsets("interval(101)", 101, 2, 30, 3),
+        *subsets("naturals(40)", 40, 2, 12, 3),
+        ("naturals(4)", (0, 3), None),
+        ("naturals(4)", (1, 2), None),
+        ("naturals(4)", (0, 2), (0, 1, 2)),
+        ("disk(64,2,8)", _EVERY_4TH, tuple(range(64, 193))),
+        ("disk(64,2,8)", _EVERY_4TH, tuple(range(1, 193, 2))),
+        ("disk(64,2,8)", tuple(range(0, 64, 2)), tuple(range(0, 193, 3))),
+    ]
+    return [pytest.param(*case, id=f"{case[0]}-{k}") for k, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("name, S, ambient", _oracle_cases())
+def test_trace_hull_matches_per_point_lp_oracle(name, S, ambient):
+    system = _named_system(name)
+    assert sets.trace_hull(system, S, ambient=ambient) == trace_hull_lp(system, S, ambient)
+
+
+@pytest.mark.parametrize("name, step", [("disk(256,4,8)", 16), ("disk(64,2,8)", 4)])
+def test_trace_hull_solves_an_lp_only_on_a_miss(name, step, monkeypatch):
+    # one LP per point outside S, 1265 and 177, before witnesses were reused
+    system = _named_system(name)
+    calls = count_lps(monkeypatch)
+    sets.trace_hull(system, tuple(range(0, 16 * step, step)))
+    assert len(calls) <= 40
+
+
+def test_reused_rays_keep_the_rows_of_each_points_own_lp(disk64):
+    # Rays found first at these non-members put weight on the sin 8t row.
+    # That row is ~1e-16 noise on S and at tangent members, whose own LPs
+    # drop it; checked by margin alone, such a ray "separates" them.  In
+    # index order the members are certified before these rays exist.
+    first = ["ring1_005", "ring1_006", "ring1_007", "ring1_001", "ring1_002",
+             "ring1_003", "ring1_009", "ring1_013"]
+    lead = [disk64.space.index(label) for label in first]
+    perm = np.array(lead + [j for j in range(disk64.n) if j not in lead])
+    relabeled = FunctionSystem(
+        FiniteSpace(tuple(disk64.space.labels[j] for j in perm)), disk64.basis[:, perm]
+    )
+    new = np.argsort(perm)
+    hull = sets.trace_hull(relabeled, [int(new[j]) for j in _EVERY_4TH])
+    want = tuple(x for x in range(disk64.n) if _nnls_member(disk64.basis, x, _EVERY_4TH))
+    assert len(want) == 49
+    assert tuple(sorted(int(perm[k]) for k in hull)) == want
+
+
+@pytest.mark.parametrize("forgery", ["scaled-ray", "wrong-columns"])
+def test_forged_witnesses_cause_misses_not_wrong_verdicts(disk64, monkeypatch, forgery):
+    # the membership LP keeps its own checked verdict but hands the oracle a
+    # witness that certifies no other point: a ray shrunk below its rounding
+    # bound, or all weight moved onto the column of S it weighs least
+    want = trace_hull_lp(disk64, _EVERY_4TH)
+    membership = measures._membership
+
+    def forged(system, x, S, scales=None):
+        member, witness = membership(system, x, S, scales)
+        if member and forgery == "wrong-columns":
+            return True, np.eye(witness.size)[np.argmin(witness)]
+        if not member and forgery == "scaled-ray":
+            c, t = witness
+            return False, (1e-20 * c, t + 1.0)
+        return member, witness
+
+    calls = count_lps(monkeypatch)
+    sets.trace_hull(disk64, _EVERY_4TH)
+    honest = len(calls)
+    calls.clear()
+    monkeypatch.setattr(measures, "_membership", forged)
+    assert sets.trace_hull(disk64, _EVERY_4TH) == want
+    assert len(calls) > honest
