@@ -15,13 +15,13 @@ checked by O(nd) evaluation that does not trust the simplex engine:
 weights on S that reproduce column x, or a Farkas ray (c, t) whose field
 B'c + t is larger at x than on S beyond rounding.  ``_separator`` rescales
 the ray into the separator and exposing field that ``sets`` and
-``maxprinciple`` return, and ``_extreme`` asks the question of each point
-of a set against the rest of it.  ``_hull_members`` asks it of many points
-against one fixed S and solves an LP only where no witness it already
-holds answers: a ray separates every point where it beats S, and a weight
-support often represents the next point too.  A reused witness is checked
-as strictly as the LP's own, and a ray only where it is zero on every row
-that point's own LP drops.
+``maxprinciple`` return.  ``_hull_members`` asks, of many points, whether
+each is in the hull of one fixed S less the point itself, and solves an
+LP only where no witness it already holds answers: a ray separates every
+point outside S where it beats S, and a weight support often represents
+the next point too.  A reused witness is checked as strictly as the LP's
+own, and a ray only where it is zero on every row that point's own LP
+drops.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -185,38 +185,42 @@ def _membership(system, x, S, scales=None):
 
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
-    the columns of the points S?  The points of S are members.  The others
-    are visited in ascending order, and one gets its own membership LP only
-    when no witness found so far certifies it: each witness is checked
-    against every point still open as soon as it is found.
+    the columns of S less itself?  Points are visited in ascending order,
+    and one gets its own membership LP only when no witness found so far
+    certifies it; each witness is checked against all open points at once.
 
-    - A ray (c, t) certifies x when c is zero on every row that x's own LP
-      drops and ``separation_margin`` against S is positive.
-    - The support J of member weights certifies x when least squares on
-      the rows x's LP keeps, [P[:, J]; 1] w = [column x; 1], clipped at 0
-      and renormalized, reproduces column x within ``CERT_TOL`` on all rows.
+    - A ray (c, t) certifies x outside S when c is zero on every row x's own
+      LP drops and ``separation_margin`` against S is positive.  (One found
+      at a point of S is largest there, so it never beats S at another.)
+    - The support J of member weights certifies x outside J when least
+      squares on the rows x's LP keeps, [B[:, J]; 1] w = [column x; 1],
+      clipped at 0 and renormalized, reproduces column x within
+      ``CERT_TOL`` on all rows; at x in J, w = e_x always would.
     """
-    B, S, points = system.basis, np.asarray(S), np.asarray(points, dtype=int)
+    B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
     scales = coefficient_scales(system)
     P, X = B[:, S], B[:, points]
-    # each point's kept rows, by ``_measure_program``'s rule
+    # each point's kept rows, by ``_measure_program``'s rule (S less x and x span S)
     span = np.maximum(P.max(axis=1)[:, None], X) - np.minimum(P.min(axis=1)[:, None], X)
     keep = span > (CERT_TOL * scales)[:, None]
     rows, group = np.unique(keep, axis=1, return_inverse=True)
-    member = np.isin(points, S)
-    todo = ~member
+    outside = np.isin(points, S, invert=True)
+    member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
     while todo.any():
         i = int(np.argmax(todo))
-        found, witness = _membership(system, points[i], S, scales)
+        rest = S[S != points[i]]
+        found, witness = _membership(system, points[i], rest, scales)
         member[i], todo[i] = found, False
         if not found:
             c, t = witness
-            hit = todo & keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0)
-            todo &= ~hit
+            if (todo & outside).any():
+                todo &= ~(outside & keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0))
             continue
-        PJ = P[:, np.flatnonzero(witness)]
+        J = rest[np.flatnonzero(witness)]
+        free = todo & (np.bincount(J, minlength=system.n) == 0)[points]
+        PJ = B[:, J]
         for g, kept in enumerate(rows.T):
-            idx = np.flatnonzero(todo & (group == g))
+            idx = np.flatnonzero(free & (group == g))
             if idx.size == 0:
                 continue
             A = np.vstack([PJ[kept], np.ones((1, PJ.shape[1]))])
@@ -248,13 +252,6 @@ def _separator(system, x, S):
     if not margin > 0.0:
         raise ConsistencyError(f"separator with its constant folded in has margin {margin:.3e}")
     return coeffs
-
-
-def _extreme(system, S):
-    """Mask over the distinct points S: is each one's column outside the hull
-    of the other points' columns?  One membership LP per point."""
-    S, scales = np.asarray(S), coefficient_scales(system)
-    return np.array([not _membership(system, x, S[S != x], scales)[0] for x in S], dtype=bool)
 
 
 def _bracket(system, f, x, mu, phi):
@@ -324,6 +321,7 @@ def is_boundary(system, x):
 
 
 def choquet_boundary(system):
-    """Classify every point by its membership LP and checked witness."""
+    """A point is on the boundary exactly when it is outside the others' hull."""
     system.require_valid()
-    return BoundaryReport(is_boundary=_extreme(system, np.arange(system.n)))
+    every = np.arange(system.n)
+    return BoundaryReport(is_boundary=~_hull_members(system, every, every))

@@ -4,10 +4,10 @@ A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
 set is one small feasibility LP, decided and checked in ``measures`` (the
-Choquet boundary asks the same question): hull membership, separation and
-extreme points here read their verdicts and witnesses from it.  The trace
-hull asks it of every point against one set, and solves an LP only for a
-point that no cached, checked witness answers (``measures._hull_members``).
+Choquet boundary asks the same question).  Hull membership and separation
+read their verdicts and witnesses from it; the trace hull and extreme
+points ask it of many points against one set, and solve an LP only where
+no cached, checked witness answers (``measures._hull_members``).
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import _extreme, _hull_members, _membership, _separator, coefficient_scales
+from .measures import _hull_members, _membership, _separator, coefficient_scales
 from .space import PhiFunction, evaluate
 
 _ANTIPARALLEL_TOL = 1e-12
@@ -89,7 +89,9 @@ def trace_hull(system, S, ambient=None):
         raise ValidationError("trace hull of the empty set")
     scope = range(system.n) if ambient is None else as_point_set(ambient, system.n)
     scope = np.array(scope, dtype=int)
-    return tuple(int(x) for x in scope[_hull_members(system, S, scope)])
+    member = np.isin(scope, S)
+    member[~member] = _hull_members(system, S, scope[~member])
+    return tuple(int(x) for x in scope[member])
 
 
 def is_trace_convex(system, C, ambient=None):
@@ -128,7 +130,7 @@ def phi_extreme_points(system, S):
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("extreme points of the empty set")
-    return tuple(x for x, extreme in zip(S, _extreme(system, S)) if extreme)
+    return tuple(x for x, inside in zip(S, _hull_members(system, S, S)) if not inside)
 
 
 def krein_milman_verify(system, S):

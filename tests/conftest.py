@@ -143,6 +143,15 @@ def kyfan_between_lp(system, x, y, z):
     return lp.feasible(prog) is None
 
 
+def extreme_lp(system, S):
+    """The distinct points S whose column is outside the hull of the other
+    points' columns, by one membership LP per point: the route
+    ``choquet_boundary`` and ``phi_extreme_points`` took before the hull
+    oracle."""
+    S, scales = np.asarray(S, dtype=int), measures.coefficient_scales(system)
+    return tuple(int(x) for x in S if not measures._membership(system, x, S[S != x], scales)[0])
+
+
 def trace_hull_lp(system, S, ambient=None):
     """One membership LP per point, the route ``trace_hull`` took before its
     witness-reusing oracle."""

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from choquet import lp, measures
+from choquet import lp, measures, sets
 from choquet._util import dumps
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
-from conftest import is_vertex
+from conftest import count_lps, extreme_lp, is_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,6 +133,38 @@ def test_boundary_vertex_agreement_random():
         oracle = [is_vertex(inst.system, x) for x in range(n)]
         assert report.is_boundary.tolist() == oracle
         assert report.vertex.tolist() == oracle
+
+
+def test_boundary_and_extreme_points_match_per_point_lp_oracle(naturals4, interval5, disk_small):
+    # the hull oracle's verdicts depend on no reused witness: they equal one
+    # LP per point against the rest, and HiGHS on the boundary
+    rng = np.random.default_rng(9)
+    systems = [gen_random(6 + 3 * k, 2 + k % 3, seed=900 + k).system for k in range(12)]
+    systems += [naturals4.system, interval5.system, disk_small.system]
+    systems += [gen_disk(24, 2, 8).system, gen_cantor(3).system, gen_interval_affine(60).system]
+    for system in systems:
+        n = system.n
+        want = extreme_lp(system, range(n))
+        assert measures.choquet_boundary(system).boundary == want
+        if n <= 200:
+            assert want == tuple(x for x in range(n) if is_vertex(system, x))
+        for size in rng.integers(1, n + 1, size=4):
+            S = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            assert sets.phi_extreme_points(system, S) == extreme_lp(system, S)
+
+
+@pytest.mark.parametrize(
+    "make, most",
+    [(lambda: gen_disk(64, 2, 8), 100), (lambda: gen_interval_affine(200), 5)],
+    ids=["disk(64,2,8)", "interval(200)"],
+)
+def test_boundary_solves_an_lp_only_on_a_miss(make, most, monkeypatch):
+    # one LP per point, 193 and 200, before the boundary reused witnesses
+    system = make().system
+    system.require_valid()
+    calls = count_lps(monkeypatch)
+    measures.choquet_boundary(system)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from choquet import lp, measures, sets
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
-from conftest import count_lps, kyfan_between_lp, trace_hull_lp
+from conftest import count_lps, extreme_lp, kyfan_between_lp, trace_hull_lp
 
 
 def test_trace_hull_naturals(naturals4):
@@ -325,6 +325,30 @@ def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
         assert got[1:] == want[1:]
 
 
+def _extreme_verdicts(system, subsets):
+    """The Choquet boundary, then the extreme points of each subset."""
+    boundary = measures.choquet_boundary(system).boundary
+    return [boundary] + [sets.phi_extreme_points(system, S) for S in subsets]
+
+
+def test_boundary_verdicts_invariant_under_basis_change_and_relabeling():
+    # relabeling changes the order in which the hull oracle visits points,
+    # and so which LPs it solves; the verdicts must not move
+    rng = np.random.default_rng(47)
+    for system, _ in _invariance_systems():
+        n = system.n
+        subsets = [
+            tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            for size in rng.integers(2, n + 1, size=3)
+        ]
+        want = _extreme_verdicts(system, subsets)
+        assert _extreme_verdicts(_basis_change(rng, system), subsets) == want
+
+        relabeled, perm, new = _relabeling(rng, system)
+        got = _extreme_verdicts(relabeled, [[int(new[j]) for j in S] for S in subsets])
+        assert [tuple(sorted(int(perm[k]) for k in pts)) for pts in got] == want
+
+
 def test_in_hull_and_separate_solve_one_lp(naturals4, monkeypatch):
     system = naturals4.system
     calls = count_lps(monkeypatch)
@@ -512,8 +536,21 @@ def test_reused_rays_keep_the_rows_of_each_points_own_lp(disk64):
 def test_forged_witnesses_cause_misses_not_wrong_verdicts(disk64, monkeypatch, forgery):
     # the membership LP keeps its own checked verdict but hands the oracle a
     # witness that certifies no other point: a ray shrunk below its rounding
-    # bound, or all weight moved onto the column of S it weighs least
-    want = trace_hull_lp(disk64, _EVERY_4TH)
+    # bound, or all weight moved onto the column of S it weighs least.  The
+    # boundary and extreme points never reuse a ray, so only forged weights
+    # cost them LPs; forged weights on a point of their own support must not
+    # make it a member
+    every_3rd = tuple(range(0, disk64.n, 3))
+    weights = forgery == "wrong-columns"
+    cases = [
+        (lambda: sets.trace_hull(disk64, _EVERY_4TH), trace_hull_lp(disk64, _EVERY_4TH), True),
+        (
+            lambda: measures.choquet_boundary(disk64).boundary,
+            extreme_lp(disk64, range(disk64.n)),
+            weights,
+        ),
+        (lambda: sets.phi_extreme_points(disk64, every_3rd), extreme_lp(disk64, every_3rd), weights),
+    ]
     membership = measures._membership
 
     def forged(system, x, S, scales=None):
@@ -526,9 +563,13 @@ def test_forged_witnesses_cause_misses_not_wrong_verdicts(disk64, monkeypatch, f
         return member, witness
 
     calls = count_lps(monkeypatch)
-    sets.trace_hull(disk64, _EVERY_4TH)
-    honest = len(calls)
-    calls.clear()
+    honest = []
+    for call, _, _ in cases:
+        calls.clear()
+        call()
+        honest.append(len(calls))
     monkeypatch.setattr(measures, "_membership", forged)
-    assert sets.trace_hull(disk64, _EVERY_4TH) == want
-    assert len(calls) > honest
+    for (call, want, costs_more), before in zip(cases, honest):
+        calls.clear()
+        assert call() == want
+        assert len(calls) > before if costs_more else len(calls) == before
