@@ -3,6 +3,14 @@
 Subcommands: gen, boundary, hull, separate, extreme, kyfan, convexify,
 check-convex, keyinterval, bauer, multimax, expose, generic, plot.
 
+``main`` loads and validates the instance (every subcommand but ``gen``),
+rejects a ``--tol``, ``--alpha``, ``--eps`` or ``--tie-tol`` that is not
+positive and finite, and writes the report to ``-o``; each handler only
+computes the report, a dict (canonical JSON) or a str (CSV or SVG).
+``--tol`` defaults to ``CONVEX_TOL`` (1e-7) for convexify and check-convex
+and to ``ARGMAX_TOL`` (1e-9) for bauer and multimax; ``--seed`` defaults
+to 0.
+
 Exit codes: 0 success, 1 verification failure (an invariant the theory
 guarantees was found violated), 2 input error.  Reports are JSON by
 default (``--csv`` where a table makes sense) and byte-deterministic for
@@ -13,17 +21,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import lp, measures, plotting, sets
 from ._util import dumps
-from .convexify import ConvexTraceSpec, biconjugate, hat_signed
+from .convexify import CONVEX_TOL, ConvexTraceSpec, biconjugate, hat_signed
 from .errors import ConsistencyError, IterationLimitError, ValidationError
 from .generators import GENERATORS
-from .maxprinciple import bauer_verify, expose, genericity_experiment, multi_max_verify
+from .maxprinciple import (ARGMAX_TOL, bauer_verify, expose, genericity_experiment,
+                           multi_max_verify)
 from .space import (
     FiniteSpace,
     FunctionSystem,
@@ -33,8 +41,6 @@ from .space import (
     system_to_dict,
 )
 
-STRICT_TOL = 1e-12
-
 # gen subcommand: each family's integer arguments, in the order its
 # generator takes them, with the default of each optional flag
 _GEN_ARGS = {
@@ -42,17 +48,25 @@ _GEN_ARGS = {
     "interval": [("n_grid", None)],
     "cantor": [("level", None), ("--points-per-cell", 3)],
     "disk": [("--n-circle", 64), ("--rings", 2), ("--degree", 8)],
-    "random": [("n", None), ("d", None), ("--seed", None)],
+    "random": [("n", None), ("d", None), ("--seed", 0)],
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "dump_lp", None):
-        lp.set_dump_path(args.dump_lp)
+    args = _build_parser().parse_args(argv)
+    lp.set_dump_path(args.dump_lp)
     try:
-        return args.handler(args)
+        system = None if args.command == "gen" else _load_system(args).require_valid()
+        for name in ("tol", "alpha", "eps", "tie_tol"):  # where the subcommand has them
+            if not 0 < getattr(args, name, 1.0) < np.inf:
+                raise ValidationError(f"--{name.replace('_', '-')} must be positive and finite")
+        report, code = args.handler(system, args)
+        text = report if isinstance(report, str) else dumps(report)
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            _write_file(args.output, text)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -85,11 +99,13 @@ def _build_parser():
     inst.add_argument("--basis-csv", metavar="PATH",
                       help="build the instance from a CSV basis matrix instead")
 
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None,
-                     help="classification tolerance (module default when omitted)")
-    tol.add_argument("--strict", action="store_true",
-                     help=f"pin the classification tolerance to {STRICT_TOL:g}")
+    def command(name, handler, help, tol=None):
+        p = sub.add_parser(name, parents=[common, inst], help=help)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help="classification tolerance (default: %(default)g)")
+        p.set_defaults(handler=handler)
+        return p
 
     p = sub.add_parser("gen", parents=[common], help="generate an instance")
     gsub = p.add_subparsers(dest="generator", required=True)
@@ -103,84 +119,68 @@ def _build_parser():
         g.set_defaults(handler=_cmd_gen)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("boundary", parents=[common, inst],
-                       help="classify every point against the Choquet boundary")
+    p = command("boundary", _cmd_boundary,
+                "classify every point against the Choquet boundary")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument("--plot", metavar="PATH", help="also write an SVG rendering")
-    p.set_defaults(handler=_cmd_boundary)
 
-    p = sub.add_parser("hull", parents=[common, inst], help="trace-convex hull of a point set")
+    p = command("hull", _cmd_hull, "trace-convex hull of a point set")
     p.add_argument("--points", required=True, help="comma-separated point labels")
     p.add_argument("--ambient", help="restrict reported membership to these labels")
     p.add_argument("--plot", metavar="PATH", help="also write an SVG rendering")
-    p.set_defaults(handler=_cmd_hull)
 
-    p = sub.add_parser("separate", parents=[common, inst],
-                       help="separate a point from a set by a basis element")
+    p = command("separate", _cmd_separate, "separate a point from a set by a basis element")
     p.add_argument("--points", required=True, help="comma-separated labels of the set")
     p.add_argument("--target", required=True, help="label of the point to separate")
-    p.set_defaults(handler=_cmd_separate)
 
-    p = sub.add_parser("extreme", parents=[common, inst], help="extreme points of a set")
+    p = command("extreme", _cmd_extreme, "extreme points of a set")
     p.add_argument("--points", help="comma-separated labels (default: all points)")
     p.add_argument("--krein-milman", action="store_true",
                    help="also verify hull(S) == hull(extreme(S))")
-    p.set_defaults(handler=_cmd_extreme)
 
-    p = sub.add_parser("kyfan", parents=[common, inst],
-                       help="Ky Fan segments and extreme points")
+    p = command("kyfan", _cmd_kyfan, "Ky Fan segments and extreme points")
     p.add_argument("--segment", metavar="Y,Z", help="labels of the two endpoints")
     p.add_argument("--points", help="set for extreme-point search (default: all)")
-    p.set_defaults(handler=_cmd_kyfan)
 
-    p = sub.add_parser("keyinterval", parents=[common, inst],
-                       help="representing-measure value range of a field per point")
+    p = command("keyinterval", _cmd_keyinterval,
+                "representing-measure value range of a field per point")
     p.add_argument("--field", required=True, help="field JSON/CSV path")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_keyinterval)
 
-    p = sub.add_parser("convexify", parents=[common, inst, tol],
-                       help="biconjugate and both convexification variants")
+    p = command("convexify", _cmd_convexify, "biconjugate and both convexification variants",
+                tol=CONVEX_TOL)
     p.add_argument("--field", required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="signed-variant strip width")
-    p.set_defaults(handler=_cmd_convexify)
 
-    p = sub.add_parser("check-convex", parents=[common, inst, tol],
-                       help="test a field for Choquet convexity")
+    p = command("check-convex", _cmd_check_convex, "test a field for Choquet convexity",
+                tol=CONVEX_TOL)
     p.add_argument("--field", required=True)
-    p.set_defaults(handler=_cmd_check_convex)
 
-    p = sub.add_parser("bauer", parents=[common, inst, tol],
-                       help="verify the maximum principle for a convex-trace spec")
+    p = command("bauer", _cmd_bauer, "verify the maximum principle for a convex-trace spec",
+                tol=ARGMAX_TOL)
     p.add_argument("--spec", required=True, help="max-of-affine spec JSON path")
-    p.set_defaults(handler=_cmd_bauer)
 
-    p = sub.add_parser("multimax", parents=[common, inst, tol],
-                       help="verify the common-maximizer principle for a family")
+    p = command("multimax", _cmd_multimax,
+                "verify the common-maximizer principle for a family", tol=ARGMAX_TOL)
     p.add_argument("--spec", action="append", required=True,
                    help="spec JSON path (repeatable)")
-    p.set_defaults(handler=_cmd_multimax)
 
-    p = sub.add_parser("expose", parents=[common, inst],
-                       help="exposing functional of a boundary point")
+    p = command("expose", _cmd_expose, "exposing functional of a boundary point")
     p.add_argument("--target", required=True)
-    p.set_defaults(handler=_cmd_expose)
 
-    p = sub.add_parser("generic", parents=[common, inst],
-                       help="unique-maximizer frequency under random perturbations")
+    p = command("generic", _cmd_generic,
+                "unique-maximizer frequency under random perturbations")
     p.add_argument("--field", help="base field (default: identically zero)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-tol", type=float, default=1e-9)
     p.add_argument("--trial-csv", metavar="PATH", help="per-trial outcomes as CSV")
-    p.set_defaults(handler=_cmd_generic)
 
-    p = sub.add_parser("plot", parents=[common, inst], help="SVG rendering of the instance")
+    p = command("plot", _cmd_plot, "SVG rendering of the instance")
     p.add_argument("--axes", help="one or two basis-row indices, comma-separated")
     p.add_argument("--boundary", action="store_true", help="highlight the Choquet boundary")
     p.add_argument("--hull", metavar="LABELS", help="highlight the hull of these labels")
-    p.set_defaults(handler=_cmd_plot)
 
     return parser
 
@@ -189,17 +189,21 @@ def _build_parser():
 # shared plumbing
 
 
-def _write(args, text):
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+def _write_file(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _load_system(args):
-    if getattr(args, "basis_csv", None):
+    if args.basis_csv:
         with open(args.basis_csv, encoding="utf-8") as fh:
             B = basis_from_csv(fh)
         labels = tuple(f"x{j}" for j in range(B.shape[1]))
@@ -240,153 +244,89 @@ def _labels_to_indices(system, text):
     return tuple(system.space.index(lbl) for lbl in labels)
 
 
-def _classification_tol(args, default):
-    if getattr(args, "strict", False):
-        if args.tol is not None:
-            raise ValidationError("--strict and --tol are mutually exclusive")
-        return STRICT_TOL
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise ValidationError("tolerance must be positive")
-        return args.tol
-    return default
-
-
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CHOQUET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"CHOQUET_SEED must be an integer: {env!r}") from exc
-    return 0
+def _names(system, idx):
+    return [system.space.labels[j] for j in idx]
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: (validated system, args) -> (report, exit code)
 
 
-def _cmd_gen(args):
-    values = [
-        _seed(args) if flag == "--seed" else getattr(args, flag.lstrip("-").replace("-", "_"))
-        for flag, _ in _GEN_ARGS[args.generator]
-    ]
+def _cmd_gen(_system, args):
+    values = [getattr(args, flag.lstrip("-").replace("-", "_"))
+              for flag, _ in _GEN_ARGS[args.generator]]
     inst = GENERATORS[args.generator](*values)
-    doc = system_to_dict(inst.system, expected=inst.expected_dict())
-    return _write(args, dumps(doc))
+    return system_to_dict(inst.system, expected=inst.expected_dict()), 0
 
 
-def _cmd_boundary(args):
-    system = _load_system(args).require_valid()
+def _cmd_boundary(system, args):
     report = measures.choquet_boundary(system)
     if args.plot:
-        svg = plotting.render_svg(system, boundary=report.boundary)
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    if args.csv:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["label", "is_boundary", "min_self_mass", "vertex"])
-        for row in report.to_dict(system)["points"]:
-            w.writerow([row["label"], row["is_boundary"],
-                        f"{row['min_self_mass']:.12g}", row["vertex"]])
-        return _write(args, buf.getvalue())
-    return _write(args, dumps(report.to_dict(system)))
+        _write_file(args.plot, plotting.render_svg(system, boundary=report.boundary))
+    doc = report.to_dict(system)
+    if not args.csv:
+        return doc, 0
+    rows = [[r["label"], r["is_boundary"], f"{r['min_self_mass']:.12g}", r["vertex"]]
+            for r in doc["points"]]
+    return _csv(["label", "is_boundary", "min_self_mass", "vertex"], rows), 0
 
 
-def _cmd_hull(args):
-    system = _load_system(args).require_valid()
+def _cmd_hull(system, args):
     S = _labels_to_indices(system, args.points)
     ambient = _labels_to_indices(system, args.ambient) if args.ambient else None
     hull = sets.trace_hull(system, S, ambient=ambient)
     if args.plot:
-        svg = plotting.render_svg(system, hull=hull)
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    doc = {
-        "points": [system.space.labels[j] for j in S],
-        "hull": [system.space.labels[j] for j in hull],
-        "is_trace_convex": hull == S,
-    }
-    return _write(args, dumps(doc))
+        _write_file(args.plot, plotting.render_svg(system, hull=hull))
+    return {"points": _names(system, S), "hull": _names(system, hull),
+            "is_trace_convex": hull == S}, 0
 
 
-def _cmd_separate(args):
-    system = _load_system(args).require_valid()
+def _cmd_separate(system, args):
     C = _labels_to_indices(system, args.points)
-    xbar = system.space.index(args.target)
-    result = sets.separate(system, C, xbar)
-    doc = result.to_dict()
+    doc = sets.separate(system, C, system.space.index(args.target)).to_dict()
     doc["target"] = args.target
-    doc["set"] = [system.space.labels[j] for j in C]
-    return _write(args, dumps(doc))
+    doc["set"] = _names(system, C)
+    return doc, 0
 
 
-def _cmd_extreme(args):
-    system = _load_system(args).require_valid()
+def _cmd_extreme(system, args):
     S = _labels_to_indices(system, args.points) if args.points else tuple(range(system.n))
-    ext = sets.phi_extreme_points(system, S)
-    doc = {
-        "points": [system.space.labels[j] for j in S],
-        "extreme": [system.space.labels[j] for j in ext],
-    }
-    code = 0
-    if args.krein_milman:
-        km = sets.krein_milman_verify(system, S)
-        doc["krein_milman"] = km.to_dict(system)
-        code = 0 if km.ok else 1
-    _write(args, dumps(doc))
-    return code
+    if not args.krein_milman:
+        return {"points": _names(system, S),
+                "extreme": _names(system, sets.phi_extreme_points(system, S))}, 0
+    km = sets.krein_milman_verify(system, S)
+    doc = {"points": _names(system, S), "extreme": _names(system, km.extreme),
+           "krein_milman": km.to_dict(system)}
+    return doc, 0 if km.ok else 1
 
 
-def _cmd_kyfan(args):
-    system = _load_system(args).require_valid()
-    doc = {}
+def _cmd_kyfan(system, args):
     if args.segment:
         yz = _labels_to_indices(system, args.segment)
         if len(yz) != 2:
             raise ValidationError("--segment needs exactly two labels")
         seg = sets.kyfan_segment(system, yz[0], yz[1])
-        doc["segment"] = {
-            "endpoints": [system.space.labels[j] for j in yz],
-            "members": [system.space.labels[j] for j in seg],
-        }
-    else:
-        S = _labels_to_indices(system, args.points) if args.points else tuple(range(system.n))
-        ext = sets.kyfan_extreme_points(system, S)
-        doc["extreme"] = {
-            "points": [system.space.labels[j] for j in S],
-            "members": [system.space.labels[j] for j in ext],
-        }
-    return _write(args, dumps(doc))
+        return {"segment": {"endpoints": _names(system, yz), "members": _names(system, seg)}}, 0
+    S = _labels_to_indices(system, args.points) if args.points else tuple(range(system.n))
+    ext = sets.kyfan_extreme_points(system, S)
+    return {"extreme": {"points": _names(system, S), "members": _names(system, ext)}}, 0
 
 
-def _cmd_keyinterval(args):
-    system = _load_system(args).require_valid()
+def _cmd_keyinterval(system, args):
     f = _load_field(system, args.field)
     rows = []
     for x in range(system.n):
         iv = measures.key_interval(system, f, x)
         rows.append({"label": system.space.labels[x], "lo": iv.lo,
                      "value": float(f[x]), "hi": iv.hi})
-    if args.csv:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["label", "lo", "value", "hi"])
-        for r in rows:
-            w.writerow([r["label"], f"{r['lo']:.12g}", f"{r['value']:.12g}", f"{r['hi']:.12g}"])
-        return _write(args, buf.getvalue())
-    return _write(args, dumps({"intervals": rows}))
+    if not args.csv:
+        return {"intervals": rows}, 0
+    table = [[r["label"], *(f"{r[k]:.12g}" for k in ("lo", "value", "hi"))] for r in rows]
+    return _csv(["label", "lo", "value", "hi"], table), 0
 
 
-def _cmd_convexify(args):
-    system = _load_system(args).require_valid()
+def _cmd_convexify(system, args):
     f = _load_field(system, args.field)
-    tol = _classification_tol(args, 1e-7)
-    if args.alpha <= 0:
-        raise ValidationError("--alpha must be positive")
     fxx = biconjugate(system, f)  # hat_positive is this same sweep
     hsig = hat_signed(system, f, alpha=args.alpha)
     doc = {
@@ -395,82 +335,61 @@ def _cmd_convexify(args):
         "hat_positive": [float(v) for v in fxx],
         "hat_signed": [float(v) for v in hsig],
         "alpha": args.alpha,
-        "is_choquet_convex": bool(np.max(f - fxx) <= tol),
+        "is_choquet_convex": bool(np.max(f - fxx) <= args.tol),
         "signed_vs_positive_gap": float(np.max(fxx - hsig)),
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
-    return _write(args, dumps(doc))
+    return doc, 0
 
 
-def _cmd_check_convex(args):
-    system = _load_system(args).require_valid()
+def _cmd_check_convex(system, args):
     f = _load_field(system, args.field)
-    tol = _classification_tol(args, 1e-7)
-    fxx = biconjugate(system, f)
-    gap = float(np.max(f - fxx))
-    doc = {"is_choquet_convex": gap <= tol, "max_gap": gap, "tolerance": tol}
-    return _write(args, dumps(doc))
+    gap = float(np.max(f - biconjugate(system, f)))
+    return {"is_choquet_convex": gap <= args.tol, "max_gap": gap, "tolerance": args.tol}, 0
 
 
-def _cmd_bauer(args):
-    system = _load_system(args).require_valid()
-    spec = _load_spec(args.spec)
-    tol = _classification_tol(args, 1e-9)
-    report = bauer_verify(system, spec, tol=tol)
-    _write(args, dumps(report.to_dict(system)))
-    return 0 if report.bauer_ok else 1
+def _cmd_bauer(system, args):
+    report = bauer_verify(system, _load_spec(args.spec), tol=args.tol)
+    return report.to_dict(system), 0 if report.bauer_ok else 1
 
 
-def _cmd_multimax(args):
-    system = _load_system(args).require_valid()
-    specs = [_load_spec(path) for path in args.spec]
-    tol = _classification_tol(args, 1e-9)
-    report = multi_max_verify(system, specs, tol=tol)
-    _write(args, dumps(report.to_dict(system)))
-    return 0 if report.ok else 1
+def _cmd_multimax(system, args):
+    report = multi_max_verify(system, [_load_spec(path) for path in args.spec], tol=args.tol)
+    return report.to_dict(system), 0 if report.ok else 1
 
 
-def _cmd_expose(args):
-    system = _load_system(args).require_valid()
+def _cmd_expose(system, args):
     xbar = system.space.index(args.target)
     phi = expose(system, xbar)
     vals = system.basis.T @ phi.coeffs
     others = np.delete(vals, xbar)
-    doc = {
-        "target": args.target,
-        "coeffs": [float(v) for v in phi.coeffs],
-        "margin": float(vals[xbar] - others.max()) if others.size else float("inf"),
-    }
-    return _write(args, dumps(doc))
+    # a one-point space has no other point to compare against
+    margin = float(vals[xbar] - others.max()) if others.size else None
+    return {"target": args.target, "coeffs": [float(v) for v in phi.coeffs],
+            "margin": margin}, 0
 
 
-def _cmd_generic(args):
-    system = _load_system(args).require_valid()
+def _cmd_generic(system, args):
     f = _load_field(system, args.field) if args.field else np.zeros(system.n)
-    if args.tie_tol <= 0:
-        raise ValidationError("--tie-tol must be positive")
     report = genericity_experiment(
-        system, f, trials=args.trials, eps=args.eps, seed=_seed(args), tie_tol=args.tie_tol
+        system, f, trials=args.trials, eps=args.eps, seed=args.seed, tie_tol=args.tie_tol
     )
     if args.trial_csv:
-        with open(args.trial_csv, "w", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["trial", "unique_max"])
-            for t, flag in enumerate(report.singleton_flags):
-                w.writerow([t, flag])
-    return _write(args, dumps(report.to_dict()))
+        _write_file(args.trial_csv,
+                    _csv(["trial", "unique_max"], enumerate(report.singleton_flags)))
+    return report.to_dict(), 0
 
 
-def _cmd_plot(args):
-    system = _load_system(args).require_valid()
+def _cmd_plot(system, args):
     axes = None
     if args.axes:
-        axes = tuple(int(a) for a in args.axes.split(","))
+        try:
+            axes = tuple(int(a) for a in args.axes.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"--axes takes integer row indices: {args.axes!r}") from exc
     boundary = measures.choquet_boundary(system).boundary if args.boundary else ()
-    hull = ()
-    if args.hull:
-        hull = sets.trace_hull(system, _labels_to_indices(system, args.hull))
-    return _write(args, plotting.render_svg(system, boundary=boundary, hull=hull, axes=axes))
+    hull = sets.trace_hull(system, _labels_to_indices(system, args.hull)) if args.hull else ()
+    return plotting.render_svg(system, boundary=boundary, hull=hull, axes=axes), 0
 
 
 if __name__ == "__main__":

@@ -255,7 +255,10 @@ def pair(mu, field):
 
 def as_field(system, values):
     """Validate ``values`` as a scalar field on the system's space."""
-    f = np.asarray(values, dtype=float)
+    try:
+        f = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field values must be numbers: {exc}") from exc
     if f.shape != (system.n,):
         raise ValidationError(f"field must have length {system.n}, got {f.shape}")
     if not np.all(np.isfinite(f)):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from choquet.cli import main
+from choquet.cli import _GEN_ARGS, main
+from choquet.convexify import CONVEX_TOL
+from choquet.maxprinciple import ARGMAX_TOL
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -41,8 +43,7 @@ def test_gen_boundary_pipe(capsys):
         ("random", ["random", "6", "3", "--seed", "4"]),
     ],
 )
-def test_gen_output_matches_golden(name, argv, capsys, monkeypatch):
-    monkeypatch.delenv("CHOQUET_SEED", raising=False)
+def test_gen_output_matches_golden(name, argv, capsys):
     code, out, _ = run_cli(["gen", *argv], capsys=capsys)
     assert code == 0
     golden = Path(__file__).parent / "golden" / f"gen_{name}.json"
@@ -216,7 +217,7 @@ def test_expose_subcommand(tmp_path, capsys):
     assert code == 2
 
 
-def test_generic_subcommand_and_env_seed(tmp_path, capsys, monkeypatch):
+def test_generic_subcommand_and_env_seed(tmp_path, capsys):
     inst = tmp_path / "nat.json"
     run_cli(["gen", "naturals", "4", "-o", str(inst)], capsys=capsys)
     trials = tmp_path / "trials.csv"
@@ -229,12 +230,6 @@ def test_generic_subcommand_and_env_seed(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["seed"] == 5 and doc["trials"] == 50
     assert trials.read_text().splitlines()[0] == "trial,unique_max"
-
-    monkeypatch.setenv("CHOQUET_SEED", "5")
-    code, out_env, _ = run_cli(
-        ["generic", str(inst), "--trials", "50", "--eps", "0.1"], capsys=capsys
-    )
-    assert json.loads(out_env) == doc
 
 
 def test_deterministic_reports(tmp_path, capsys):
@@ -297,7 +292,7 @@ def test_dump_lp_flag(tmp_path, capsys):
     code, _, _ = run_cli(["boundary", str(inst), "--dump-lp", str(dump)], capsys=capsys)
     assert code == 0
     lines = dump.read_text().splitlines()
-    assert len(lines) == 3  # one self-mass LP per point
+    assert len(lines) == 3  # the boundary oracle's membership LPs
     assert all("status" in json.loads(ln) for ln in lines)
 
     # Ky Fan segments are a closed form: the run solves no LP
@@ -343,13 +338,13 @@ def test_strict_flag(tmp_path, capsys):
     field = tmp_path / "f.json"
     run_cli(["gen", "naturals", "4", "-o", str(inst)], capsys=capsys)
     field.write_text("[0, 1, 1, 0]")
-    argv = ["check-convex", str(inst), "--field", str(field), "--strict"]
+    argv = ["check-convex", str(inst), "--field", str(field), "--tol", "1e-12"]
     code, out, _ = run_cli(argv, capsys=capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["is_choquet_convex"] is False
     assert doc["tolerance"] == 1e-12
-    code, _, _ = run_cli(argv + ["--tol", "1e-5"], capsys=capsys)
+    code, _, _ = run_cli(argv + ["--tol", "0"], capsys=capsys)
     assert code == 2
 
 
@@ -386,3 +381,69 @@ def test_multimax_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["common_boundary_argmax"] == ["1"]
+
+
+_FIELD = ["check-convex", "{inst}", "--field", "{field}"]
+# each case: argv, and the files that differ from naturals(4), the field
+# [0, 1, 1, 0] and a one-piece spec
+_BAD_INPUT = {
+    "field-object": (_FIELD, {"field": '{"a": 1}'}),
+    "field-strings": (_FIELD, {"field": '["x", 1, 2, 3]'}),
+    "field-string": (_FIELD, {"field": '"abc"'}),
+    "plot-axes-not-int": (["plot", "{inst}", "--axes", "a"], {}),
+    "convexify-tol-0": (["convexify", "{inst}", "--field", "{field}", "--tol", "0"], {}),
+    "check-convex-tol-0": (_FIELD + ["--tol", "0"], {}),
+    "bauer-tol-0": (["bauer", "{inst}", "--spec", "{spec}", "--tol", "0"], {}),
+    "multimax-tol-0": (["multimax", "{inst}", "--spec", "{spec}", "--tol", "0"], {}),
+    "alpha-0": (["convexify", "{inst}", "--field", "{field}", "--alpha", "0"], {}),
+    "tie-tol-0": (["generic", "{inst}", "--tie-tol", "0"], {}),
+    "trials-0": (["generic", "{inst}", "--trials", "0"], {}),
+    "eps-0": (["generic", "{inst}", "--eps", "0"], {}),
+    "tol-nan": (_FIELD + ["--tol", "nan"], {}),
+    "tol-inf": (_FIELD + ["--tol", "inf"], {}),
+    "alpha-inf": (["convexify", "{inst}", "--field", "{field}", "--alpha", "inf"], {}),
+    "tie-tol-nan": (["generic", "{inst}", "--tie-tol", "nan"], {}),
+    "eps-nan": (["generic", "{inst}", "--eps", "nan"], {}),
+    "segment-one-label": (["kyfan", "{inst}", "--segment", "1"], {}),
+    "unknown-label": (["hull", "{inst}", "--points", "1,nope"], {}),
+    "expose-one-point": (["expose", "{inst}", "--target", "a"],
+                         {"inst": '{"labels": ["a"], "basis": [[1.0]]}'}),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUT)
+def test_bad_or_degenerate_input_never_raises(case, tmp_path, capsys):
+    argv, texts = _BAD_INPUT[case]
+    paths = {k: tmp_path / f"{k}.json" for k in ("inst", "field", "spec")}
+    run_cli(["gen", "naturals", "4", "-o", str(paths["inst"])], capsys=capsys)
+    paths["field"].write_text("[0, 1, 1, 0]")
+    paths["spec"].write_text(json.dumps({"pieces": [{"a": [0.0, 1.0], "beta": 0.0}]}))
+    for key, text in texts.items():
+        paths[key].write_text(text)
+    code, out, err = run_cli([a.format(**paths) for a in argv], capsys=capsys)
+    if case == "expose-one-point":  # no other point to compare against
+        assert code == 0 and json.loads(out)["margin"] is None
+        return
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+_SUBCOMMANDS = ("gen", "boundary", "hull", "separate", "extreme", "kyfan", "convexify",
+                "check-convex", "keyinterval", "bauer", "multimax", "expose", "generic", "plot")
+_DEFAULT_TOL = {"convexify": CONVEX_TOL, "check-convex": CONVEX_TOL,
+                "bauer": ARGMAX_TOL, "multimax": ARGMAX_TOL}
+
+
+@pytest.mark.parametrize(
+    "argv", [[name] for name in _SUBCOMMANDS] + [["gen", family] for family in _GEN_ARGS],
+    ids=" ".join,
+)
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: choquet " + " ".join(argv))
+    if argv[0] in _DEFAULT_TOL:
+        assert f"{_DEFAULT_TOL[argv[0]]:g}" in out
