@@ -22,7 +22,7 @@ from .generators import (
     gen_naturals,
     gen_random,
 )
-from .lp import LinearProgram, LPOutcome, feasible, solve
+from .lp import LinearProgram, LPOutcome, solve
 from .maxprinciple import (
     GenericityReport,
     MaxReport,

@@ -121,6 +121,8 @@ def _facet(system, f, x, low, scale, free):
     The LP maximizes phi(x) over coefficients c with B'c <= f - low; row x
     caps the value at f(x), so it is bounded, and the shift by the minimum
     keeps the rhs nonnegative so the solver starts from the slack basis.
+    Each free coefficient is split into a (+, -) pair of columns,
+    interleaved, so c = point[0::2] - point[1::2].
     Its dual gives a representing measure mu of x, its point the minorant
     phi = B'c + low after ``_lift`` has moved c toward the points in
     ``free``; ``measures._bracket`` checks the pair and lowers phi by its
@@ -128,14 +130,14 @@ def _facet(system, f, x, low, scale, free):
     tolerance).
     """
     B = system.basis
-    prog = lp.LinearProgram.build(
-        -B[:, x], B.T, [lp.LE] * system.n, f - low, bounds=(-np.inf, np.inf)
-    )
-    out = lp.solve(prog)
+    split = np.stack([B, -B], axis=1).reshape(2 * system.d, system.n)
+    with np.errstate(over="ignore"):  # an overflowing range fails the LP's finiteness check
+        rhs = f - low
+    out = lp.solve(lp.LinearProgram(-split[:, x], split.T, [lp.LE] * system.n, rhs))
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(f"biconjugate LP reported {out.status}; engine bug")
-    c = out.point
-    phi = _lift(B, f - low - B.T @ c, c, x, free, CERT_TOL * scale) + low
+    c = out.point[0::2] - out.point[1::2]
+    phi = _lift(B, rhs - B.T @ c, c, x, free, CERT_TOL * scale) + low
     return _bracket(system, f, x, np.maximum(-out.dual_point, 0.0), phi)
 
 

@@ -5,10 +5,12 @@ negative reduced cost with ratio ties broken toward the largest pivot
 element; a degeneracy stall switches to Bland's smallest-index anti-cycling
 rule, restricted to well-sized pivots, until the objective falls again,
 and the tableau is refactorized from the basis periodically so pivot drift
-cannot accumulate.  General bounds are reduced internally to standard form
-``min c.x, Ax = b, x >= 0``: shifted lower bounds, reflected upper bounds,
-free variables split into nonnegative pairs, doubly-bounded variables given
-an explicit range row.
+cannot accumulate.
+
+There is one LP form: minimize ``c.x`` over x >= 0, each constraint row
+``<=`` or ``=``.  Rows are equilibrated, LE rows get slack columns and
+every row is negated where needed so that ``b >= 0``.  A free variable is
+the caller's to split into a (+, -) pair of columns.
 
 The solver is a pure function of its input: identical inputs produce
 identical outputs, and instances may be solved concurrently.  Strict
@@ -24,14 +26,14 @@ in ``dual_point``: over x >= 0 with EQ rows, a Farkas ray y'A <= 0, y'b > 0.
 
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, IterationLimitError, ValidationError
 
-LE, EQ, GE = "LE", "EQ", "GE"
-_RELATIONS = (LE, EQ, GE)
+LE, EQ = "LE", "EQ"
+_RELATIONS = (LE, EQ)
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -55,26 +57,21 @@ def set_dump_path(path):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP: minimize ``objective . x`` subject to row relations and bounds.
+    """Dense LP: minimize ``objective . x`` over x >= 0 subject to row relations.
 
-    ``relations[i]`` is one of "LE", "EQ", "GE" and applies to row i of
-    ``constraint_matrix @ x`` against ``rhs[i]``.  ``lower``/``upper`` may be
-    -inf/+inf; every other entry must be finite.
+    ``relations[i]`` is "LE" or "EQ" and applies to row i of
+    ``constraint_matrix @ x`` against ``rhs[i]``; every entry must be finite.
     """
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     relations: tuple
     rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         A = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
         rel = tuple(self.relations)
         if A.size == 0:
             A = A.reshape((len(b), len(c)))
@@ -89,44 +86,12 @@ class LinearProgram:
             raise ValidationError(f"{len(rel)} relations for {m} rows")
         if any(r not in _RELATIONS for r in rel):
             raise ValidationError(f"relations must be among {_RELATIONS}")
-        if lo.shape != (n,) or hi.shape != (n,):
-            raise ValidationError("bounds must have one (lower, upper) pair per variable")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValidationError("objective, matrix and rhs entries must be finite")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValidationError("bounds may be infinite but not NaN")
-        if np.any(lo == np.inf) or np.any(hi == -np.inf):
-            raise ValidationError("lower bounds must be < +inf and upper bounds > -inf")
-        if np.any(lo > hi):
-            raise ValidationError("found lower bound above upper bound")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "relations", rel)
         object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @classmethod
-    def build(cls, objective, constraint_matrix=None, relations=None, rhs=None, bounds=None):
-        """Convenience constructor.
-
-        ``bounds`` is a per-variable sequence of (lower, upper) pairs, a single
-        pair applied to all variables, or None for the default ``x >= 0``.
-        """
-        c = np.asarray(objective, dtype=float)
-        n = c.shape[0]
-        if constraint_matrix is None:
-            constraint_matrix = np.zeros((0, n))
-            relations = ()
-            rhs = np.zeros(0)
-        if bounds is None:
-            lo, hi = np.zeros(n), np.full(n, np.inf)
-        elif isinstance(bounds, tuple) and len(bounds) == 2 and np.isscalar(bounds[0]):
-            lo, hi = np.full(n, float(bounds[0])), np.full(n, float(bounds[1]))
-        else:
-            arr = np.asarray(bounds, dtype=float)
-            lo, hi = arr[:, 0], arr[:, 1]
-        return cls(c, constraint_matrix, tuple(relations), rhs, lo, hi)
 
     @property
     def n_vars(self):
@@ -136,30 +101,33 @@ class LinearProgram:
     def n_rows(self):
         return self.rhs.shape[0]
 
-    def to_dict(self):
-        def enc(v):
-            return [None if not np.isfinite(x) else float(x) for x in v]
+    # Every variable lies in [0, inf).  The benchmark harness reads these
+    # two bounds (``perfbench/worker.py``: ``highs_status`` hands them to
+    # HiGHS, and the traced run hashes them to tell LPs apart); it stays
+    # fixed so that runs of different commits compare.
+    @property
+    def lower(self):
+        return np.zeros(self.n_vars)
 
+    @property
+    def upper(self):
+        return np.full(self.n_vars, np.inf)
+
+    def to_dict(self):
         return {
             "objective": [float(x) for x in self.objective],
             "matrix": [[float(x) for x in row] for row in self.constraint_matrix],
             "relations": list(self.relations),
             "rhs": [float(x) for x in self.rhs],
-            "lower": enc(self.lower),
-            "upper": enc(self.upper),
         }
 
     @classmethod
     def from_dict(cls, d):
-        lo = [-np.inf if v is None else v for v in d["lower"]]
-        hi = [np.inf if v is None else v for v in d["upper"]]
         return cls(
             np.asarray(d["objective"], dtype=float),
             np.asarray(d["matrix"], dtype=float).reshape(len(d["rhs"]), len(d["objective"])),
             tuple(d["relations"]),
             np.asarray(d["rhs"], dtype=float),
-            np.asarray(lo, dtype=float),
-            np.asarray(hi, dtype=float),
         )
 
 
@@ -289,81 +257,59 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
 def _standardize(lp):
     """Rewrite ``lp`` as min c.y, Ay = b (b >= 0), y >= 0.
 
-    Returns (A, b, c, const, col_of, sign_of, shift, row_factor,
-    n_orig_rows, slack_of_row).  Standard column k carries original
-    variable ``col_of[k]`` with sign ``sign_of[k]``, so that
-    x_j = shift_j + sum over k with col_of[k] = j of sign_of[k] * y_k;
+    Returns (A, b, c, row_factor, slack_of_row).  The first ``lp.n_vars``
+    columns are the variables, then one slack column per LE row;
     ``row_factor`` is the combined sign/equilibration factor per row
     (standard-form duals map back via y_i = row_factor_i * y_std_i);
     ``slack_of_row[i]`` is the slack column of row i (or -1 for an
     equality row).
     """
-    A0, b0, c0 = lp.constraint_matrix, lp.rhs, lp.objective
-    m, n = A0.shape
-    lo, hi = lp.lower, lp.upper
-    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
-    free = lo_inf & hi_inf
-    ranged = ~lo_inf & ~hi_inf
-    # a free variable splits into a (+, -) pair of columns; an upper-only
-    # one is reflected; every other one is shifted by its lower bound
-    reps = np.where(free, 2, 1)
-    first = np.cumsum(reps) - reps
-    col_of = np.repeat(np.arange(n), reps)
-    k = col_of.shape[0]
-    sign_of = np.ones(k)
-    sign_of[first[free] + 1] = -1.0
-    sign_of[first[lo_inf & ~hi_inf]] = -1.0
-    shift = np.where(lo_inf, np.where(hi_inf, 0.0, hi), lo)
-    range_cols = first[ranged]
-    n_range = range_cols.shape[0]
-
-    A = np.zeros((m + n_range, k))
-    A[:m] = A0[:, col_of] * sign_of
-    A[m + np.arange(n_range), range_cols] = 1.0
-    b = np.concatenate([b0 - A0 @ shift, (hi - lo)[ranged]])
-    rels = np.array(list(lp.relations) + [LE] * n_range, dtype=str)
+    A, b = lp.constraint_matrix, lp.rhs
+    n = lp.n_vars
+    le = np.array(lp.relations, dtype=str) == LE
 
     # Row equilibration: every row is scaled by its coefficient magnitude;
-    # rows that will need an artificial variable (equalities, and
-    # inequalities violated at y = 0) additionally count their rhs, so the
-    # phase-1 infeasibility measure is relative per row.  Slack-started rows
-    # never carry artificial mass and keep their natural coefficient scale.
-    needs_artificial = (
-        (rels == EQ) | ((rels == LE) & (b < 0)) | ((rels == GE) & (b >= 0))
-    )
+    # rows that will need an artificial variable (equalities, and LE rows
+    # violated at y = 0) additionally count their rhs, so the phase-1
+    # infeasibility measure is relative per row.  Slack-started rows never
+    # carry artificial mass and keep their natural coefficient scale.
     row_scale = np.abs(A).max(axis=1, initial=0.0)
-    row_scale = np.maximum(row_scale, np.where(needs_artificial, np.abs(b), 0.0))
+    row_scale = np.maximum(row_scale, np.where(~le | (b < 0), np.abs(b), 0.0))
     row_scale[row_scale == 0.0] = 1.0
-    A /= row_scale[:, None]
+    A = A / row_scale[:, None]
     b = b / row_scale
 
-    # slack / surplus columns turn every row into an equality
-    slack_rows = np.flatnonzero(rels != EQ)
+    # slack columns turn every LE row into an equality
+    slack_rows = np.flatnonzero(le)
     n_slack = slack_rows.shape[0]
     slack_of_row = np.full(A.shape[0], -1, dtype=int)
-    slack_of_row[slack_rows] = k + np.arange(n_slack)
+    slack_of_row[slack_rows] = n + np.arange(n_slack)
     S = np.zeros((A.shape[0], n_slack))
-    S[slack_rows, np.arange(n_slack)] = np.where(rels[slack_rows] == LE, 1.0, -1.0)
+    S[slack_rows, np.arange(n_slack)] = 1.0
     A = np.hstack([A, S])
-    c = np.concatenate([c0[col_of] * sign_of, np.zeros(n_slack)])
+    c = np.concatenate([lp.objective, np.zeros(n_slack)])
 
     signs = np.where(b < 0, -1.0, 1.0)
     A *= signs[:, None]
     b = b * signs
-    const = float(c0 @ shift)
-    return A, b, c, const, col_of, sign_of, shift, signs / row_scale, m, slack_of_row
+    return A, b, c, signs / row_scale, slack_of_row
 
 
 def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
     """Solve ``lp``.  Returns an LPOutcome with a certified optimum.
 
     Raises ValidationError for malformed input (via the LinearProgram
-    constructor), IterationLimitError if pivoting exhausts ``max_iter``, and
+    constructor) and for finite input whose solve overflows the float
+    range, IterationLimitError if pivoting exhausts ``max_iter``, and
     ConsistencyError if the optimality certificate fails its own tolerances.
     """
     if not isinstance(lp, LinearProgram):
         raise ValidationError("solve expects a LinearProgram")
-    outcome = _solve_inner(lp, feas_tol, gap_tol, max_iter)
+    try:
+        with np.errstate(over="raise"):
+            outcome = _solve_inner(lp, feas_tol, gap_tol, max_iter)
+    except FloatingPointError as exc:
+        raise ValidationError(f"LP data out of floating-point range: {exc}") from exc
     if _dump_path is not None:
         rec = {"lp": lp.to_dict(), "status": outcome.status}
         if outcome.status == OPTIMAL:
@@ -375,7 +321,7 @@ def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
 
 
 def _solve_inner(lp, feas_tol, gap_tol, max_iter):
-    A, b, c, const, col_of, sign_of, shift, signs, m_orig, slack_of_row = _standardize(lp)
+    A, b, c, signs, slack_of_row = _standardize(lp)
     nrows, ncols = A.shape
 
     # Phase 1: slacks with coefficient +1 start basic (their rows are already
@@ -401,8 +347,8 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
         raise ConsistencyError("phase 1 reported unbounded")
     if -z[-1] > feas_tol * bscale:
         # the phase-1 dual, read off the starting identity columns' reduced costs
-        ray = (cost1 - z[:-1])[start[:m_orig]]
-        return LPOutcome(status=INFEASIBLE, dual_point=signs[:m_orig] * ray)
+        ray = (cost1 - z[:-1])[start]
+        return LPOutcome(status=INFEASIBLE, dual_point=signs * ray)
 
     # Drive artificial variables out of the basis (largest pivot in the row
     # keeps this stable).  A row with no real pivot left is a dependency
@@ -457,8 +403,7 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
         if np.abs(B @ xb_ref - b_kept).max() < np.abs(B @ xb - b_kept).max():
             xb = xb_ref
         y_std[basis] = xb
-    x = shift.copy()
-    np.add.at(x, col_of, sign_of * y_std[: col_of.shape[0]])
+    x = y_std[: lp.n_vars]
     primal_std = float(c @ y_std)
     gap = abs(primal_std - float(dual @ b_kept))
     least = float((c - A_kept.T @ dual).min(initial=0.0))
@@ -470,11 +415,8 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
 
     dual_point = np.zeros(nrows)
     dual_point[keep] = dual
-    value = primal_std + const
     _check_primal(lp, x, feas_tol)
-    return LPOutcome(
-        status=OPTIMAL, value=value, point=x, dual_point=(signs * dual_point)[:m_orig]
-    )
+    return LPOutcome(status=OPTIMAL, value=primal_std, point=x, dual_point=signs * dual_point)
 
 
 def _refined_basis_solution(B, b, cb):
@@ -492,40 +434,13 @@ def _refined_basis_solution(B, b, cb):
     return xb, y
 
 
-def _violations(lp, x):
-    """Violation of each row relation and of each variable's bounds at ``x``.
-
-    Entries are <= 0 where the point satisfies the constraint.
-    """
-    d = lp.constraint_matrix @ x - lp.rhs
-    rel = np.array(lp.relations, dtype=str)
-    rows = np.where(rel == LE, d, np.where(rel == GE, -d, np.abs(d)))
-    bounds = np.maximum(lp.lower - x, x - lp.upper)
-    return rows, bounds
-
-
 def _check_primal(lp, x, feas_tol):
     """Per-row relative (backward-error) feasibility check of the point."""
-    rows, bounds = _violations(lp, x)
+    d = lp.constraint_matrix @ x - lp.rhs
+    rows = np.where(np.array(lp.relations, dtype=str) == LE, d, np.abs(d))
     mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
-    worst = max(
-        np.max(rows / mag, initial=0.0),
-        np.max(bounds / (1.0 + np.abs(x)), initial=0.0),
-    )
+    worst = np.max(rows / mag, initial=0.0)
     if worst > feas_tol:
         raise ConsistencyError(
             f"optimal point violates constraints by relative {worst:.3e}"
         )
-
-
-def residual(lp, x):
-    """Worst constraint/bound violation of ``x`` (0 means feasible)."""
-    rows, bounds = _violations(lp, np.asarray(x, dtype=float))
-    return float(max(np.max(rows, initial=0.0), np.max(bounds, initial=0.0)))
-
-
-def feasible(lp, feas_tol=FEAS_TOL, max_iter=MAX_ITER):
-    """A feasible point of ``lp``, or None.  Agrees with solve on the zero objective."""
-    probe = replace(lp, objective=np.zeros(lp.n_vars))
-    out = solve(probe, feas_tol=feas_tol, max_iter=max_iter)
-    return out.point if out.status == OPTIMAL else None

@@ -189,8 +189,8 @@ def genericity_experiment(system, f, trials, eps, seed, tie_tol=TIE_TOL):
     f = as_field(system, f)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if eps <= 0:
-        raise ValidationError("perturbation radius must be positive")
+    if not 0 < 2.0 * float(eps) < np.inf:  # draws span [-eps, eps]
+        raise ValidationError("perturbation radius must be positive, and twice it finite")
     flags = []
     for t in range(trials):
         rng = np.random.default_rng([int(seed), t])

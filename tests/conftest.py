@@ -73,22 +73,20 @@ def lower_convex_envelope_1d(q, f):
     return env
 
 
-def biconjugate_lp(system, f):
-    """Per-point envelope LP, the route ``biconjugate`` took before its sweep.
+def _highs_value(c, **constraints):
+    """Optimal value of min c.x by HiGHS; the program must have one."""
+    res = linprog(c, method="highs", **constraints)
+    assert res.status == 0, res.message
+    return res.fun
 
-    At every point x: maximize phi(x) over coefficients with B'c <= f.
-    """
+
+def biconjugate_lp(system, f):
+    """Per-point envelope LP, the route ``biconjugate`` took before its sweep,
+    asked of HiGHS: at every point x, maximize phi(x) over coefficients c
+    with B'c <= f."""
     B = system.basis
-    low = float(np.min(f))
-    out = []
-    for x in range(system.n):
-        prog = lp.LinearProgram.build(
-            -B[:, x], B.T, [lp.LE] * system.n, f - low, bounds=(-np.inf, np.inf)
-        )
-        res = lp.solve(prog)
-        assert res.status == lp.OPTIMAL
-        out.append(low - res.value)
-    return np.array(out)
+    return np.array([-_highs_value(-B[:, x], A_ub=B.T, b_ub=f, bounds=(None, None))
+                     for x in range(system.n)])
 
 
 def hat_positive_lp(system, f):
@@ -102,29 +100,20 @@ def hat_positive_lp(system, f):
 
 
 def hat_signed_lp(system, f, alpha):
-    """Signed convexification by one strip LP per point.
+    """Signed convexification by one strip LP per point, asked of HiGHS.
 
     Minimize <nu, f> over signed nu with B nu = B e_x and
     min f - alpha <= <nu, f> <= max f + alpha.
     """
     B = system.basis
-    A = np.vstack([B, f[None, :], f[None, :]])
-    rels = [lp.EQ] * system.d + [lp.GE, lp.LE]
-    strip = [float(f.min()) - alpha, float(f.max()) + alpha]
-    out = []
-    for x in range(system.n):
-        prog = lp.LinearProgram.build(
-            f, A, rels, np.concatenate([B[:, x], strip]), bounds=(-np.inf, np.inf)
-        )
-        res = lp.solve(prog)
-        assert res.status == lp.OPTIMAL
-        out.append(res.value)
-    return np.array(out)
+    strip = dict(A_ub=np.vstack([-f, f]), b_ub=[alpha - f.min(), f.max() + alpha])
+    return np.array([_highs_value(f, A_eq=B, b_eq=B[:, x], bounds=(None, None), **strip)
+                     for x in range(system.n)])
 
 
 def kyfan_between_lp(system, x, y, z):
-    """Strict Ky Fan betweenness by feasibility LP, the route
-    ``kyfan_strictly_between`` took before its closed form.
+    """Strict Ky Fan betweenness by a feasibility LP asked of HiGHS, the
+    route ``kyfan_strictly_between`` took before its closed form.
 
     x fails the test iff some basis element phi has phi(x) <= phi(y),
     phi(x) <= phi(z) and phi(y) + phi(z) - 2 phi(x) >= 1 (the unit
@@ -133,14 +122,10 @@ def kyfan_between_lp(system, x, y, z):
     B = system.basis
     u = B[:, y] - B[:, x]
     v = B[:, z] - B[:, x]
-    prog = lp.LinearProgram.build(
-        np.zeros(system.d),
-        np.vstack([-u, -v, u + v]),
-        [lp.LE, lp.LE, lp.GE],
-        np.array([0.0, 0.0, 1.0]),
-        bounds=(-np.inf, np.inf),
-    )
-    return lp.feasible(prog) is None
+    res = linprog(np.zeros(system.d), A_ub=np.vstack([-u, -v, -(u + v)]), b_ub=[0.0, 0.0, -1.0],
+                  bounds=(None, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 2
 
 
 def extreme_lp(system, S):

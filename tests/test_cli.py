@@ -404,6 +404,11 @@ _BAD_INPUT = {
     "alpha-inf": (["convexify", "{inst}", "--field", "{field}", "--alpha", "inf"], {}),
     "tie-tol-nan": (["generic", "{inst}", "--tie-tol", "nan"], {}),
     "eps-nan": (["generic", "{inst}", "--eps", "nan"], {}),
+    "eps-huge": (["generic", "{inst}", "--trials", "3", "--eps", "1e308"], {}),
+    # finite fields whose LPs overflow the float range
+    **{f"{cmd}-overflow-{i}": ([cmd, "{inst}", "--field", "{field}"], {"field": text})
+       for cmd in ("keyinterval", "check-convex", "convexify")
+       for i, text in enumerate(("[1e308, -1e308, 0, 0]", "[0, 8e307, -8e307, 0]"))},
     "segment-one-label": (["kyfan", "{inst}", "--segment", "1"], {}),
     "unknown-label": (["hull", "{inst}", "--points", "1,nope"], {}),
     "expose-one-point": (["expose", "{inst}", "--target", "a"],
