@@ -21,7 +21,8 @@ LP only where no witness it already holds answers: a ray separates every
 point outside S where it beats S, and a weight support often represents
 the next point too.  A reused witness is checked as strictly as the LP's
 own, and a ray only where it is zero on every row that point's own LP
-drops.
+drops.  First, ``_gram_screen`` tries two rays from the data, a raw and a
+whitened Gram field, at each point of S: most extreme points need no LP.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -183,11 +184,37 @@ def _membership(system, x, S, scales=None):
     raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
 
 
+def _gram_screen(Q, at):
+    """Mask over ``at``: does a Gram field certify that column of Q outside
+    the hull of the others?  Also each column's best field.  Column x tries
+    c = Q_x and, whitened, c = W W'(Q_x - m) for the mean column m, where
+    Q - m = U diag(s) V' and W = U diag(s)^-1 over s > 1e-10 max s; c
+    certifies x when Q'c beats every other column at x by the ``_margins``
+    rounding bound.  Q'C goes 256 columns at a time."""
+    D = Q - Q.mean(axis=1, keepdims=True)
+    U, s, _ = np.linalg.svd(D, full_matrices=False)
+    W, absQ = U[:, s > 1e-10 * s[0]] / s[s > 1e-10 * s[0]], np.abs(Q).T
+    ok, fields = [], []
+    for lo in range(0, at.size, 128):
+        a = at[lo : lo + 128]
+        C = np.hstack([Q[:, a], W @ (W.T @ D[:, a])])
+        own = np.tile(a, 2), np.arange(C.shape[1])
+        phi, err = Q.T @ C, _ROUNDING * (absQ @ np.abs(C))
+        top = phi + err
+        top[own] = -np.inf
+        win = (phi[own] - err[own] > top.max(axis=0)).reshape(2, a.size)
+        ok.append(win.any(axis=0))
+        fields.append(np.where(win[0], C[:, : a.size], C[:, a.size :]))
+    return np.concatenate(ok), np.hstack(fields)
+
+
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
-    the columns of S less itself?  Points are visited in ascending order,
-    and one gets its own membership LP only when no witness found so far
-    certifies it; each witness is checked against all open points at once.
+    the columns of S less itself?  ``_gram_screen`` first certifies points of
+    S outside on the rows all their LPs keep.  The rest are visited in
+    ascending order, and one gets its own membership LP only when no witness
+    found so far certifies it; each witness is checked against all open
+    points at once.
 
     - A ray (c, t) certifies x outside S when c is zero on every row x's own
       LP drops and ``separation_margin`` against S is positive.  (One found
@@ -206,6 +233,11 @@ def _hull_members(system, S, points):
     rows, group = np.unique(keep, axis=1, return_inverse=True)
     outside = np.isin(points, S, invert=True)
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
+    screened = np.flatnonzero(np.isin(S, points))
+    kept = keep[:, ~outside].all(axis=1)
+    if screened.size > 1 and kept.any():
+        ok = _gram_screen(P[kept], screened)[0]
+        todo &= np.isin(points, S[screened[ok]], invert=True)
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]

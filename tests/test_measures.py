@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,108 @@ def test_boundary_solves_an_lp_only_on_a_miss(make, most, monkeypatch):
     assert len(calls) <= most
 
 
+def _cloud(seed, n, dim, sphere=False):
+    """Seeded Gaussian cloud in ``dim`` dimensions, or its projection on the
+    unit sphere, with the basis [1, coordinates]."""
+    pts = np.random.default_rng(seed).normal(size=(n, dim))
+    if sphere:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    labels = tuple(f"p{j}" for j in range(n))
+    return FunctionSystem(FiniteSpace(labels), np.vstack([np.ones(n), pts.T]))
+
+
+@pytest.mark.parametrize(
+    "make, most",
+    [
+        (lambda: (_cloud(1, 40, 2, sphere=True), tuple(range(40))), 0),
+        (lambda: (gen_cantor(4).system, gen_cantor(4).expected_boundary), 20),
+        (lambda: (gen_disk(128, 3, 12).system, tuple(range(128))), 30),
+    ],
+    ids=["circle(40)", "cantor(4)", "disk(128,3,12)"],
+)
+def test_gram_screen_certifies_boundary_points_without_an_lp(make, most, monkeypatch):
+    # the boundary took 40, 63 and 150 LPs before the screen
+    system, boundary = make()
+    system.require_valid()
+    calls = count_lps(monkeypatch)
+    assert measures.choquet_boundary(system).boundary == boundary
+    assert len(calls) <= most
+
+
+def test_gram_screen_edge_cases_fall_through_to_the_loop(naturals4):
+    # one point: no other point to beat
+    one = FunctionSystem(FiniteSpace(("only",)), [[1.0]])
+    assert measures.choquet_boundary(one).boundary == (0,)
+    # |S| = 1 and 2 among the points of a valid system
+    system = naturals4.system
+    for S in ([2], [1, 2], [0, 3]):
+        assert sets.phi_extreme_points(system, S) == extreme_lp(system, S) == tuple(S)
+    # an all-constant basis: no LP keeps a row, so there is no field, and
+    # every column is in the hull of its copies
+    flat = FunctionSystem(FiniteSpace(("a", "b", "c")), [[1.0] * 3, [2.0] * 3])
+    every = np.arange(3)
+    assert measures._hull_members(flat, every, every).all()
+    assert extreme_lp(flat, every) == ()
+
+
+def test_gram_screen_keeps_duplicated_points_members():
+    # a circle point copied exactly and one copied 16 ulps further out: each
+    # column is within rounding of its twin, so both twins stay members,
+    # as the per-point LPs say
+    circle = _cloud(1, 12, 2, sphere=True)
+    B = circle.basis
+    grow = 1.0 + 16 * np.finfo(float).eps
+    nudged = B[:, 1] * np.array([1.0, grow, grow])
+    labels = circle.space.labels + ("copy0", "near1")
+    system = FunctionSystem(FiniteSpace(labels), np.column_stack([B, B[:, 0], nudged]))
+    every = np.arange(system.n)
+    outside = tuple(int(x) for x in np.flatnonzero(~measures._hull_members(system, every, every)))
+    assert outside == extreme_lp(system, every) == tuple(range(2, 12))
+
+
+def test_gram_screen_uses_only_rows_the_lps_keep():
+    # the last row spans 5e-10 of its scale, so every LP drops it; on it
+    # alone the centre sits above the circle, and whitened it would
+    # certify the centre as extreme
+    circle = _cloud(1, 12, 2, sphere=True)
+    B = np.column_stack([circle.basis, [1.0, 0.0, 0.0]])
+    B = np.vstack([B, np.append(np.ones(12), 1.0 + 5e-10)])
+    system = FunctionSystem(FiniteSpace(circle.space.labels + ("centre",)), B)
+    boundary = measures.choquet_boundary(system).boundary
+    assert boundary == extreme_lp(system, range(13)) == tuple(range(12))
+
+
+def _exact_margin(Q, c, x):
+    """The field c's value at column x of Q less its largest value at another
+    column, in exact rational arithmetic on the stored floats."""
+    c = [Fraction(float(v)) for v in c]
+    vals = [sum((a * Fraction(float(q)) for a, q in zip(c, col)), Fraction(0)) for col in Q.T]
+    return vals[x] - max(v for j, v in enumerate(vals) if j != x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_naturals(4),
+        lambda: gen_cantor(3),
+        lambda: gen_random(12, 3, seed=5),
+        lambda: gen_random(20, 4, seed=6),
+        lambda: gen_random(30, 5, seed=7),
+    ],
+    ids=["naturals(4)", "cantor(3)", "random(12,3)", "random(20,4)", "random(30,5)"],
+)
+def test_gram_screen_certificates_hold_exactly(make):
+    # independent of the 64 eps rounding bound: every field the screen
+    # accepts beats the other columns at its point in rational arithmetic
+    system = make().system
+    B = system.basis
+    Q = B[np.ptp(B, axis=1) > measures.CERT_TOL * measures.coefficient_scales(system)]
+    ok, fields = measures._gram_screen(Q, np.arange(system.n))
+    assert ok.any()
+    for x in np.flatnonzero(ok):
+        assert _exact_margin(Q, fields[:, x], x) > 0
+
+
 @pytest.mark.parametrize(
     "name, make",
     [
@@ -219,12 +322,13 @@ def _tampered_solve(monkeypatch, corrupt):
     monkeypatch.setattr(lp, "solve", bad_solve)
 
 
-def test_corrupted_dual_is_caught(naturals4, monkeypatch):
-    # point 0 (label "1") is a vertex: a negated Farkas ray separates it the
-    # wrong way
+def test_corrupted_dual_is_caught(monkeypatch):
+    # the Gram screen leaves vertices of this Gaussian cloud to their own
+    # LPs: the first one's negated Farkas ray separates it the wrong way
+    system = _cloud(0, 40, 3)
     _tampered_solve(monkeypatch, lambda out: replace(out, dual_point=-out.dual_point))
     with pytest.raises(ConsistencyError, match="Farkas ray"):
-        measures.choquet_boundary(naturals4.system)
+        measures.choquet_boundary(system)
 
 
 @pytest.mark.parametrize("point", [np.full(3, 1 / 3), np.eye(3)[0]], ids=["uniform", "dirac"])

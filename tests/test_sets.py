@@ -100,6 +100,18 @@ def test_phi_extreme_equals_boundary_on_full_space():
         assert ext == measures.choquet_boundary(inst.system).boundary
 
 
+def test_phi_extreme_points_screen_leaves_few_lps(monkeypatch):
+    # a random 24-point subset of disk(256,4,8): every point is extreme, and
+    # it took one LP per point before the Gram screen
+    system = gen_disk(256, 4, 8).system
+    system.require_valid()
+    S = sorted(np.random.default_rng(0).choice(system.n, size=24, replace=False).tolist())
+    calls = count_lps(monkeypatch)
+    ext = sets.phi_extreme_points(system, S)
+    assert len(calls) <= 10
+    assert ext == extreme_lp(system, S)
+
+
 def test_krein_milman_naturals(naturals4):
     rep = sets.krein_milman_verify(naturals4.system, range(4))
     assert rep.ok
