@@ -8,8 +8,8 @@ rejects a ``--tol``, ``--alpha``, ``--eps`` or ``--tie-tol`` that is not
 positive and finite, and writes the report to ``-o``; each handler only
 computes the report, a dict (canonical JSON) or a str (CSV or SVG).
 ``--tol`` defaults to ``CONVEX_TOL`` (1e-7) for convexify and check-convex
-and to ``ARGMAX_TOL`` (1e-9) for bauer and multimax; ``--seed`` defaults
-to 0.
+and to ``ARGMAX_TOL`` (1e-9) for bauer and multimax, ``--tie-tol`` to
+``TIE_TOL`` (1e-9); ``--seed`` defaults to 0.
 
 Exit codes: 0 success, 1 verification failure (an invariant the theory
 guarantees was found violated), 2 input error.  Reports are JSON by
@@ -30,8 +30,8 @@ from ._util import dumps
 from .convexify import CONVEX_TOL, ConvexTraceSpec, biconjugate, hat_signed
 from .errors import ConsistencyError, IterationLimitError, ValidationError
 from .generators import GENERATORS
-from .maxprinciple import (ARGMAX_TOL, bauer_verify, expose, genericity_experiment,
-                           multi_max_verify)
+from .maxprinciple import (ARGMAX_TOL, TIE_TOL, bauer_verify, expose,
+                           genericity_experiment, multi_max_verify)
 from .space import (
     FiniteSpace,
     FunctionSystem,
@@ -174,7 +174,7 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tie-tol", type=float, default=1e-9)
+    p.add_argument("--tie-tol", type=float, default=TIE_TOL)
     p.add_argument("--trial-csv", metavar="PATH", help="per-trial outcomes as CSV")
 
     p = command("plot", _cmd_plot, "SVG rendering of the instance")

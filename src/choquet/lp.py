@@ -18,8 +18,8 @@ inequalities cannot be modeled; callers rewrite ``< 0`` as ``<= -gamma``
 with a margin of their choosing and rescale afterwards.
 
 Optimal outcomes are certified: the returned point is checked feasible
-within ``feas_tol``, and the dual is checked feasible (no reduced cost
-below ``-gap_tol`` times the cost scale) with its value within ``gap_tol``
+within ``FEAS_TOL``, and the dual is checked feasible (no reduced cost
+below ``-GAP_TOL`` times the cost scale) with its value within ``GAP_TOL``
 of the objective value.  An infeasible outcome carries the phase-1 dual
 in ``dual_point``: over x >= 0 with EQ rows, a Farkas ray y'A <= 0, y'b > 0.
 """
@@ -295,7 +295,7 @@ def _standardize(lp):
     return A, b, c, signs / row_scale, slack_of_row
 
 
-def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
+def solve(lp, max_iter=MAX_ITER):
     """Solve ``lp``.  Returns an LPOutcome with a certified optimum.
 
     Raises ValidationError for malformed input (via the LinearProgram
@@ -307,7 +307,7 @@ def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
         raise ValidationError("solve expects a LinearProgram")
     try:
         with np.errstate(over="raise"):
-            outcome = _solve_inner(lp, feas_tol, gap_tol, max_iter)
+            outcome = _solve_inner(lp, max_iter)
     except FloatingPointError as exc:
         raise ValidationError(f"LP data out of floating-point range: {exc}") from exc
     if _dump_path is not None:
@@ -320,7 +320,7 @@ def solve(lp, feas_tol=FEAS_TOL, gap_tol=GAP_TOL, max_iter=MAX_ITER):
     return outcome
 
 
-def _solve_inner(lp, feas_tol, gap_tol, max_iter):
+def _solve_inner(lp, max_iter):
     A, b, c, signs, slack_of_row = _standardize(lp)
     nrows, ncols = A.shape
 
@@ -345,7 +345,7 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
     status, iters, T, z, basis = _run_simplex(A1, b, cost1, T, z, basis, max_iter)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
         raise ConsistencyError("phase 1 reported unbounded")
-    if -z[-1] > feas_tol * bscale:
+    if -z[-1] > FEAS_TOL * bscale:
         # the phase-1 dual, read off the starting identity columns' reduced costs
         ray = (cost1 - z[:-1])[start]
         return LPOutcome(status=INFEASIBLE, dual_point=signs * ray)
@@ -408,14 +408,14 @@ def _solve_inner(lp, feas_tol, gap_tol, max_iter):
     gap = abs(primal_std - float(dual @ b_kept))
     least = float((c - A_kept.T @ dual).min(initial=0.0))
     cscale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    if least < -gap_tol * cscale or gap > gap_tol * max(1.0, abs(primal_std)):
+    if least < -GAP_TOL * cscale or gap > GAP_TOL * max(1.0, abs(primal_std)):
         raise ConsistencyError(
             f"dual certificate fails: least reduced cost {least:.3e}, duality gap {gap:.3e}"
         )
 
     dual_point = np.zeros(nrows)
     dual_point[keep] = dual
-    _check_primal(lp, x, feas_tol)
+    _check_primal(lp, x)
     return LPOutcome(status=OPTIMAL, value=primal_std, point=x, dual_point=signs * dual_point)
 
 
@@ -434,13 +434,13 @@ def _refined_basis_solution(B, b, cb):
     return xb, y
 
 
-def _check_primal(lp, x, feas_tol):
+def _check_primal(lp, x):
     """Per-row relative (backward-error) feasibility check of the point."""
     d = lp.constraint_matrix @ x - lp.rhs
     rows = np.where(np.array(lp.relations, dtype=str) == LE, d, np.abs(d))
     mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
     worst = np.max(rows / mag, initial=0.0)
-    if worst > feas_tol:
+    if worst > FEAS_TOL:
         raise ConsistencyError(
             f"optimal point violates constraints by relative {worst:.3e}"
         )

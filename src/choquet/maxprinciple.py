@@ -3,10 +3,10 @@ boundary characterization and the generic-uniqueness experiment.
 
 Every convex-trace field attains its maximum on the Choquet boundary; the
 verifiers below realize fields from their max-of-affine specs, compute the
-argmax set and check the boundary actually carries the maximum.  Exposing
-fields are ``measures._separator``'s, like every separating witness.  The
-genericity experiment perturbs a field by random basis elements and counts
-how often the perturbed maximizer is unique.
+argmax set and ask only the maximizers whether they lie on the boundary.
+Exposing fields are ``measures._separator``'s, like every separating
+witness.  The genericity experiment perturbs a field by random basis
+elements and counts how often the perturbed maximizer is unique.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexify import ConvexTraceSpec, realize_convex_trace
-from .errors import ConsistencyError, ValidationError
-from .measures import _check_point, _separator, choquet_boundary, min_self_mass
+from .errors import ValidationError
+from .measures import _check_point, _on_boundary, _separator, min_self_mass
 from .space import PhiFunction, as_field
 
 ARGMAX_TOL = 1e-9
@@ -83,37 +83,34 @@ def argmax_set(system, f, tol=ARGMAX_TOL):
     return tuple(int(j) for j in np.flatnonzero(f >= f.max() - tol))
 
 
-def bauer_verify(system, spec, tol=ARGMAX_TOL, boundary=None):
+def _boundary_part(system, points):
+    """The ``points`` (sorted indices) that lie on the Choquet boundary."""
+    return tuple(j for j, on in zip(points, _on_boundary(system, points)) if on)
+
+
+def bauer_verify(system, spec, tol=ARGMAX_TOL):
     """Realize the spec and check its maximum is attained on the boundary.
 
-    A precomputed BoundaryReport may be passed to amortize the boundary
-    LPs over many specs.
+    Only the maximizers get a boundary verdict.  When one of them is on the
+    boundary, the boundary maximum is within ``tol`` of the maximum.
     """
     f = realize_convex_trace(system, spec)
-    if boundary is None:
-        boundary = choquet_boundary(system)
-    bset = set(boundary.boundary)
     amax = argmax_set(system, f, tol)
-    b_amax = tuple(j for j in amax if j in bset)
-    max_all = float(f.max())
-    max_bnd = float(max(f[j] for j in bset)) if bset else -np.inf
-    ok = bool(b_amax) and abs(max_all - max_bnd) <= tol
-    return MaxReport(argmax=amax, max_value=max_all, boundary_argmax=b_amax, bauer_ok=ok)
+    b_amax = _boundary_part(system, amax)
+    return MaxReport(amax, float(f.max()), b_amax, bauer_ok=bool(b_amax))
 
 
-def multi_max_verify(system, specs, tol=ARGMAX_TOL, boundary=None):
+def multi_max_verify(system, specs, tol=ARGMAX_TOL):
     """Common-maximizer check for a family of convex-trace specs.
 
     When the argmax sets intersect, some common maximizer must lie on the
-    boundary; an empty intersection voids the hypothesis, which is reported
-    as ok (nothing to verify).
+    boundary, and only the common maximizers get a boundary verdict; an
+    empty intersection voids the hypothesis, which is reported as ok
+    (nothing to verify).
     """
     specs = list(specs)
     if not specs:
         raise ValidationError("multi-max needs a nonempty family")
-    if boundary is None:
-        boundary = choquet_boundary(system)
-    bset = set(boundary.boundary)
     common = None
     for spec in specs:
         amax = set(argmax_set(system, realize_convex_trace(system, spec), tol))
@@ -121,7 +118,7 @@ def multi_max_verify(system, specs, tol=ARGMAX_TOL, boundary=None):
     common = tuple(sorted(common))
     if not common:
         return MultiMaxReport((), (), hypothesis_void=True, ok=True)
-    b_common = tuple(j for j in common if j in bset)
+    b_common = _boundary_part(system, common)
     return MultiMaxReport(common, b_common, hypothesis_void=False, ok=bool(b_common))
 
 
@@ -153,29 +150,14 @@ def random_spec(system, rng, max_pieces=4, scale=1.0):
     return ConvexTraceSpec(pieces)
 
 
-def boundary_characterization(system, xbar, samples=64, seed=0, tol=ARGMAX_TOL):
+def boundary_characterization(system, xbar):
     """Characterize ``xbar`` through maximizer sets of convex-trace fields.
 
-    Boundary points admit an exposing functional, a convex-trace field
-    maximized at the point alone: the membership LP of the point against
-    the other points returns one, checked by evaluation.  Otherwise it
-    returns checked weights on the other points that represent it, and
-    every sampled convex-trace field maximized at the point is also
-    maximized elsewhere; a singleton argmax at a non-vertex would contradict
-    convexity and raises.
+    A boundary point is the unique maximizer of its exposing field; any
+    other point is represented by weights on the others, so no convex-trace
+    field has it as its unique maximizer.  This is the boundary verdict.
     """
-    if min_self_mass(system, xbar) == 1.0:
-        return True
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        f = realize_convex_trace(system, random_spec(system, rng))
-        amax = argmax_set(system, f, tol)
-        if xbar in amax and amax == (xbar,):
-            raise ConsistencyError(
-                "sampled convex-trace field has a unique maximizer at a "
-                "non-vertex; convexity violated"
-            )
-    return False
+    return min_self_mass(system, xbar) == 1.0
 
 
 def genericity_experiment(system, f, trials, eps, seed, tie_tol=TIE_TOL):

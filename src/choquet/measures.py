@@ -29,13 +29,15 @@ representing measure.  The least mass a representing measure leaves on x
 is exactly 0 or 1: weights on the other points that reproduce column x
 leave 0, and a representing measure mu with mu_x < 1 would give such
 weights, (mu - mu_x e_x) / (1 - mu_x).  So the boundary is the set of
-points outside the hull of the others.
+points outside the hull of the others: ``_on_boundary`` gives every
+boundary verdict.
 
 Each end of a key interval, like each facet of ``convexify.biconjugate``,
 is one LP with two witnesses that ``_bracket`` checks: a representing
 measure mu, whose pairing <mu, f> bounds the value from above, and from
 the LP dual a minorant phi <= f in the span, whose phi(x) bounds it from
-below.  A failed check raises ConsistencyError.
+below.  Representing measures come from the same bracketed LP
+(``_least_pairing``).  A failed check raises ConsistencyError.
 """
 
 from dataclasses import dataclass
@@ -147,13 +149,6 @@ def _measure_program(P, col, scales, objective=None):
     rhs = np.append(col[keep], 1.0)
     obj = np.zeros(P.shape[1]) if objective is None else objective
     return lp.LinearProgram(obj, A, [lp.EQ] * len(rhs), rhs), keep
-
-
-def _mx_program(system, x, objective=None):
-    """LP over the representing-measure polytope of point x."""
-    obj = None if objective is None else as_field(system, objective)
-    B = system.basis
-    return _measure_program(B, B[:, x], coefficient_scales(system), obj)[0]
 
 
 def _membership(system, x, S, scales=None):
@@ -305,45 +300,55 @@ def _bracket(system, f, x, mu, phi):
     return phi
 
 
-def representing_measure(system, x, objective=None):
-    """A representing measure for x, minimizing ``objective`` when given."""
-    system.require_valid()
-    _check_point(system, x)
-    out = lp.solve(_mx_program(system, x, objective))
+def _least_pairing(system, g, x, scales):
+    """Least pairing <mu, g> over representing measures mu of x, and a mu
+    attaining it: one ``_measure_program`` LP whose point and dual minorant
+    B'c + t ``_bracket`` checks."""
+    B = system.basis
+    prog, keep = _measure_program(B, B[:, x], scales, g)
+    out = lp.solve(prog)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(
             f"representing-measure LP reported {out.status}; the Dirac mass is "
             "always feasible, so this signals an engine bug"
         )
-    return Measure.probability(out.point)
+    c = np.zeros(system.d)
+    c[keep] = out.dual_point[:-1]
+    mu = np.maximum(out.point, 0.0)
+    _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
+    return float(out.value), mu
+
+
+def representing_measure(system, x, objective=None):
+    """A representing measure for x, minimizing ``objective`` when given."""
+    system.require_valid()
+    _check_point(system, x)
+    g = np.zeros(system.n) if objective is None else as_field(system, objective)
+    return Measure.probability(_least_pairing(system, g, x, coefficient_scales(system))[1])
 
 
 def key_interval(system, f, x):
-    """Min and max of the pairing of ``f`` over representing measures of x;
-    each end's LP point and dual (c, t), a minorant B'c + t, are bracketed."""
+    """Min and max of the pairing of ``f`` over representing measures of x,
+    each end a bracketed ``_least_pairing``."""
     system.require_valid()
     _check_point(system, x)
     f = as_field(system, f)
-    B = system.basis
     scales = coefficient_scales(system)
-    ends = []
-    for g in (f, -f):
-        prog, keep = _measure_program(B, B[:, x], scales, g)
-        out = lp.solve(prog)
-        if out.status != lp.OPTIMAL:
-            raise ConsistencyError("key-interval LP infeasible; engine bug")
-        c = np.zeros(system.d)
-        c[keep] = out.dual_point[:-1]
-        _bracket(system, g, x, np.maximum(out.point, 0.0), B.T @ c + out.dual_point[-1])
-        ends.append(float(out.value))
-    return KeyInterval(lo=ends[0], hi=-ends[1])
+    lo, hi = (_least_pairing(system, g, x, scales)[0] for g in (f, -f))
+    return KeyInterval(lo=lo, hi=-hi)
+
+
+def _on_boundary(system, points):
+    """Mask over the distinct ``points``: is each outside the hull of all the
+    other points, i.e. on the Choquet boundary?"""
+    return ~_hull_members(system, np.arange(system.n), points)
 
 
 def min_self_mass(system, x):
     """Least weight a representing measure of x can leave on x itself."""
     system.require_valid()
     _check_point(system, x)
-    return 0.0 if _membership(system, x, np.arange(system.n) != x)[0] else 1.0
+    return float(_on_boundary(system, [x])[0])
 
 
 def is_boundary(system, x):
@@ -355,5 +360,4 @@ def is_boundary(system, x):
 def choquet_boundary(system):
     """A point is on the boundary exactly when it is outside the others' hull."""
     system.require_valid()
-    every = np.arange(system.n)
-    return BoundaryReport(is_boundary=~_hull_members(system, every, every))
+    return BoundaryReport(is_boundary=_on_boundary(system, np.arange(system.n)))

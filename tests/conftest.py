@@ -90,10 +90,11 @@ def biconjugate_lp(system, f):
 
 
 def hat_positive_lp(system, f):
-    """Measure-side route: the least pairing <mu, f> over representing measures."""
-    out = []
+    """Measure-side route: the least pairing <mu, f> over representing
+    measures, one unchecked LP per point."""
+    B, scales, out = system.basis, measures.coefficient_scales(system), []
     for x in range(system.n):
-        res = lp.solve(measures._mx_program(system, x, f))
+        res = lp.solve(measures._measure_program(B, B[:, x], scales, f)[0])
         assert res.status == lp.OPTIMAL
         out.append(res.value)
     return np.array(out)

@@ -179,7 +179,7 @@ def test_criterion_07_bauer_and_multimax_suites():
                     (np.asarray(mp.expose(system, xbar).coeffs), 0.0),
                     (a, beta),
                 )))
-            report = mp.multi_max_verify(system, specs, boundary=bnd)
+            report = mp.multi_max_verify(system, specs)
             assert not report.hypothesis_void
             assert report.ok and xbar in report.common_boundary_argmax
             families += 1

@@ -58,12 +58,19 @@ _GOLDEN_FIXTURES = {
     "disk64_2_8": ["disk", "--n-circle", "64", "--rings", "2", "--degree", "8"],
 }
 _EVERY_2ND_CIRCLE = ",".join(f"circ{k:03d}" for k in range(0, 64, 2))
+_DATA = Path(__file__).parent / "data"
 _HULL_REPORTS = {
     "hull_naturals4": ("naturals4", ["hull", "--points", "1,4"]),
     "hull_interval101": ("interval101", ["hull", "--points", "0.1,0.5,0.9"]),
     "hull_cantor2": ("cantor2", ["hull", "--points", "0,0.5,1"]),
     "hull_disk64_2_8": ("disk64_2_8", ["hull", "--points", _EVERY_2ND_CIRCLE]),
     **{f"extreme_{fx}": (fx, ["extreme", "--krein-milman"]) for fx in _GOLDEN_FIXTURES},
+    # integer spec coefficients: every field value is exact; two maximizers
+    # in bauer_naturals4, three (one off the boundary) in the cantor2 reports
+    "bauer_naturals4": ("naturals4", ["bauer", "--spec", str(_DATA / "spec_naturals4.json")]),
+    "bauer_cantor2": ("cantor2", ["bauer", "--spec", str(_DATA / "spec_cantor2_a.json")]),
+    "multimax_cantor2": ("cantor2", ["multimax", "--spec", str(_DATA / "spec_cantor2_a.json"),
+                                     "--spec", str(_DATA / "spec_cantor2_b.json")]),
 }
 
 

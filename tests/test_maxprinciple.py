@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from choquet import lp, measures
+from choquet import lp
 from choquet import maxprinciple as mp
 from choquet.convexify import ConvexTraceSpec, realize_convex_trace
 from choquet.errors import ValidationError
 from choquet.generators import gen_disk, gen_interval_affine, gen_random
 from choquet.space import evaluate
+from conftest import count_lps
 
 
 def tangent_spec(points, center=0.4):
@@ -56,11 +57,25 @@ def test_bauer_random_specs():
     for seed in range(10):
         n = int(rng.integers(4, 10))
         inst = gen_random(n, int(rng.integers(2, min(5, n + 1))), seed=seed)
-        boundary = measures.choquet_boundary(inst.system)
         for _ in range(10):
             spec = mp.random_spec(inst.system, rng)
-            report = mp.bauer_verify(inst.system, spec, boundary=boundary)
+            report = mp.bauer_verify(inst.system, spec)
             assert report.bauer_ok
+
+
+def test_verifiers_ask_only_the_maximizers(monkeypatch):
+    # the exposing field of circ005 peaks there alone, so one membership LP
+    # gives the only boundary verdict needed; the whole boundary takes 17
+    system = gen_disk(n_circle=64, n_interior_rings=2, degree=8).system
+    x = system.space.index("circ005")
+    spec = ConvexTraceSpec(((np.asarray(mp.expose(system, x).coeffs), 0.0),))
+    calls = count_lps(monkeypatch)
+    report = mp.bauer_verify(system, spec)
+    assert report.argmax == report.boundary_argmax == (x,) and report.bauer_ok
+    assert len(calls) == 1
+    multi = mp.multi_max_verify(system, [spec])
+    assert multi.common_boundary_argmax == (x,) and multi.ok
+    assert len(calls) == 2
 
 
 def test_multi_max_planted_maximizer(naturals4):
@@ -137,13 +152,19 @@ def test_boundary_characterization_single_point():
 
 
 def test_boundary_characterization_agrees_random():
+    # off the boundary, no convex-trace field has the point as its unique
+    # maximizer: 64 sampled fields per point check it
     for seed in range(6):
         inst = gen_random(6, 3, seed=800 + seed)
         boundary = set(inst.expected_boundary)
         for x in range(6):
-            assert mp.boundary_characterization(inst.system, x, seed=seed) == (
-                x in boundary
-            )
+            assert mp.boundary_characterization(inst.system, x) == (x in boundary)
+            if x in boundary:
+                continue
+            rng = np.random.default_rng(seed)
+            for _ in range(64):
+                f = realize_convex_trace(inst.system, mp.random_spec(inst.system, rng))
+                assert mp.argmax_set(inst.system, f) != (x,)
 
 
 def test_boundary_characterization_ring_point():

@@ -45,6 +45,19 @@ def test_representing_measure_at_boundary_is_dirac(naturals4):
     assert mu.weights == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
 
 
+def test_representing_measure_checks_its_witness(monkeypatch, naturals4):
+    # an engine point that misses column x never comes back as a measure
+    solve = lp.solve
+
+    def tampered(prog, *args, **kwargs):
+        out = solve(prog, *args, **kwargs)
+        return replace(out, point=np.eye(out.point.size)[0])
+
+    monkeypatch.setattr(lp, "solve", tampered)
+    with pytest.raises(ConsistencyError, match="misses it"):
+        measures.representing_measure(naturals4.system, 1)
+
+
 def test_key_interval_examples(naturals4):
     system = naturals4.system
     f = np.array([0.0, 1.0, 1.0, 0.0])
