@@ -17,6 +17,14 @@ identical outputs, and instances may be solved concurrently.  Strict
 inequalities cannot be modeled; callers rewrite ``< 0`` as ``<= -gamma``
 with a margin of their choosing and rescale afterwards.
 
+An optimal outcome carries its ``basis``: the standard-form columns and
+the mask of rows that phase 1 kept (it drops dependent rows).  Standard
+form depends on the rows and rhs alone, so an LP with the same rows and
+rhs and another objective can start from that basis: ``solve(lp,
+basis=...)`` refactorizes it and runs phase 2 only, falling back to the
+cold two-phase solve when the basis is singular or not primal feasible
+within ``FEAS_TOL``.
+
 Optimal outcomes are certified: the returned point is checked feasible
 within ``FEAS_TOL``, and the dual is checked feasible (no reduced cost
 below ``-GAP_TOL`` times the cost scale) with its value within ``GAP_TOL``
@@ -133,12 +141,15 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict; ``value``/``point`` set when optimal, ``dual_point`` also if infeasible."""
+    """Solver verdict; ``value``/``point``/``basis`` set when optimal,
+    ``dual_point`` also if infeasible.  ``basis`` is the optimal basis as
+    (standard-form columns, mask of the rows phase 1 kept)."""
 
     status: str
     value: float | None = None
     point: np.ndarray | None = None
     dual_point: np.ndarray | None = None
+    basis: tuple | None = None
 
 
 def _pivot(T, z, basis, row, col):
@@ -295,8 +306,12 @@ def _standardize(lp):
     return A, b, c, signs / row_scale, slack_of_row
 
 
-def solve(lp, max_iter=MAX_ITER):
+def solve(lp, max_iter=MAX_ITER, basis=None):
     """Solve ``lp``.  Returns an LPOutcome with a certified optimum.
+
+    ``basis`` is an optimal outcome's ``basis``, from this LP or one with
+    the same rows and rhs: phase 2 then starts there, and the cold
+    two-phase solve runs only when it is singular or not primal feasible.
 
     Raises ValidationError for malformed input (via the LinearProgram
     constructor) and for finite input whose solve overflows the float
@@ -307,7 +322,7 @@ def solve(lp, max_iter=MAX_ITER):
         raise ValidationError("solve expects a LinearProgram")
     try:
         with np.errstate(over="raise"):
-            outcome = _solve_inner(lp, max_iter)
+            outcome = _solve_inner(lp, max_iter, basis)
     except FloatingPointError as exc:
         raise ValidationError(f"LP data out of floating-point range: {exc}") from exc
     if _dump_path is not None:
@@ -320,66 +335,16 @@ def solve(lp, max_iter=MAX_ITER):
     return outcome
 
 
-def _solve_inner(lp, max_iter):
+def _solve_inner(lp, max_iter, basis):
     A, b, c, signs, slack_of_row = _standardize(lp)
     nrows, ncols = A.shape
-
-    # Phase 1: slacks with coefficient +1 start basic (their rows are already
-    # satisfied since b >= 0); the remaining rows get artificial columns.
-    slack_rows = np.flatnonzero(slack_of_row >= 0)
-    need = np.ones(nrows, dtype=bool)
-    need[slack_rows] = A[slack_rows, slack_of_row[slack_rows]] != 1.0
-    need_art = np.flatnonzero(need)
-    nart = need_art.shape[0]
-    # only artificial rows can carry phase-1 mass; their rhs sets the scale
-    # of the infeasibility verdict
-    bscale = max(1.0, float(np.abs(b[need_art]).max())) if nart else 1.0
-    art = np.zeros((nrows, nart))
-    art[need_art, np.arange(nart)] = 1.0
-    start = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row)
-    basis = start.tolist()
-    A1 = np.hstack([A, art])
-    T = np.hstack([A1, b[:, None]])
-    cost1 = np.concatenate([np.zeros(ncols), np.ones(nart)])
-    z = _reduced_row(T, basis, cost1)
-    status, iters, T, z, basis = _run_simplex(A1, b, cost1, T, z, basis, max_iter)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
-        raise ConsistencyError("phase 1 reported unbounded")
-    if -z[-1] > FEAS_TOL * bscale:
-        # the phase-1 dual, read off the starting identity columns' reduced costs
-        ray = (cost1 - z[:-1])[start]
-        return LPOutcome(status=INFEASIBLE, dual_point=signs * ray)
-
-    # Drive artificial variables out of the basis (largest pivot in the row
-    # keeps this stable).  A row with no real pivot left is a dependency
-    # among the constraint rows, with weights read off its starting identity
-    # columns; the constraint row it weighs most heavily is dropped, after
-    # eliminating the dependencies already used, so each drops another row.
-    deps = []
-    for r in range(nrows):
-        if basis[r] >= ncols:
-            row = np.abs(T[r, :ncols])
-            col = int(np.argmax(row))
-            if row[col] > 1e-9:
-                _pivot(T, z, basis, r, col)
-            else:
-                deps.append(r)
-    weights = T[deps][:, start]
-    keep = np.ones(nrows, dtype=bool)
-    for k, v in enumerate(weights):
-        i = int(np.argmax(np.abs(v)))
-        keep[i] = False
-        weights[k + 1:] -= np.outer(weights[k + 1:, i] / v[i], v)
-    rows = [r for r in range(nrows) if r not in deps]
-    T = T[rows][:, list(range(ncols)) + [ncols + nart]]
-    basis = [basis[r] for r in rows]
+    start = None if basis is None else _warm_start(A, b, c, basis)
+    if start is None:
+        start = _phase1(A, b, c, slack_of_row, max_iter)
+    if isinstance(start, np.ndarray):  # phase 1's Farkas ray
+        return LPOutcome(status=INFEASIBLE, dual_point=signs * start)
+    keep, T, z, basis, iters = start
     A_kept, b_kept = A[keep], b[keep]
-
-    # Phase 2 on the true objective, from a freshly factorized tableau.
-    try:
-        T, z = _refactor(A_kept, b_kept, basis, c)
-    except np.linalg.LinAlgError:  # pragma: no cover - keep the pivoted state
-        z = _reduced_row(T, basis, c)
     status, iters, T, z, basis = _run_simplex(
         A_kept, b_kept, c, T, z, basis, max_iter, it_start=iters
     )
@@ -416,7 +381,89 @@ def _solve_inner(lp, max_iter):
     dual_point = np.zeros(nrows)
     dual_point[keep] = dual
     _check_primal(lp, x)
-    return LPOutcome(status=OPTIMAL, value=primal_std, point=x, dual_point=signs * dual_point)
+    return LPOutcome(status=OPTIMAL, value=primal_std, point=x, dual_point=signs * dual_point,
+                     basis=(tuple(basis), keep))
+
+
+def _phase1(A, b, c, slack_of_row, max_iter):
+    """Phase 1 from the slack and artificial start: the Farkas ray when the
+    program is infeasible, else phase 2's start (kept-row mask, tableau,
+    reduced costs, basis, pivots so far)."""
+    nrows, ncols = A.shape
+
+    # Phase 1: slacks with coefficient +1 start basic (their rows are already
+    # satisfied since b >= 0); the remaining rows get artificial columns.
+    slack_rows = np.flatnonzero(slack_of_row >= 0)
+    need = np.ones(nrows, dtype=bool)
+    need[slack_rows] = A[slack_rows, slack_of_row[slack_rows]] != 1.0
+    need_art = np.flatnonzero(need)
+    nart = need_art.shape[0]
+    # only artificial rows can carry phase-1 mass; their rhs sets the scale
+    # of the infeasibility verdict
+    bscale = max(1.0, float(np.abs(b[need_art]).max())) if nart else 1.0
+    art = np.zeros((nrows, nart))
+    art[need_art, np.arange(nart)] = 1.0
+    start = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row)
+    basis = start.tolist()
+    A1 = np.hstack([A, art])
+    T = np.hstack([A1, b[:, None]])
+    cost1 = np.concatenate([np.zeros(ncols), np.ones(nart)])
+    z = _reduced_row(T, basis, cost1)
+    status, iters, T, z, basis = _run_simplex(A1, b, cost1, T, z, basis, max_iter)
+    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
+        raise ConsistencyError("phase 1 reported unbounded")
+    if -z[-1] > FEAS_TOL * bscale:
+        # the phase-1 dual, read off the starting identity columns' reduced costs
+        ray = (cost1 - z[:-1])[start]
+        return ray
+
+    # Drive artificial variables out of the basis (largest pivot in the row
+    # keeps this stable).  A row with no real pivot left is a dependency
+    # among the constraint rows, with weights read off its starting identity
+    # columns; the constraint row it weighs most heavily is dropped, after
+    # eliminating the dependencies already used, so each drops another row.
+    deps = []
+    for r in range(nrows):
+        if basis[r] >= ncols:
+            row = np.abs(T[r, :ncols])
+            col = int(np.argmax(row))
+            if row[col] > 1e-9:
+                _pivot(T, z, basis, r, col)
+            else:
+                deps.append(r)
+    weights = T[deps][:, start]
+    keep = np.ones(nrows, dtype=bool)
+    for k, v in enumerate(weights):
+        i = int(np.argmax(np.abs(v)))
+        keep[i] = False
+        weights[k + 1:] -= np.outer(weights[k + 1:, i] / v[i], v)
+    rows = [r for r in range(nrows) if r not in deps]
+    T = T[rows][:, list(range(ncols)) + [ncols + nart]]
+    basis = [basis[r] for r in rows]
+
+    # Phase 2 starts on the true objective from a freshly factorized tableau.
+    try:
+        T, z = _refactor(A[keep], b[keep], basis, c)
+    except np.linalg.LinAlgError:  # pragma: no cover - keep the pivoted state
+        z = _reduced_row(T, basis, c)
+    return keep, T, z, basis, iters
+
+
+def _warm_start(A, b, c, basis):
+    """Phase 2's start at the given (columns, kept-row mask), or None when
+    that basis is singular or not primal feasible within ``FEAS_TOL``."""
+    cols, keep = list(basis[0]), np.asarray(basis[1], dtype=bool)
+    if keep.shape != (A.shape[0],) or len(cols) != keep.sum() or not all(
+        0 <= j < A.shape[1] for j in cols
+    ):
+        raise ValidationError("basis does not fit the program's rows and columns")
+    try:
+        T, z = _refactor(A[keep], b[keep], cols, c)
+    except np.linalg.LinAlgError:
+        return None
+    if not T[:, -1].min(initial=0.0) >= -FEAS_TOL:  # NaN fails too
+        return None
+    return keep, T, z, cols, 0
 
 
 def _refined_basis_solution(B, b, cb):

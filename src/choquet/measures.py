@@ -33,11 +33,18 @@ points outside the hull of the others: ``_on_boundary`` gives every
 boundary verdict.
 
 Each end of a key interval, like each facet of ``convexify.biconjugate``,
-is one LP with two witnesses that ``_bracket`` checks: a representing
-measure mu, whose pairing <mu, f> bounds the value from above, and from
-the LP dual a minorant phi <= f in the span, whose phi(x) bounds it from
-below.  Representing measures come from the same bracketed LP
-(``_least_pairing``).  A failed check raises ConsistencyError.
+carries two witnesses that ``_bracket`` checks: a representing measure
+mu, whose pairing <mu, f> bounds the value from above, and a minorant
+phi <= f in the span, whose phi(x) bounds it from below.  On the boundary
+the Dirac mass is the only representing measure, so both ends are f(x).
+Where the Gram screen certifies x there with a field psi,
+``_dirac_pairing`` takes the Dirac mass and the minorant
+f(x) - lam (psi(x) - psi), lam the least slope that keeps it below f,
+and solves no LP.  Elsewhere each end is one LP (``_least_pairing``) with
+phi from its dual; both LPs have the same rows and rhs, so the upper end
+starts from the lower end's optimal basis.  Representing measures take
+the same two routes.  A failed check raises ConsistencyError, except in
+the closed form, whose point then takes the LPs.
 """
 
 from dataclasses import dataclass
@@ -137,14 +144,19 @@ def _check_point(system, x):
         raise ValidationError(f"point index {x} out of range [0, {system.n})")
 
 
-def _measure_program(P, col, scales, objective=None):
-    """LP over probability weights on the columns P that reproduce ``col``;
-    returns it with the mask of basis rows it keeps.  Rows spanning at most
-    ``CERT_TOL`` of their scale over P and ``col`` stay out: no probability
-    weights miss them by more."""
+def _kept_rows(P, col, scales):
+    """Mask of the basis rows spanning more than ``CERT_TOL`` of their scale
+    over the columns P and ``col``: no probability weights on P miss the
+    others by more."""
     span = np.maximum(P.max(axis=1, initial=-np.inf), col)
     span -= np.minimum(P.min(axis=1, initial=np.inf), col)
-    keep = span > CERT_TOL * scales
+    return span > CERT_TOL * scales
+
+
+def _measure_program(P, col, scales, objective=None):
+    """LP over probability weights on the columns P that reproduce ``col``;
+    returns it with the mask of basis rows it keeps (``_kept_rows``)."""
+    keep = _kept_rows(P, col, scales)
     A = np.vstack([P[keep], np.ones((1, P.shape[1]))])
     rhs = np.append(col[keep], 1.0)
     obj = np.zeros(P.shape[1]) if objective is None else objective
@@ -300,13 +312,14 @@ def _bracket(system, f, x, mu, phi):
     return phi
 
 
-def _least_pairing(system, g, x, scales):
-    """Least pairing <mu, g> over representing measures mu of x, and a mu
-    attaining it: one ``_measure_program`` LP whose point and dual minorant
+def _least_pairing(system, g, x, scales, basis=None):
+    """Least pairing <mu, g> over representing measures mu of x, a mu
+    attaining it and the LP's optimal basis: one ``_measure_program`` LP,
+    started from ``basis`` when given, whose point and dual minorant
     B'c + t ``_bracket`` checks."""
     B = system.basis
     prog, keep = _measure_program(B, B[:, x], scales, g)
-    out = lp.solve(prog)
+    out = lp.solve(prog, basis=basis)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(
             f"representing-measure LP reported {out.status}; the Dirac mass is "
@@ -316,25 +329,64 @@ def _least_pairing(system, g, x, scales):
     c[keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
     _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
-    return float(out.value), mu
+    return float(out.value), mu, out.basis
+
+
+def _dirac_pairing(system, fields, x, scales):
+    """Whether the Dirac mass at x is certified the least pairing of each
+    field with no LP: ``_gram_screen``, on the rows ``_measure_program``
+    keeps for x against all points, must put x on the Choquet boundary
+    with a field psi, and each field g must pass ``_bracket`` with the
+    Dirac mass and the minorant g(x) - lam (psi(x) - psi), where lam is
+    the least slope that keeps it below g."""
+    B = system.basis
+    Q = B[_kept_rows(B, B[:, x], scales)]
+    if Q.shape[0] == 0:
+        return False
+    ok, c = _gram_screen(Q, np.array([x]))
+    psi = Q.T @ c[:, 0]
+    drop, others = psi[x] - psi, np.arange(system.n) != x
+    if not (ok[0] and (drop[others] > 0.0).all()):
+        return False
+    dirac = Measure.dirac(system.n, x).weights
+    try:
+        with np.errstate(over="raise"):
+            for g in fields:
+                lam = float(np.max((g[x] - g[others]) / drop[others], initial=0.0))
+                _bracket(system, g, x, dirac, g[x] - lam * drop)
+    except FloatingPointError as exc:
+        raise ValidationError(f"field out of floating-point range: {exc}") from exc
+    except ConsistencyError:
+        return False
+    return True
 
 
 def representing_measure(system, x, objective=None):
-    """A representing measure for x, minimizing ``objective`` when given."""
+    """A representing measure for x, minimizing ``objective`` when given:
+    the Dirac mass where ``_dirac_pairing`` certifies it, else the
+    ``_least_pairing`` LP's."""
     system.require_valid()
     _check_point(system, x)
     g = np.zeros(system.n) if objective is None else as_field(system, objective)
-    return Measure.probability(_least_pairing(system, g, x, coefficient_scales(system))[1])
+    scales = coefficient_scales(system)
+    if _dirac_pairing(system, (g,), x, scales):
+        return Measure.dirac(system.n, x)
+    return Measure.probability(_least_pairing(system, g, x, scales)[1])
 
 
 def key_interval(system, f, x):
-    """Min and max of the pairing of ``f`` over representing measures of x,
-    each end a bracketed ``_least_pairing``."""
+    """Min and max of the pairing of ``f`` over representing measures of x:
+    f(x) at both ends where ``_dirac_pairing`` certifies the Dirac mass,
+    else two bracketed ``_least_pairing`` LPs, the upper end started from
+    the lower end's basis."""
     system.require_valid()
     _check_point(system, x)
     f = as_field(system, f)
     scales = coefficient_scales(system)
-    lo, hi = (_least_pairing(system, g, x, scales)[0] for g in (f, -f))
+    if _dirac_pairing(system, (f, -f), x, scales):
+        return KeyInterval(lo=float(f[x]), hi=float(f[x]))
+    lo, _, basis = _least_pairing(system, f, x, scales)
+    hi = _least_pairing(system, -f, x, scales, basis)[0]
     return KeyInterval(lo=lo, hi=-hi)
 
 

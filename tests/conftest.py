@@ -22,17 +22,21 @@ def disk_small():
     return gen_disk(n_circle=20, n_interior_rings=1, degree=3)
 
 
-def count_lps(monkeypatch):
-    """Record every LinearProgram passed to ``lp.solve`` from here on."""
-    calls = []
-    solve = lp.solve
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call of ``lp.<name>`` from here on."""
+    calls, fn = [], getattr(lp, name)
 
-    def counting(prog, *args, **kwargs):
-        calls.append(prog)
-        return solve(prog, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, name, counting)
     return calls
+
+
+def count_lps(monkeypatch):
+    """Record every call of ``lp.solve`` from here on."""
+    return count_calls(monkeypatch, "solve")
 
 
 def is_vertex(system, x):

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,9 @@ _HULL_REPORTS = {
     "bauer_cantor2": ("cantor2", ["bauer", "--spec", str(_DATA / "spec_cantor2_a.json")]),
     "multimax_cantor2": ("cantor2", ["multimax", "--spec", str(_DATA / "spec_cantor2_a.json"),
                                      "--spec", str(_DATA / "spec_cantor2_b.json")]),
+    # boundary {1, 4} by the closed form, interior {2, 3} by two LPs each
+    "keyinterval_naturals4": ("naturals4", ["keyinterval", "--field",
+                                            str(_DATA / "field_naturals4.json")]),
 }
 
 
@@ -434,7 +438,9 @@ def test_bad_or_degenerate_input_never_raises(case, tmp_path, capsys):
     paths["spec"].write_text(json.dumps({"pieces": [{"a": [0.0, 1.0], "beta": 0.0}]}))
     for key, text in texts.items():
         paths[key].write_text(text)
-    code, out, err = run_cli([a.format(**paths) for a in argv], capsys=capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # overflow is an error, not a warning
+        code, out, err = run_cli([a.format(**paths) for a in argv], capsys=capsys)
     if case == "expose-one-point":  # no other point to compare against
         assert code == 0 and json.loads(out)["margin"] is None
         return

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from choquet import lp
 from choquet.errors import IterationLimitError, ValidationError
+from conftest import count_calls
 
 
 def test_single_variable_bound():
@@ -51,13 +52,17 @@ def test_iteration_limit_is_explicit():
         lp.solve(prog, max_iter=1)
 
 
+def _bland_cycle_lp():
+    data = json.loads((Path(__file__).parent / "data" / "bland_cycle_lp.json").read_text())
+    return lp.LinearProgram(
+        data["objective"], data["matrix"], [lp.LE] * len(data["rhs"]), data["rhs"]
+    )
+
+
 def test_restricted_bland_rule_cannot_cycle(monkeypatch):
     # with a wider pivot filter Bland's rule cycles on this degenerate LP;
     # the unrestricted rule that takes over after a long stall ends it
-    data = json.loads((Path(__file__).parent / "data" / "bland_cycle_lp.json").read_text())
-    prog = lp.LinearProgram(
-        data["objective"], data["matrix"], [lp.LE] * len(data["rhs"]), data["rhs"]
-    )
+    prog = _bland_cycle_lp()
     ref = linprog(prog.objective, A_ub=prog.constraint_matrix, b_ub=prog.rhs, method="highs")
     monkeypatch.setattr(lp, "_BLAND_PIVOT_FRAC", 0.25)
     assert lp.solve(prog, max_iter=5000).value == pytest.approx(ref.fun, abs=1e-9)
@@ -256,3 +261,61 @@ def test_dependent_row_dropped_by_its_weight_and_dual_certified(extra):
     y = out.dual_point
     assert rhs @ y == pytest.approx(1.0, abs=1e-9)
     assert (c - A.T @ y).min() >= -1e-9
+
+
+def _warm_corpus():
+    rng = np.random.default_rng(2024)
+    rows = np.vstack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])  # one dependent row
+    return [_bland_cycle_lp(),
+            lp.LinearProgram(np.arange(6.0) ** 2, rows, [lp.EQ] * 3, rows[:, 2]),
+            *(_random_feasible_bounded(rng) for _ in range(20))]
+
+
+def test_warm_start_from_its_own_optimal_basis_takes_no_pivot(monkeypatch):
+    for prog in _warm_corpus():
+        cold = lp.solve(prog)
+        pivots, phase1 = count_calls(monkeypatch, "_pivot"), count_calls(monkeypatch, "_phase1")
+        warm = lp.solve(prog, basis=cold.basis)
+        assert (len(pivots), len(phase1)) == (0, 0)
+        assert warm.status == lp.OPTIMAL
+        assert abs(warm.value - cold.value) <= lp.GAP_TOL * max(1.0, abs(cold.value))
+        assert np.array_equal(warm.basis[1], cold.basis[1])
+        monkeypatch.undo()
+
+
+# min x1 + x2 + x3 with x1 + x2 = 1, x2 + x3 = 2: optimum 2 at (0, 1, 1);
+# the basis {x1, x2} is nonsingular but puts x1 at -1
+_SMALL = lp.LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                          [lp.EQ, lp.EQ], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "prog, start",
+    [(_SMALL, "none"), (_SMALL, "singular"), (_SMALL, "infeasible"),
+     (_bland_cycle_lp(), "none"), (_bland_cycle_lp(), "singular")],
+    ids=["small-none", "small-singular", "small-infeasible", "bland-cycle-none",
+         "bland-cycle-singular"],
+)
+def test_unusable_starting_basis_gives_the_cold_outcome(prog, start, monkeypatch):
+    cold = lp.solve(prog)
+    cols, keep = cold.basis
+    basis = {
+        "none": None,
+        "singular": ((cols[0], *cols[:-1]), keep),  # a repeated column
+        "infeasible": ((0, 1), np.ones(2, dtype=bool)),
+    }[start]
+    if basis is not None:
+        A, b, c, _, _ = lp._standardize(prog)
+        assert lp._warm_start(A, b, c, basis) is None
+    phase1 = count_calls(monkeypatch, "_phase1")
+    out = lp.solve(prog, basis=basis)
+    assert len(phase1) == 1
+    assert out.status == cold.status
+    assert abs(out.value - cold.value) <= lp.GAP_TOL
+
+
+def test_basis_that_does_not_fit_is_rejected():
+    cols, keep = lp.solve(_SMALL).basis
+    for basis in [(cols, keep[:1]), (cols[:1], keep), ((0, 9), keep)]:
+        with pytest.raises(ValidationError):
+            lp.solve(_SMALL, basis=basis)

@@ -12,7 +12,7 @@ from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
-from conftest import count_lps, extreme_lp, is_vertex
+from conftest import count_calls, count_lps, extreme_lp, hat_positive_lp, is_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -420,3 +420,91 @@ def test_key_interval_on_disk_matches_highs(label):
     iv = measures.key_interval(system, f, x)
     bound = 1e-9 * (1.0 + np.abs(f).max())
     assert abs(iv.lo - lo) <= bound and abs(iv.hi - hi) <= bound
+
+
+def _noisy_convex_field(system, seed):
+    """A max of four affine fields plus uniform noise in [0.05, 0.25]."""
+    rng = np.random.default_rng(seed)
+    f = np.max([system.basis.T @ rng.normal(size=system.d) + rng.normal() for _ in range(4)],
+               axis=0)
+    return f + rng.uniform(0.05, 0.25, size=system.n)
+
+
+_SCREENED = pytest.mark.parametrize(
+    "make", [lambda: gen_cantor(3), lambda: gen_disk(32, 1, 8)], ids=["cantor(3)", "disk(32,1,8)"]
+)
+
+
+@_SCREENED
+@pytest.mark.parametrize("seed", [1, 2])
+def test_key_interval_needs_no_lp_on_the_screened_boundary(make, seed, monkeypatch):
+    # the screen certifies every boundary point of both systems: there both
+    # ends are f(x) exactly; elsewhere the upper end starts from the lower
+    # end's basis and runs no phase 1
+    system = make().system
+    f = _noisy_convex_field(system, seed)
+    lo, hi = hat_positive_lp(system, f), -hat_positive_lp(system, -f)
+    bound = 1e-11 * (1.0 + np.abs(f).max())
+    boundary = measures.choquet_boundary(system).is_boundary
+    lps, phase1 = count_lps(monkeypatch), count_calls(monkeypatch, "_phase1")
+    for x in range(system.n):
+        lps.clear(), phase1.clear()
+        iv = measures.key_interval(system, f, x)
+        if boundary[x]:
+            assert (len(lps), iv.lo, iv.hi) == (0, f[x], f[x])
+        else:
+            assert (len(lps), len(phase1)) == (2, 1) and iv.lo < iv.hi
+        assert abs(iv.lo - lo[x]) <= bound and abs(iv.hi - hi[x]) <= bound
+
+
+def test_lying_screen_falls_back_to_the_lps(monkeypatch):
+    # the screen claims a ring point with the raw Gram field of circ000,
+    # which is largest at circ000: the closed form must not be taken
+    system = gen_disk(32, 1, 8).system
+    f = _noisy_convex_field(system, 1)
+    x = system.space.index("ring1_005")
+    want = measures.key_interval(system, f, x)
+    monkeypatch.setattr(measures, "_gram_screen",
+                        lambda Q, at: (np.ones(at.size, dtype=bool), Q[:, [0]]))
+    lps = count_lps(monkeypatch)
+    got = measures.key_interval(system, f, x)
+    assert len(lps) == 2
+    assert (got.lo, got.hi) == (want.lo, want.hi) and got.lo < got.hi
+
+
+def test_failed_closed_form_check_falls_back_to_the_lps(naturals4, monkeypatch):
+    # the first bracket is the closed form's at boundary point 0; once it
+    # fails, the point gets both LPs and their own checks
+    bracket, calls = measures._bracket, []
+
+    def first_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ConsistencyError("rejected")
+        return bracket(*args)
+
+    monkeypatch.setattr(measures, "_bracket", first_fails)
+    lps = count_lps(monkeypatch)
+    iv = measures.key_interval(naturals4.system, np.array([0.5, 1.0, 1.0, 0.0]), 0)
+    assert (len(lps), len(calls)) == (2, 3)
+    assert iv.lo == pytest.approx(0.5, abs=1e-12) and iv.hi == pytest.approx(0.5, abs=1e-12)
+
+
+def test_representing_measure_is_the_dirac_mass_on_the_screened_boundary(monkeypatch):
+    system = gen_cantor(3).system
+    boundary = measures.choquet_boundary(system).is_boundary
+    g = _noisy_convex_field(system, 3)
+    lps = count_lps(monkeypatch)
+    for x in np.flatnonzero(boundary):
+        for objective in (None, g):
+            mu = measures.representing_measure(system, x, objective)
+            assert np.array_equal(mu.weights, np.eye(system.n)[x])
+    assert len(lps) == 0
+    monkeypatch.undo()
+    # off the boundary the measure is the LP's, as before
+    B, scales = system.basis, measures.coefficient_scales(system)
+    for x in np.flatnonzero(~boundary):
+        for objective in (np.zeros(system.n), g):
+            out = lp.solve(measures._measure_program(B, B[:, x], scales, objective)[0])
+            mu = measures.representing_measure(system, x, objective)
+            assert np.array_equal(mu.weights, np.maximum(out.point, 0.0))
