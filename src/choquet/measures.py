@@ -22,7 +22,10 @@ point outside S where it beats S, and a weight support often represents
 the next point too.  A reused witness is checked as strictly as the LP's
 own, and a ray only where it is zero on every row that point's own LP
 drops.  First, ``_gram_screen`` tries two rays from the data, a raw and a
-whitened Gram field, at each point of S: most extreme points need no LP.
+whitened Gram field, at every point asked about, checked by the same
+bound and zero on the same rows: most extreme points, and most points
+outside S, need no LP.  ``_in_hull`` asks it of a single point outside S,
+with that point's LP only where the screen leaves it open.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -191,37 +194,77 @@ def _membership(system, x, S, scales=None):
     raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
 
 
-def _gram_screen(Q, at):
-    """Mask over ``at``: does a Gram field certify that column of Q outside
-    the hull of the others?  Also each column's best field.  Column x tries
-    c = Q_x and, whitened, c = W W'(Q_x - m) for the mean column m, where
-    Q - m = U diag(s) V' and W = U diag(s)^-1 over s > 1e-10 max s; c
-    certifies x when Q'c beats every other column at x by the ``_margins``
-    rounding bound.  Q'C goes 256 columns at a time."""
-    D = Q - Q.mean(axis=1, keepdims=True)
-    U, s, _ = np.linalg.svd(D, full_matrices=False)
-    W, absQ = U[:, s > 1e-10 * s[0]] / s[s > 1e-10 * s[0]], np.abs(Q).T
-    ok, fields = [], []
-    for lo in range(0, at.size, 128):
-        a = at[lo : lo + 128]
-        C = np.hstack([Q[:, a], W @ (W.T @ D[:, a])])
-        own = np.tile(a, 2), np.arange(C.shape[1])
-        phi, err = Q.T @ C, _ROUNDING * (absQ @ np.abs(C))
-        top = phi + err
-        top[own] = -np.inf
-        win = (phi[own] - err[own] > top.max(axis=0)).reshape(2, a.size)
-        ok.append(win.any(axis=0))
-        fields.append(np.where(win[0], C[:, : a.size], C[:, a.size :]))
-    return np.concatenate(ok), np.hstack(fields)
+def _gram_fields(Q, at, m):
+    """Candidate fields for the columns ``at`` of Q against its first m
+    columns, P, in the order to try them: the raw fields c = Q_x, then the
+    whitened ones c = W W'(Q_x - m_P) for P's mean column m_P, where
+    P - m_P = U diag(s) V' and W = U diag(s)^-1 over s > 1e-10 max s.  The
+    SVD runs only when the raw fields leave a column open.  They are only
+    proposals, which ``_gram_screen`` checks."""
+    X = Q[:, at]
+    yield X
+    P = Q[:, :m]
+    mean = P.mean(axis=1, keepdims=True)
+    U, s, _ = np.linalg.svd(P - mean, full_matrices=False)
+    W = U[:, s > 1e-10 * s[0]] / s[s > 1e-10 * s[0]]
+    yield W @ (W.T @ (X - mean))
+
+
+def _beats(Q, at, m, C):
+    """Mask over ``at``: does the field C[:, j], evaluated as Q'C[:, j],
+    beat every one of the first m columns of Q other than at[j] at column
+    at[j], by the ``_margins`` rounding bound?  256 fields at a time."""
+    P = Q[:, :m]
+    absP, out = np.abs(P).T, np.zeros(at.size, dtype=bool)
+    for lo in range(0, at.size, 256):
+        a, c = at[lo : lo + 256], C[:, lo : lo + 256]
+        X, absC = Q[:, a], np.abs(c)
+        own = np.einsum("ij,ij->j", X, c) - _ROUNDING * np.einsum("ij,ij->j", np.abs(X), absC)
+        top = P.T @ c + _ROUNDING * (absP @ absC)
+        mine = np.flatnonzero(a < m)
+        top[a[mine], mine] = -np.inf
+        out[lo : lo + 256] = own > top.max(axis=0, initial=-np.inf)
+    return out
+
+
+def _gram_screen(Q, at, m=None):
+    """Mask over ``at``: does a field from ``_gram_fields`` certify that
+    column of Q outside the hull of the first m columns (all by default)
+    less itself, by ``_beats``?  Also each column's certifying field, the
+    first one tried that wins (else its last)."""
+    m = Q.shape[1] if m is None else m
+    ok, fields = np.zeros(at.size, dtype=bool), np.empty((Q.shape[0], at.size))
+    for C in _gram_fields(Q, at, m):
+        todo = np.flatnonzero(~ok)
+        fields[:, todo] = C[:, todo]
+        ok[todo] = _beats(Q, at[todo], m, C[:, todo])
+        if ok.all():
+            break
+    return ok, fields
+
+
+def _in_hull(system, x, S):
+    """Is column x in the hull of the columns of S, for x not in S?  On the
+    rows x's membership LP keeps, ``_gram_screen`` first tries to certify x
+    outside S; the LP runs only when it cannot."""
+    B, S, scales = system.basis, np.asarray(S), coefficient_scales(system)
+    P = B[:, S]
+    keep = _kept_rows(P, B[:, x], scales)
+    if keep.any():
+        Q = np.column_stack([P[keep], B[keep, x]])
+        if _gram_screen(Q, np.array([S.size]), S.size)[0][0]:
+            return False
+    return _membership(system, x, S, scales)[0]
 
 
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
-    the columns of S less itself?  ``_gram_screen`` first certifies points of
-    S outside on the rows all their LPs keep.  The rest are visited in
-    ascending order, and one gets its own membership LP only when no witness
-    found so far certifies it; each witness is checked against all open
-    points at once.
+    the columns of S less itself?  ``_gram_screen`` first certifies points
+    outside: the points of S on the rows all their LPs keep, and the other
+    points against S on the rows all of theirs keep.  The rest are visited
+    in ascending order, and one gets its own membership LP only when no
+    witness found so far certifies it; each witness is checked against all
+    open points at once.
 
     - A ray (c, t) certifies x outside S when c is zero on every row x's own
       LP drops and ``separation_margin`` against S is positive.  (One found
@@ -242,9 +285,14 @@ def _hull_members(system, S, points):
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
     screened = np.flatnonzero(np.isin(S, points))
     kept = keep[:, ~outside].all(axis=1)
-    if screened.size > 1 and kept.any():
+    if screened.size and kept.any():
         ok = _gram_screen(P[kept], screened)[0]
         todo &= np.isin(points, S[screened[ok]], invert=True)
+    kept = keep[:, outside].all(axis=1)
+    if outside.any() and kept.any():
+        Q = np.hstack([P[kept], X[kept][:, outside]])
+        ok = _gram_screen(Q, np.arange(S.size, Q.shape[1]), S.size)[0]
+        todo[np.flatnonzero(outside)[ok]] = False
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]

@@ -3,11 +3,13 @@
 A subset C of the space is trace convex when its embedded image is the
 intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
-set is one small feasibility LP, decided and checked in ``measures`` (the
-Choquet boundary asks the same question).  Hull membership and separation
-read their verdicts and witnesses from it; the trace hull and extreme
-points ask it of many points against one set, and solve an LP only where
-no cached, checked witness answers (``measures._hull_members``).
+set is decided and checked in ``measures`` (the Choquet boundary asks the
+same question): a Gram field built from the data certifies most points
+outside the hull, and one small feasibility LP decides the rest
+(``measures._in_hull``).  Separation reads its witness from that LP; the
+trace hull and extreme points ask the question of many points against one
+set, and solve an LP only where neither the screen nor a cached, checked
+witness answers (``measures._hull_members``).
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import _hull_members, _membership, _separator, coefficient_scales
+from .measures import _hull_members, _in_hull, _separator, coefficient_scales
 from .space import PhiFunction, evaluate
 
 _ANTIPARALLEL_TOL = 1e-12
@@ -78,7 +80,7 @@ def in_hull(system, x, S):
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("membership test against an empty set")
-    return x in S or _membership(system, x, S)[0]
+    return x in S or _in_hull(system, x, S)
 
 
 def trace_hull(system, S, ambient=None):

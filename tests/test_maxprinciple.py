@@ -64,18 +64,19 @@ def test_bauer_random_specs():
 
 
 def test_verifiers_ask_only_the_maximizers(monkeypatch):
-    # the exposing field of circ005 peaks there alone, so one membership LP
-    # gives the only boundary verdict needed; the whole boundary takes 17
+    # the exposing field of circ005 peaks there alone, so the only boundary
+    # verdict needed is circ005's, and the Gram screen certifies it with no
+    # LP; the whole boundary takes 17
     system = gen_disk(n_circle=64, n_interior_rings=2, degree=8).system
     x = system.space.index("circ005")
     spec = ConvexTraceSpec(((np.asarray(mp.expose(system, x).coeffs), 0.0),))
     calls = count_lps(monkeypatch)
     report = mp.bauer_verify(system, spec)
     assert report.argmax == report.boundary_argmax == (x,) and report.bauer_ok
-    assert len(calls) == 1
+    assert len(calls) == 0
     multi = mp.multi_max_verify(system, [spec])
     assert multi.common_boundary_argmax == (x,) and multi.ok
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 def test_multi_max_planted_maximizer(naturals4):

@@ -181,6 +181,22 @@ def test_boundary_solves_an_lp_only_on_a_miss(make, most, monkeypatch):
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize(
+    "make, size",
+    [(lambda: gen_cantor(3), 24), (lambda: gen_disk(32, 1, 8), 32)],
+    ids=["cantor(3)", "disk(32,1,8)"],
+)
+def test_min_self_mass_solves_no_lp_on_the_screened_boundary(make, size, monkeypatch):
+    # a single boundary point is screened too: one LP each before
+    system = make().system
+    boundary = measures.choquet_boundary(system).boundary
+    assert len(boundary) == size
+    calls = count_lps(monkeypatch)
+    for x in boundary:
+        assert measures.min_self_mass(system, x) == 1.0
+    assert len(calls) == 0
+
+
 def _cloud(seed, n, dim, sphere=False):
     """Seeded Gaussian cloud in ``dim`` dimensions, or its projection on the
     unit sphere, with the basis [1, coordinates]."""
@@ -281,6 +297,13 @@ def test_gram_screen_certificates_hold_exactly(make):
     assert ok.any()
     for x in np.flatnonzero(ok):
         assert _exact_margin(Q, fields[:, x], x) > 0
+    # the odd points against the even ones, S
+    S, out = Q[:, 0::2], Q[:, 1::2]
+    ok, fields = measures._gram_screen(np.hstack([S, out]), np.arange(out.shape[1]) + S.shape[1],
+                                       S.shape[1])
+    assert ok.any()
+    for i in np.flatnonzero(ok):
+        assert _exact_margin(np.column_stack([S, out[:, i]]), fields[:, i], S.shape[1]) > 0
 
 
 @pytest.mark.parametrize(

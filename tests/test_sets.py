@@ -316,7 +316,7 @@ def _hull_verdicts(system, S, queries):
 
 
 def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
-    rng = np.random.default_rng(43)
+    rng, rows = np.random.default_rng(43), np.random.default_rng(53)
     for system, _ in _invariance_systems():
         n = system.n
         S = tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False).tolist()))
@@ -335,6 +335,20 @@ def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
         )
         assert tuple(sorted(int(perm[k]) for k in got[0])) == want[0]
         assert got[1:] == want[1:]
+        # the whitened Gram field is affine covariant and the raw one is
+        # not, so the screen's certificates change under these; the
+        # verdicts must not
+        for changed in _row_changes(rows, system):
+            assert _hull_verdicts(changed, S, queries) == want
+
+
+def _row_changes(rng, system):
+    """The system with a seeded basis row duplicated, and with every row
+    scaled by a seeded factor between 1e-2 and 1e2."""
+    B = system.basis
+    duplicated = np.vstack([B, B[rng.integers(system.d)]])
+    scaled = B * 10.0 ** rng.uniform(-2.0, 2.0, size=(system.d, 1))
+    return [FunctionSystem(system.space, duplicated), FunctionSystem(system.space, scaled)]
 
 
 def _extreme_verdicts(system, subsets):
@@ -362,37 +376,51 @@ def test_boundary_verdicts_invariant_under_basis_change_and_relabeling():
 
 
 def test_in_hull_and_separate_solve_one_lp(naturals4, monkeypatch):
+    # in_hull solves none where the Gram screen certifies the point outside
+    # and one for a member; separate reports the LP's ray, so it solves one
     system = naturals4.system
     calls = count_lps(monkeypatch)
-    for call, args in [
-        (sets.in_hull, (0, [1, 2])),
-        (sets.in_hull, (1, [0, 3])),
-        (sets.separate, ([1, 2], 0)),
-        (sets.separate, ([0, 3], 1)),
+    for call, args, lps in [
+        (sets.in_hull, (0, [1, 2]), 0),
+        (sets.in_hull, (3, [0, 1]), 0),
+        (sets.in_hull, (1, [0, 3]), 1),
+        (sets.separate, ([1, 2], 0), 1),
+        (sets.separate, ([0, 3], 1), 1),
     ]:
         calls.clear()
         call(system, *args)
-        assert len(calls) == 1
+        assert len(calls) == lps
 
 
 def test_membership_witnesses_check_by_evaluation(naturals4):
     system = naturals4.system
     B = system.basis
-    member, w = sets._membership(system, 1, (0, 3))
+    member, w = measures._membership(system, 1, (0, 3))
     assert member and w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
     assert B[:, [0, 3]] @ w == pytest.approx(B[:, 1], abs=1e-9)
-    member, (c, t) = sets._membership(system, 0, (1, 2))
+    member, (c, t) = measures._membership(system, 0, (1, 2))
     phi = B.T @ c + t
     assert not member and phi[0] > max(phi[1], phi[2]) + 1e-6
 
 
+# a disk(256,4,8) non-member (seeded draw) that the Gram screen leaves open,
+# so in_hull reaches the LP's ray; on naturals(4) the screen certifies every
+# non-member
+_OPEN_NON_MEMBER = (314, (24, 76, 108, 119, 126, 193, 252, 346, 365, 421, 454, 499, 537, 574, 591,
+                          617, 672, 760, 762, 797, 858, 988, 1024, 1030, 1033, 1048, 1079, 1102,
+                          1140, 1218, 1227))
+
+
 @pytest.mark.parametrize(
-    "field, x, S, message",
-    [("dual_point", 0, (1, 2), "Farkas ray"), ("point", 1, (0, 3), "hull weights")],
+    "name, field, x, S, message",
+    [("disk(256,4,8)", "dual_point", *_OPEN_NON_MEMBER, "Farkas ray"),
+     ("naturals(4)", "point", 1, (0, 3), "hull weights")],
     ids=["ray", "weights"],
 )
-def test_corrupted_membership_witness_raises(naturals4, monkeypatch, field, x, S, message):
+def test_corrupted_membership_witness_raises(monkeypatch, name, field, x, S, message):
     # a negated ray separates the wrong way; shifted weights miss the column
+    system = _named_system(name)
+    assert _nnls_member(system.basis, x, S) == (field == "point")
     solve = lp.solve
 
     def corrupted(prog, *args, **kwargs):
@@ -403,9 +431,9 @@ def test_corrupted_membership_witness_raises(naturals4, monkeypatch, field, x, S
 
     monkeypatch.setattr(lp, "solve", corrupted)
     with pytest.raises(ConsistencyError, match=message):
-        sets.in_hull(naturals4.system, x, S)
+        sets.in_hull(system, x, S)
     with pytest.raises(ConsistencyError, match=message):
-        sets.separate(naturals4.system, S, x)
+        sets.separate(system, S, x)
 
 
 def _nnls_member(B, x, S):
@@ -453,10 +481,14 @@ def test_membership_lp_with_noisy_degenerate_stall_terminates():
     # phase 1 stalls here with +-5e-12 rounding noise in its objective; the
     # noise must not reset the stall count, or Bland's rule never takes
     # over and the LP cycles into the pivot limit.  NNLS puts 897 outside
+    # in_hull's Gram screen certifies 897 with no LP, so the LP is called
+    # directly too, and its ray must be checked
     big = gen_disk(n_circle=256, n_interior_rings=4, degree=8).system
     S = (59, 254, 263, 351, 493, 566, 632, 832, 841, 1000, 1001, 1016, 1093, 1203, 1234)
     assert not _nnls_member(big.basis, 897, S)
     assert sets.in_hull(big, 897, S) is False
+    member, (c, t) = measures._membership(big, 897, S)
+    assert not member and measures.separation_margin(big.basis, c, t, 897, list(S)) > 0.0
 
 
 @pytest.mark.parametrize("label", ["ring1_000", "ring1_004", "ring1_008"])
@@ -518,11 +550,64 @@ def test_trace_hull_matches_per_point_lp_oracle(name, S, ambient):
 
 @pytest.mark.parametrize("name, step", [("disk(256,4,8)", 16), ("disk(64,2,8)", 4)])
 def test_trace_hull_solves_an_lp_only_on_a_miss(name, step, monkeypatch):
-    # one LP per point outside S, 1265 and 177, before witnesses were reused
+    # one LP per point outside S, 1265 and 177, before witnesses were
+    # reused, and 17 and 16 before the Gram screen ran on points outside S
     system = _named_system(name)
     calls = count_lps(monkeypatch)
     sets.trace_hull(system, tuple(range(0, 16 * step, step)))
-    assert len(calls) <= 40
+    assert len(calls) <= 5
+
+
+def _seeded_queries(rng, system, count):
+    """``count`` (x, S) pairs shaped like the queries benchmark's: S of 12 to
+    40 random points, x a random point outside S."""
+    queries = []
+    for _ in range(count):
+        size = int(rng.integers(12, 41))
+        S = tuple(sorted(rng.choice(system.n, size=size, replace=False).tolist()))
+        queries.append((int(rng.choice(np.setdiff1d(np.arange(system.n), S))), S))
+    return queries
+
+
+def test_in_hull_matches_nnls_and_mostly_skips_the_lp(monkeypatch):
+    # the Gram screen leaves about a quarter of these to the LP: the
+    # members, and non-members of the larger sets
+    big = _named_system("disk(256,4,8)")
+    calls = count_lps(monkeypatch)
+    solved = 0
+    for x, S in _seeded_queries(np.random.default_rng(2024), big, 200):
+        calls.clear()
+        assert sets.in_hull(big, x, S) == _nnls_member(big.basis, x, S)
+        solved += bool(calls)
+    assert solved <= 70
+
+
+@pytest.mark.parametrize("forgery", ["negated", "another-points"])
+def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
+    # the screen's fields are proposals that the rounding-bound check must
+    # reject when they do not separate: a negated field is least at the
+    # point, and the raw field of the first column of S is largest there
+    big = _named_system("disk(256,4,8)")
+    queries = _seeded_queries(np.random.default_rng(2025), big, 20)
+    every_16th = tuple(range(0, 256, 16))
+    honest = [sets.in_hull(big, x, S) for x, S in queries]
+    calls = count_lps(monkeypatch)
+    hull, honest_lps = sets.trace_hull(big, every_16th), len(calls)
+    fields = measures._gram_fields
+
+    def forged(Q, at, m):
+        for C in fields(Q, at, m):
+            yield -C if forgery == "negated" else np.repeat(Q[:, [0]], at.size, axis=1)
+
+    monkeypatch.setattr(measures, "_gram_fields", forged)
+    calls.clear()
+    for (x, S), want in zip(queries, honest):
+        before = len(calls)
+        assert sets.in_hull(big, x, S) == want
+        assert len(calls) == before + 1
+    calls.clear()
+    assert sets.trace_hull(big, every_16th) == hull
+    assert len(calls) > honest_lps
 
 
 def test_reused_rays_keep_the_rows_of_each_points_own_lp(disk64):
