@@ -12,19 +12,20 @@ mu of x, the lower end of the key interval (``measures.key_interval``).
 
 ``biconjugate`` sweeps the envelope facet by facet, so it solves one LP
 per facet it reaches rather than one per point.  At a point x that no
-earlier facet certifies, the LP above returns two witnesses, each
-checked by direct evaluation that does not trust the simplex engine:
+earlier facet certifies it solves that least-pairing LP over the
+representing measures of x (``measures._least_pairing``), whose two
+witnesses ``measures._bracket`` checks by direct evaluation that does not
+trust the simplex engine:
 
-* a minorant phi = B'c + min f, lowered by its largest excess over f so
-  that phi <= f holds; phi(x) is a lower bound on f**(x);
-* a representing measure mu of x from the dual, checked by B mu = B e_x
-  within relative 1e-9; <mu, f> is an upper bound on f**(x).
+* the LP's point, a representing measure mu of x, checked by
+  B mu = B e_x within relative 1e-9; <mu, f> is an upper bound on f**(x);
+* its dual, a minorant phi = B'c + t, lowered by its largest excess over
+  f so that phi <= f holds; phi(x) is a lower bound on f**(x).
 
 The two bounds must agree within 1e-7 (1 + max |f|); otherwise, or when
-mu misses x, ConsistencyError is raised; ``measures._bracket`` makes
-these checks for each end of a key interval too.  Before it is stored,
-phi is moved within the LP's optimal face toward the uncertified points
-until it touches as many of them as a vertex of that face allows.  One
+mu misses x, ConsistencyError is raised, and an overflow while
+evaluating them is a ValidationError.  The dual is basic, so phi touches
+f at every column of the LP's optimal basis, often a whole facet.  One
 facet then certifies further points with no LP:
 
 * every point j where phi touches f takes min(phi_j, f_j), bracketed by
@@ -35,9 +36,10 @@ facet then certifies further points with no LP:
 
 ``hat_positive`` takes the inf-over-equivalence-class convexification
 over probability measures.  The probability measures equivalent to the
-Dirac mass at x are the representing measures of x, so it is the
-biconjugate.  ``hat_signed`` takes the class over signed measures nu,
-constrained to the closed strip min f - alpha <= <nu, f> <= max f + alpha.
+Dirac mass at x are the representing measures of x, so it is the least
+pairing above: the biconjugate.  ``hat_signed`` takes the class over
+signed measures nu, constrained to the closed strip
+min f - alpha <= <nu, f> <= max f + alpha.
 If f lies in the row span of B, the pairing is f(x) on every signed
 representation of x, so the value is f itself.  Otherwise the pairing is
 unbounded below on that affine set, and the value is the constant
@@ -48,9 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-from .errors import ConsistencyError, ValidationError
-from .measures import AGREE_TOL, CERT_TOL, _bracket, representation_error
+from .errors import ValidationError
+from .measures import AGREE_TOL, CERT_TOL, _least_pairing, representation_error
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
@@ -115,70 +116,6 @@ def phi_conjugate(system, f, phi):
     return float(np.max(vals - f))
 
 
-def _facet(system, f, x, low, scale, free):
-    """Solve the envelope LP at x and return its certified minorant.
-
-    The LP maximizes phi(x) over coefficients c with B'c <= f - low; row x
-    caps the value at f(x), so it is bounded, and the shift by the minimum
-    keeps the rhs nonnegative so the solver starts from the slack basis.
-    Each free coefficient is split into a (+, -) pair of columns,
-    interleaved, so c = point[0::2] - point[1::2].
-    Its dual gives a representing measure mu of x, its point the minorant
-    phi = B'c + low after ``_lift`` has moved c toward the points in
-    ``free``; ``measures._bracket`` checks the pair and lowers phi by its
-    largest excess over f (the engine's point is only feasible within its
-    tolerance).
-    """
-    B = system.basis
-    split = np.stack([B, -B], axis=1).reshape(2 * system.d, system.n)
-    with np.errstate(over="ignore"):  # an overflowing range fails the LP's finiteness check
-        rhs = f - low
-    out = lp.solve(lp.LinearProgram(-split[:, x], split.T, [lp.LE] * system.n, rhs))
-    if out.status != lp.OPTIMAL:
-        raise ConsistencyError(f"biconjugate LP reported {out.status}; engine bug")
-    c = out.point[0::2] - out.point[1::2]
-    phi = _lift(B, rhs - B.T @ c, c, x, free, CERT_TOL * scale) + low
-    return _bracket(system, f, x, np.maximum(-out.dual_point, 0.0), phi)
-
-
-def _lift(B, slack, c, x, free, tol):
-    """B'c after moving c within the optimal face toward the free points.
-
-    The optimal face is the set of c with phi(x) at its optimum and
-    phi <= f, so c may move along any direction orthogonal to column x and
-    to the columns where phi already touches f (slack at most ``tol``).  Each step follows the projection
-    of the gradient of the sum of phi over ``free`` until a further point
-    is touched, then adds that column to the orthonormal span it must
-    stay orthogonal to.  At most d steps; the minorant then touches a
-    larger set, often a whole facet, which certifies more points.
-    """
-    d = B.shape[0]
-    u, sv, _ = np.linalg.svd(B[:, (slack <= tol) | (np.arange(B.shape[1]) == x)],
-                             full_matrices=False)
-    Q = u[:, sv > 1e-10 * sv[0]]
-    grad = B[:, free].sum(axis=1)
-    norms = np.linalg.norm(B, axis=0)
-    while Q.shape[1] < d:
-        delta = grad - Q @ (Q.T @ grad)
-        delta -= Q @ (Q.T @ delta)  # a second pass keeps delta orthogonal
-        size = np.linalg.norm(delta)
-        if size <= 1e-12 * (1.0 + np.linalg.norm(grad)):
-            break
-        rate = B.T @ delta
-        up = rate > 1e-9 * size * norms
-        if not up.any():
-            break
-        steps = np.maximum(slack[up], 0.0) / rate[up]
-        k = int(np.argmin(steps))
-        j = np.flatnonzero(up)[k]
-        c = c + steps[k] * delta
-        slack = slack - steps[k] * rate
-        w = B[:, j] - Q @ (Q.T @ B[:, j])
-        w -= Q @ (Q.T @ w)
-        Q = np.column_stack([Q, w / np.linalg.norm(w)])
-    return B.T @ c
-
-
 def _cone_value(A, f, facets, j, scale):
     """phi(j) of the best stored facet when its touched points represent j.
 
@@ -191,9 +128,9 @@ def _cone_value(A, f, facets, j, scale):
     phi, touched = max(facets, key=lambda facet: facet[0][j])
     At = A[:, touched]
     mu = np.maximum(np.linalg.lstsq(At, A[:, j], rcond=None)[0], 0.0)
-    if representation_error(At, mu, A[:, j]) > CERT_TOL:
+    if not representation_error(At, mu, A[:, j]) <= CERT_TOL:  # NaN fails too
         return None
-    if abs(float(mu @ f[touched]) - phi[j]) > AGREE_TOL * scale:
+    if not abs(float(mu @ f[touched]) - phi[j]) <= AGREE_TOL * scale:
         return None
     return phi[j]
 
@@ -201,13 +138,13 @@ def _cone_value(A, f, facets, j, scale):
 def biconjugate(system, f):
     """Pointwise largest minorant of f within the span of the basis.
 
-    A facet sweep: one checked LP per envelope facet reached, whose
-    minorant then certifies every point it touches and every point in the
-    convex hull of those (see the module docstring).
+    A facet sweep: at each point no stored facet certifies, one bracketed
+    least-pairing LP (``measures._least_pairing``), whose checked minorant
+    then certifies every point it touches and every point in the convex
+    hull of those (see the module docstring).
     """
     system.require_valid()
     f = as_field(system, f)
-    low = float(f.min())
     scale = 1.0 + float(np.abs(f).max())
     A = np.vstack([system.basis, np.ones((1, system.n))])
     value = np.empty(system.n)
@@ -222,7 +159,7 @@ def biconjugate(system, f):
                 value[x] = v
                 done[x] = True
                 continue
-        phi = _facet(system, f, x, low, scale, ~done)
+        phi = _least_pairing(system, f, x)[2]
         touched = np.flatnonzero(f - phi <= CERT_TOL * scale)
         fresh = touched[~done[touched]]
         value[fresh] = np.minimum(phi[fresh], f[fresh])
@@ -249,9 +186,10 @@ def hat_positive(system, f):
     """Probability-measure convexification; equals the biconjugate.
 
     The probability measures equivalent to the Dirac mass at x are the
-    representing measures of x, so this is the lower end of the key
-    interval, which LP duality makes the biconjugate.  Every value already
-    carries both certificates from ``biconjugate``.
+    representing measures of x, so this is the least pairing over them,
+    the lower end of the key interval: the LP each step of the
+    ``biconjugate`` sweep solves.  It is that sweep, and every value
+    carries a checked measure and minorant.
     """
     return biconjugate(system, f)
 

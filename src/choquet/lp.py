@@ -364,6 +364,8 @@ def _solve_inner(lp, max_iter, basis):
             xb_ref, dual = _refined_basis_solution(B, b_kept, c[basis])
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError("optimal basis is singular") from exc
+        if not np.isfinite(dual).all():  # LAPACK overflows without raising
+            raise FloatingPointError("overflow in the dual solve")
         np.clip(xb_ref, 0.0, None, out=xb_ref)
         if np.abs(B @ xb_ref - b_kept).max() < np.abs(B @ xb - b_kept).max():
             xb = xb_ref

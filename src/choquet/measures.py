@@ -35,21 +35,24 @@ weights, (mu - mu_x e_x) / (1 - mu_x).  So the boundary is the set of
 points outside the hull of the others: ``_on_boundary`` gives every
 boundary verdict.
 
-Each end of a key interval, like each facet of ``convexify.biconjugate``,
-carries two witnesses that ``_bracket`` checks: a representing measure
-mu, whose pairing <mu, f> bounds the value from above, and a minorant
-phi <= f in the span, whose phi(x) bounds it from below.  On the boundary
-the Dirac mass is the only representing measure, so both ends are f(x).
-Where the Gram screen certifies x there with a field psi,
-``_dirac_pairing`` takes the Dirac mass and the minorant
-f(x) - lam (psi(x) - psi), lam the least slope that keeps it below f,
-and solves no LP.  Elsewhere each end is one LP (``_least_pairing``) with
-phi from its dual; both LPs have the same rows and rhs, so the upper end
-starts from the lower end's optimal basis.  Representing measures take
-the same two routes.  A failed check raises ConsistencyError, except in
-the closed form, whose point then takes the LPs.
+Each end of a key interval, like each facet of
+``convexify.biconjugate``, carries two witnesses that ``_bracket``
+checks: a representing measure mu, whose pairing <mu, f> bounds the
+value from above, and a minorant phi <= f in the span, whose phi(x)
+bounds it from below; a NaN fails the checks.  On the boundary the Dirac
+mass is the only representing measure, so both ends are f(x).  Where the
+Gram screen certifies x there with a field psi, ``_dirac_pairing`` takes
+the Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
+slope that keeps it below f, and solves no LP.  Elsewhere each end is
+one LP (``_least_pairing``) with phi from its dual; both LPs have the
+same rows and rhs, so the upper end starts from the lower end's optimal
+basis; each facet of the biconjugate is this LP too.  Representing
+measures take the same two routes.  A failed check raises
+ConsistencyError, except in the closed form, whose point then takes the
+LPs; an overflow while evaluating a witness is a ValidationError.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +139,9 @@ def separation_margin(B, y, t, x, rest):
 
 
 def coefficient_scales(system):
-    """Magnitude of each basis row (1 for an all-zero row)."""
-    s = np.abs(system.basis).max(axis=1)
-    s[s == 0.0] = 1.0
-    return s
+    """Magnitude of each basis row (1 for an all-zero row), computed once
+    per system with its ``validate`` report."""
+    return system.validate().row_scales
 
 
 def _check_point(system, x):
@@ -166,16 +168,14 @@ def _measure_program(P, col, scales, objective=None):
     return lp.LinearProgram(obj, A, [lp.EQ] * len(rhs), rhs), keep
 
 
-def _membership(system, x, S, scales=None):
+def _membership(system, x, S):
     """The membership LP of column x against the points S (indices or a
     mask); returns (member, witness) checked by evaluation: weights on S
     reproducing column x within ``CERT_TOL``, or a Farkas ray (c, t) with
     B'c + t larger at x than on S beyond rounding."""
     B, S = system.basis, np.asarray(S)
     P = B[:, S]
-    prog, keep = _measure_program(
-        P, B[:, x], coefficient_scales(system) if scales is None else scales
-    )
+    prog, keep = _measure_program(P, B[:, x], coefficient_scales(system))
     out = lp.solve(prog)
     if out.status == lp.OPTIMAL:
         w = np.maximum(out.point, 0.0)
@@ -247,14 +247,14 @@ def _in_hull(system, x, S):
     """Is column x in the hull of the columns of S, for x not in S?  On the
     rows x's membership LP keeps, ``_gram_screen`` first tries to certify x
     outside S; the LP runs only when it cannot."""
-    B, S, scales = system.basis, np.asarray(S), coefficient_scales(system)
+    B, S = system.basis, np.asarray(S)
     P = B[:, S]
-    keep = _kept_rows(P, B[:, x], scales)
+    keep = _kept_rows(P, B[:, x], coefficient_scales(system))
     if keep.any():
         Q = np.column_stack([P[keep], B[keep, x]])
         if _gram_screen(Q, np.array([S.size]), S.size)[0][0]:
             return False
-    return _membership(system, x, S, scales)[0]
+    return _membership(system, x, S)[0]
 
 
 def _hull_members(system, S, points):
@@ -275,11 +275,10 @@ def _hull_members(system, S, points):
       ``CERT_TOL`` on all rows; at x in J, w = e_x always would.
     """
     B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
-    scales = coefficient_scales(system)
     P, X = B[:, S], B[:, points]
     # each point's kept rows, by ``_measure_program``'s rule (S less x and x span S)
     span = np.maximum(P.max(axis=1)[:, None], X) - np.minimum(P.min(axis=1)[:, None], X)
-    keep = span > (CERT_TOL * scales)[:, None]
+    keep = span > (CERT_TOL * coefficient_scales(system))[:, None]
     rows, group = np.unique(keep, axis=1, return_inverse=True)
     outside = np.isin(points, S, invert=True)
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
@@ -296,7 +295,7 @@ def _hull_members(system, S, points):
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]
-        found, witness = _membership(system, points[i], rest, scales)
+        found, witness = _membership(system, points[i], rest)
         member[i], todo[i] = found, False
         if not found:
             c, t = witness
@@ -341,18 +340,28 @@ def _separator(system, x, S):
     return coeffs
 
 
+@contextmanager
+def _in_float_range():
+    """Evaluate a field's witnesses; an overflow is an input error (exit 2)."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(f"field out of floating-point range: {exc}") from exc
+
+
 def _bracket(system, f, x, mu, phi):
     """Check the witnesses of the least pairing of f at x and return the
     minorant phi lowered by its largest excess over f: mu must represent x
     within ``CERT_TOL``, and <mu, f> and phi(x) agree within ``AGREE_TOL``
-    (1 + max |f|)."""
+    (1 + max |f|).  A NaN anywhere fails a check."""
     B, label = system.basis, system.space.labels[x]
     miss = representation_error(B, mu, B[:, x])
-    if miss > CERT_TOL:
+    if not miss <= CERT_TOL:
         raise ConsistencyError(f"measure at point {label!r} misses it by relative {miss:.3e}")
-    phi = phi - max(0.0, float(np.max(phi - f)))
+    phi = phi - float(np.max(phi - f, initial=0.0))
     upper = float(mu @ f)
-    if abs(upper - phi[x]) > AGREE_TOL * (1.0 + float(np.abs(f).max())):
+    if not abs(upper - phi[x]) <= AGREE_TOL * (1.0 + float(np.abs(f).max())):
         raise ConsistencyError(
             f"value bounds at point {label!r} disagree: "
             f"minorant {phi[x]:.12g}, measure {upper:.12g}"
@@ -360,13 +369,14 @@ def _bracket(system, f, x, mu, phi):
     return phi
 
 
-def _least_pairing(system, g, x, scales, basis=None):
+def _least_pairing(system, g, x, basis=None):
     """Least pairing <mu, g> over representing measures mu of x, a mu
-    attaining it and the LP's optimal basis: one ``_measure_program`` LP,
-    started from ``basis`` when given, whose point and dual minorant
-    B'c + t ``_bracket`` checks."""
+    attaining it, a minorant phi <= g in the span with phi(x) at that value,
+    and the LP's optimal basis: one ``_measure_program`` LP, started from
+    ``basis`` when given, whose point mu and dual minorant B'c + t
+    ``_bracket`` checks; phi is the minorant it returns."""
     B = system.basis
-    prog, keep = _measure_program(B, B[:, x], scales, g)
+    prog, keep = _measure_program(B, B[:, x], coefficient_scales(system), g)
     out = lp.solve(prog, basis=basis)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(
@@ -376,11 +386,12 @@ def _least_pairing(system, g, x, scales, basis=None):
     c = np.zeros(system.d)
     c[keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
-    _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
-    return float(out.value), mu, out.basis
+    with _in_float_range():
+        phi = _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
+    return float(out.value), mu, phi, out.basis
 
 
-def _dirac_pairing(system, fields, x, scales):
+def _dirac_pairing(system, fields, x):
     """Whether the Dirac mass at x is certified the least pairing of each
     field with no LP: ``_gram_screen``, on the rows ``_measure_program``
     keeps for x against all points, must put x on the Choquet boundary
@@ -388,7 +399,7 @@ def _dirac_pairing(system, fields, x, scales):
     Dirac mass and the minorant g(x) - lam (psi(x) - psi), where lam is
     the least slope that keeps it below g."""
     B = system.basis
-    Q = B[_kept_rows(B, B[:, x], scales)]
+    Q = B[_kept_rows(B, B[:, x], coefficient_scales(system))]
     if Q.shape[0] == 0:
         return False
     ok, c = _gram_screen(Q, np.array([x]))
@@ -398,12 +409,10 @@ def _dirac_pairing(system, fields, x, scales):
         return False
     dirac = Measure.dirac(system.n, x).weights
     try:
-        with np.errstate(over="raise"):
+        with _in_float_range():
             for g in fields:
                 lam = float(np.max((g[x] - g[others]) / drop[others], initial=0.0))
                 _bracket(system, g, x, dirac, g[x] - lam * drop)
-    except FloatingPointError as exc:
-        raise ValidationError(f"field out of floating-point range: {exc}") from exc
     except ConsistencyError:
         return False
     return True
@@ -416,10 +425,9 @@ def representing_measure(system, x, objective=None):
     system.require_valid()
     _check_point(system, x)
     g = np.zeros(system.n) if objective is None else as_field(system, objective)
-    scales = coefficient_scales(system)
-    if _dirac_pairing(system, (g,), x, scales):
+    if _dirac_pairing(system, (g,), x):
         return Measure.dirac(system.n, x)
-    return Measure.probability(_least_pairing(system, g, x, scales)[1])
+    return Measure.probability(_least_pairing(system, g, x)[1])
 
 
 def key_interval(system, f, x):
@@ -430,11 +438,10 @@ def key_interval(system, f, x):
     system.require_valid()
     _check_point(system, x)
     f = as_field(system, f)
-    scales = coefficient_scales(system)
-    if _dirac_pairing(system, (f, -f), x, scales):
+    if _dirac_pairing(system, (f, -f), x):
         return KeyInterval(lo=float(f[x]), hi=float(f[x]))
-    lo, _, basis = _least_pairing(system, f, x, scales)
-    hi = _least_pairing(system, -f, x, scales, basis)[0]
+    lo, _, _, basis = _least_pairing(system, f, x)
+    hi = _least_pairing(system, -f, x, basis)[0]
     return KeyInterval(lo=lo, hi=-hi)
 
 

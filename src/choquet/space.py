@@ -75,6 +75,8 @@ class ValidationReport:
     min_separation: float
     # least-squares coefficients c with B'c ~ 1 (the constants in the span)
     constants_coeffs: np.ndarray = field(repr=False, compare=False)
+    # magnitude of each basis row (1 for an all-zero row)
+    row_scales: np.ndarray = field(repr=False, compare=False)
 
     @property
     def ok(self):
@@ -134,13 +136,17 @@ class FunctionSystem:
         coef, *_ = np.linalg.lstsq(self.basis.T, ones, rcond=None)
         resid = float(np.max(np.abs(self.basis.T @ coef - ones)))
         min_sep = _min_separation(self.basis)
+        scales = np.abs(self.basis).max(axis=1)
+        scales[scales == 0.0] = 1.0
         coef.setflags(write=False)
+        scales.setflags(write=False)
         report = ValidationReport(
             constants_ok=resid <= CONSTANTS_TOL,
             constants_residual=resid,
             separation_ok=min_sep > SEPARATION_TOL,
             min_separation=min_sep,
             constants_coeffs=coef,
+            row_scales=scales,
         )
         object.__setattr__(self, "_report", report)
         return report

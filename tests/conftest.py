@@ -84,13 +84,14 @@ def _highs_value(c, **constraints):
     return res.fun
 
 
-def biconjugate_lp(system, f):
+def biconjugate_lp(system, f, points=None):
     """Per-point envelope LP, the route ``biconjugate`` took before its sweep,
-    asked of HiGHS: at every point x, maximize phi(x) over coefficients c
-    with B'c <= f."""
+    asked of HiGHS: at every point x (or each of ``points``), maximize
+    phi(x) over coefficients c with B'c <= f."""
     B = system.basis
+    points = range(system.n) if points is None else points
     return np.array([-_highs_value(-B[:, x], A_ub=B.T, b_ub=f, bounds=(None, None))
-                     for x in range(system.n)])
+                     for x in points])
 
 
 def hat_positive_lp(system, f):
@@ -138,8 +139,8 @@ def extreme_lp(system, S):
     points' columns, by one membership LP per point: the route
     ``choquet_boundary`` and ``phi_extreme_points`` took before the hull
     oracle."""
-    S, scales = np.asarray(S, dtype=int), measures.coefficient_scales(system)
-    return tuple(int(x) for x in S if not measures._membership(system, x, S[S != x], scales)[0])
+    S = np.asarray(S, dtype=int)
+    return tuple(int(x) for x in S if not measures._membership(system, x, S[S != x])[0])
 
 
 def trace_hull_lp(system, S, ambient=None):
@@ -147,5 +148,5 @@ def trace_hull_lp(system, S, ambient=None):
     witness-reusing oracle."""
     S = sets.as_point_set(S, system.n)
     scope = range(system.n) if ambient is None else sets.as_point_set(ambient, system.n)
-    cols, scales = np.array(S), measures.coefficient_scales(system)
-    return tuple(x for x in scope if x in S or measures._membership(system, x, cols, scales)[0])
+    cols = np.array(S)
+    return tuple(x for x in scope if x in S or measures._membership(system, x, cols)[0])

@@ -75,6 +75,12 @@ _HULL_REPORTS = {
     # boundary {1, 4} by the closed form, interior {2, 3} by two LPs each
     "keyinterval_naturals4": ("naturals4", ["keyinterval", "--field",
                                             str(_DATA / "field_naturals4.json")]),
+    # integer fields, not Choquet convex: the biconjugate is 0 on
+    # naturals(4) and lowers two cantor(2) values from 2 to 0.5
+    "convexify_naturals4": ("naturals4", ["convexify", "--field",
+                                          str(_DATA / "field_naturals4.json")]),
+    "convexify_cantor2": ("cantor2", ["convexify", "--field",
+                                      str(_DATA / "field_cantor2.json")]),
 }
 
 

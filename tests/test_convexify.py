@@ -13,6 +13,7 @@ from choquet.generators import (
     gen_naturals,
     gen_random,
 )
+from choquet.maxprinciple import random_spec
 from conftest import (
     biconjugate_lp,
     count_lps,
@@ -207,24 +208,57 @@ def test_hat_signed_examples(naturals4):
 
 
 def test_slightly_infeasible_engine_point_still_gives_a_minorant(monkeypatch):
-    # the engine's point is feasible only within its tolerance; the sweep
-    # lowers the minorant by its excess, so no value exceeds the envelope
-    # (the chord -t of the concave field -t^2).  Only the (+) column of
-    # each split coefficient is nudged: a nudge to both cancels in c.
+    # the engine's point and dual are feasible only within its tolerance;
+    # the minorant B'c + t comes from the dual, and raising its constant t
+    # lifts it above the field where it touches.  The sweep lowers the
+    # minorant by its excess, so no value exceeds the envelope (the chord
+    # -t of the concave field -t^2).
     system = gen_interval_affine(21).system
     t = np.linspace(0, 1, 21)
     solve = lp.solve
 
     def nudged(prog, *args, **kwargs):
         out = solve(prog, *args, **kwargs)
-        point = out.point.copy()
+        point, dual = out.point.copy(), out.dual_point.copy()
         point[0::2] += 1e-10
-        return dataclasses.replace(out, point=point)
+        dual[-1] += 1e-10
+        return dataclasses.replace(out, point=point, dual_point=dual)
 
     monkeypatch.setattr(lp, "solve", nudged)
     got = convexify.biconjugate(system, -(t**2))
     assert np.all(got <= -t + 1e-13)
     assert got == pytest.approx(-t, abs=1e-9)
+
+
+def test_disk_field_that_broke_the_envelope_lp_completes():
+    # the seed-2 convex-trace field on disk(128,3,12) made the old
+    # free-coefficient envelope LP fail its dual certificate at ring2_077
+    # (with one BLAS thread); the ring points below are where that LP and
+    # the cold least-pairing LP of key_interval have failed
+    system = gen_disk(128, 3, 12).system
+    f = convexify.realize_convex_trace(system, random_spec(system, np.random.default_rng(2)))
+    got = convexify.biconjugate(system, f)
+    assert convexify.is_choquet_convex(system, f)
+    points = [system.space.index(label)
+              for label in ("ring2_077", "ring2_084", "ring2_087", "ring3_081")]
+    tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
+    assert np.abs(got[points] - biconjugate_lp(system, f, points)).max() <= tol
+
+
+def test_overflowing_field_is_an_input_error():
+    # the least-pairing LP's dual overflows on this finite field; a NaN
+    # minorant must fail its checks, not become the sweep's values
+    system = gen_cantor(2).system
+    with pytest.raises(ValidationError):
+        convexify.biconjugate(system, 1e308 * np.linspace(-1, 1, system.n))
+
+
+def test_cone_value_rejects_a_nan_facet():
+    system = gen_interval_affine(5).system
+    A = np.vstack([system.basis, np.ones((1, system.n))])
+    f = np.zeros(system.n)
+    phi = np.full(system.n, np.nan)
+    assert convexify._cone_value(A, f, [(phi, np.array([0, 4]))], 2, 1.0) is None
 
 
 def test_hat_signed_closed_form_matches_strip_lp(monkeypatch):

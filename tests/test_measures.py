@@ -376,6 +376,23 @@ def test_corrupted_measure_is_caught(naturals4, monkeypatch, point):
         measures.min_self_mass(naturals4.system, 1)
 
 
+def test_overflowing_key_interval_is_an_input_error():
+    # the least-pairing LP's dual overflows on this finite field; its NaN
+    # minorant used to pass the bracket and give an interval
+    system = gen_cantor(2).system
+    with pytest.raises(ValidationError):
+        measures.key_interval(system, 1e308 * np.linspace(-1, 1, system.n), 3)
+
+
+@pytest.mark.parametrize("at", ["x", "elsewhere"])
+def test_nan_minorant_fails_the_bracket(naturals4, at):
+    system, f = naturals4.system, np.array([0.0, 1.0, 1.0, 0.0])
+    phi = np.zeros(4)
+    phi[1 if at == "x" else 3] = np.nan
+    with pytest.raises(ConsistencyError):
+        measures._bracket(system, f, 1, np.array([1 / 3, 0.0, 0.0, 2 / 3]), phi)
+
+
 def test_key_interval_monotone_in_basis():
     rng = np.random.default_rng(11)
     for seed in range(8):

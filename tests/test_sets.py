@@ -650,8 +650,8 @@ def test_forged_witnesses_cause_misses_not_wrong_verdicts(disk64, monkeypatch, f
     ]
     membership = measures._membership
 
-    def forged(system, x, S, scales=None):
-        member, witness = membership(system, x, S, scales)
+    def forged(system, x, S):
+        member, witness = membership(system, x, S)
         if member and forgery == "wrong-columns":
             return True, np.eye(witness.size)[np.argmin(witness)]
         if not member and forgery == "scaled-ray":
