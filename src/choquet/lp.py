@@ -7,15 +7,12 @@ rule, restricted to well-sized pivots, until the objective falls again,
 and the tableau is refactorized from the basis periodically so pivot drift
 cannot accumulate.
 
-There is one LP form: minimize ``c.x`` over x >= 0, each constraint row
-``<=`` or ``=``.  Rows are equilibrated, LE rows get slack columns and
-every row is negated where needed so that ``b >= 0``.  A free variable is
-the caller's to split into a (+, -) pair of columns.
+There is one LP form: minimize ``c.x`` over x >= 0 subject to ``A x = b``.
+Rows are equilibrated and negated where needed so that ``b >= 0``, and
+phase 1 starts from one artificial column per row.
 
 The solver is a pure function of its input: identical inputs produce
-identical outputs, and instances may be solved concurrently.  Strict
-inequalities cannot be modeled; callers rewrite ``< 0`` as ``<= -gamma``
-with a margin of their choosing and rescale afterwards.
+identical outputs, and instances may be solved concurrently.
 
 An optimal outcome carries its ``basis``: the standard-form columns and
 the mask of rows that phase 1 kept (it drops dependent rows).  Standard
@@ -29,7 +26,7 @@ Optimal outcomes are certified: the returned point is checked feasible
 within ``FEAS_TOL``, and the dual is checked feasible (no reduced cost
 below ``-GAP_TOL`` times the cost scale) with its value within ``GAP_TOL``
 of the objective value.  An infeasible outcome carries the phase-1 dual
-in ``dual_point``: over x >= 0 with EQ rows, a Farkas ray y'A <= 0, y'b > 0.
+in ``dual_point``: a Farkas ray y'A <= 0, y'b > 0.
 """
 
 import json
@@ -39,9 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, IterationLimitError, ValidationError
-
-LE, EQ = "LE", "EQ"
-_RELATIONS = (LE, EQ)
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -65,22 +59,17 @@ def set_dump_path(path):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP: minimize ``objective . x`` over x >= 0 subject to row relations.
-
-    ``relations[i]`` is "LE" or "EQ" and applies to row i of
-    ``constraint_matrix @ x`` against ``rhs[i]``; every entry must be finite.
-    """
+    """Dense LP: minimize ``objective . x`` over x >= 0 subject to
+    ``constraint_matrix @ x == rhs``; every entry must be finite."""
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
-    relations: tuple
     rhs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         A = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
-        rel = tuple(self.relations)
         if A.size == 0:
             A = A.reshape((len(b), len(c)))
         if A.ndim != 2:
@@ -90,15 +79,10 @@ class LinearProgram:
             raise ValidationError(f"objective has length {c.shape}, expected ({n},)")
         if b.shape != (m,):
             raise ValidationError(f"rhs has length {b.shape}, expected ({m},)")
-        if len(rel) != m:
-            raise ValidationError(f"{len(rel)} relations for {m} rows")
-        if any(r not in _RELATIONS for r in rel):
-            raise ValidationError(f"relations must be among {_RELATIONS}")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValidationError("objective, matrix and rhs entries must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "relations", rel)
         object.__setattr__(self, "rhs", b)
 
     @property
@@ -109,10 +93,11 @@ class LinearProgram:
     def n_rows(self):
         return self.rhs.shape[0]
 
-    # Every variable lies in [0, inf).  The benchmark harness reads these
-    # two bounds (``perfbench/worker.py``: ``highs_status`` hands them to
-    # HiGHS, and the traced run hashes them to tell LPs apart); it stays
-    # fixed so that runs of different commits compare.
+    # Every variable lies in [0, inf) and every row is an equality.  The
+    # benchmark harness reads these three (``perfbench/worker.py``:
+    # ``highs_status`` hands them to HiGHS, and the traced run hashes them to
+    # tell LPs apart); they stay fixed so that runs of different commits
+    # compare.
     @property
     def lower(self):
         return np.zeros(self.n_vars)
@@ -121,20 +106,26 @@ class LinearProgram:
     def upper(self):
         return np.full(self.n_vars, np.inf)
 
+    @property
+    def relations(self):
+        return ("EQ",) * self.n_rows
+
     def to_dict(self):
         return {
             "objective": [float(x) for x in self.objective],
             "matrix": [[float(x) for x in row] for row in self.constraint_matrix],
-            "relations": list(self.relations),
             "rhs": [float(x) for x in self.rhs],
         }
 
     @classmethod
     def from_dict(cls, d):
+        # records written before every row was an equality name each row's
+        # relation; one with an inequality row is another program
+        if any(r != "EQ" for r in d.get("relations", ())):
+            raise ValidationError("only equality rows can be read: relations must all be 'EQ'")
         return cls(
             np.asarray(d["objective"], dtype=float),
             np.asarray(d["matrix"], dtype=float).reshape(len(d["rhs"]), len(d["objective"])),
-            tuple(d["relations"]),
             np.asarray(d["rhs"], dtype=float),
         )
 
@@ -266,44 +257,21 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
 
 
 def _standardize(lp):
-    """Rewrite ``lp`` as min c.y, Ay = b (b >= 0), y >= 0.
+    """Rewrite ``lp`` with ``b >= 0``.
 
-    Returns (A, b, c, row_factor, slack_of_row).  The first ``lp.n_vars``
-    columns are the variables, then one slack column per LE row;
-    ``row_factor`` is the combined sign/equilibration factor per row
-    (standard-form duals map back via y_i = row_factor_i * y_std_i);
-    ``slack_of_row[i]`` is the slack column of row i (or -1 for an
-    equality row).
+    Returns (A, b, c, row_factor).  Every row is divided by the largest
+    magnitude among its coefficients and rhs, so the phase-1 infeasibility
+    measure is relative per row, then negated where its rhs is negative;
+    ``row_factor`` is the combined factor per row (standard-form duals map
+    back via y_i = row_factor_i * y_std_i).
     """
     A, b = lp.constraint_matrix, lp.rhs
-    n = lp.n_vars
-    le = np.array(lp.relations, dtype=str) == LE
-
-    # Row equilibration: every row is scaled by its coefficient magnitude;
-    # rows that will need an artificial variable (equalities, and LE rows
-    # violated at y = 0) additionally count their rhs, so the phase-1
-    # infeasibility measure is relative per row.  Slack-started rows never
-    # carry artificial mass and keep their natural coefficient scale.
-    row_scale = np.abs(A).max(axis=1, initial=0.0)
-    row_scale = np.maximum(row_scale, np.where(~le | (b < 0), np.abs(b), 0.0))
+    row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
     row_scale[row_scale == 0.0] = 1.0
-    A = A / row_scale[:, None]
     b = b / row_scale
-
-    # slack columns turn every LE row into an equality
-    slack_rows = np.flatnonzero(le)
-    n_slack = slack_rows.shape[0]
-    slack_of_row = np.full(A.shape[0], -1, dtype=int)
-    slack_of_row[slack_rows] = n + np.arange(n_slack)
-    S = np.zeros((A.shape[0], n_slack))
-    S[slack_rows, np.arange(n_slack)] = 1.0
-    A = np.hstack([A, S])
-    c = np.concatenate([lp.objective, np.zeros(n_slack)])
-
     signs = np.where(b < 0, -1.0, 1.0)
-    A *= signs[:, None]
-    b = b * signs
-    return A, b, c, signs / row_scale, slack_of_row
+    A = A / row_scale[:, None] * signs[:, None]
+    return A, b * signs, lp.objective, signs / row_scale
 
 
 def solve(lp, max_iter=MAX_ITER, basis=None):
@@ -336,11 +304,11 @@ def solve(lp, max_iter=MAX_ITER, basis=None):
 
 
 def _solve_inner(lp, max_iter, basis):
-    A, b, c, signs, slack_of_row = _standardize(lp)
+    A, b, c, signs = _standardize(lp)
     nrows, ncols = A.shape
     start = None if basis is None else _warm_start(A, b, c, basis)
     if start is None:
-        start = _phase1(A, b, c, slack_of_row, max_iter)
+        start = _phase1(A, b, c, max_iter)
     if isinstance(start, np.ndarray):  # phase 1's Farkas ray
         return LPOutcome(status=INFEASIBLE, dual_point=signs * start)
     keep, T, z, basis, iters = start
@@ -387,34 +355,21 @@ def _solve_inner(lp, max_iter, basis):
                      basis=(tuple(basis), keep))
 
 
-def _phase1(A, b, c, slack_of_row, max_iter):
-    """Phase 1 from the slack and artificial start: the Farkas ray when the
+def _phase1(A, b, c, max_iter):
+    """Phase 1 from one artificial column per row: the Farkas ray when the
     program is infeasible, else phase 2's start (kept-row mask, tableau,
     reduced costs, basis, pivots so far)."""
     nrows, ncols = A.shape
-
-    # Phase 1: slacks with coefficient +1 start basic (their rows are already
-    # satisfied since b >= 0); the remaining rows get artificial columns.
-    slack_rows = np.flatnonzero(slack_of_row >= 0)
-    need = np.ones(nrows, dtype=bool)
-    need[slack_rows] = A[slack_rows, slack_of_row[slack_rows]] != 1.0
-    need_art = np.flatnonzero(need)
-    nart = need_art.shape[0]
-    # only artificial rows can carry phase-1 mass; their rhs sets the scale
-    # of the infeasibility verdict
-    bscale = max(1.0, float(np.abs(b[need_art]).max())) if nart else 1.0
-    art = np.zeros((nrows, nart))
-    art[need_art, np.arange(nart)] = 1.0
-    start = np.where(need, ncols + np.cumsum(need) - 1, slack_of_row)
+    start = ncols + np.arange(nrows)
     basis = start.tolist()
-    A1 = np.hstack([A, art])
+    A1 = np.hstack([A, np.eye(nrows)])
     T = np.hstack([A1, b[:, None]])
-    cost1 = np.concatenate([np.zeros(ncols), np.ones(nart)])
+    cost1 = np.concatenate([np.zeros(ncols), np.ones(nrows)])
     z = _reduced_row(T, basis, cost1)
     status, iters, T, z, basis = _run_simplex(A1, b, cost1, T, z, basis, max_iter)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
         raise ConsistencyError("phase 1 reported unbounded")
-    if -z[-1] > FEAS_TOL * bscale:
+    if -z[-1] > FEAS_TOL:  # equilibrated, so no rhs entry exceeds 1
         # the phase-1 dual, read off the starting identity columns' reduced costs
         ray = (cost1 - z[:-1])[start]
         return ray
@@ -440,7 +395,7 @@ def _phase1(A, b, c, slack_of_row, max_iter):
         keep[i] = False
         weights[k + 1:] -= np.outer(weights[k + 1:, i] / v[i], v)
     rows = [r for r in range(nrows) if r not in deps]
-    T = T[rows][:, list(range(ncols)) + [ncols + nart]]
+    T = T[rows][:, list(range(ncols)) + [ncols + nrows]]
     basis = [basis[r] for r in rows]
 
     # Phase 2 starts on the true objective from a freshly factorized tableau.
@@ -485,10 +440,9 @@ def _refined_basis_solution(B, b, cb):
 
 def _check_primal(lp, x):
     """Per-row relative (backward-error) feasibility check of the point."""
-    d = lp.constraint_matrix @ x - lp.rhs
-    rows = np.where(np.array(lp.relations, dtype=str) == LE, d, np.abs(d))
+    d = np.abs(lp.constraint_matrix @ x - lp.rhs)
     mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
-    worst = np.max(rows / mag, initial=0.0)
+    worst = np.max(d / mag, initial=0.0)
     if worst > FEAS_TOL:
         raise ConsistencyError(
             f"optimal point violates constraints by relative {worst:.3e}"

@@ -165,7 +165,7 @@ def _measure_program(P, col, scales, objective=None):
     A = np.vstack([P[keep], np.ones((1, P.shape[1]))])
     rhs = np.append(col[keep], 1.0)
     obj = np.zeros(P.shape[1]) if objective is None else objective
-    return lp.LinearProgram(obj, A, [lp.EQ] * len(rhs), rhs), keep
+    return lp.LinearProgram(obj, A, rhs), keep
 
 
 def _membership(system, x, S):

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import linprog
 
 from choquet import lp, measures, sets
-from choquet.generators import gen_disk, gen_interval_affine, gen_naturals
+from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
+from choquet.space import FiniteSpace, FunctionSystem
 
 
 @pytest.fixture(scope="session")
@@ -150,3 +151,28 @@ def trace_hull_lp(system, S, ambient=None):
     scope = range(system.n) if ambient is None else sets.as_point_set(ambient, system.n)
     cols = np.array(S)
     return tuple(x for x in scope if x in S or measures._membership(system, x, cols)[0])
+
+
+def invariance_systems():
+    """Named systems (False) and random ones (True, small enough for every triple)."""
+    named = [gen_naturals(20).system, gen_interval_affine(21).system, gen_cantor(2).system]
+    randoms = [gen_random(7, 2 + seed % 2, seed=700 + seed).system for seed in range(10)]
+    return [(s, False) for s in named] + [(s, True) for s in randoms]
+
+
+def basis_change(rng, system):
+    """The system under B -> G B, G a seeded basis change of condition at most 4."""
+    d = system.d
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    G = Q * rng.uniform(0.5, 2.0, size=d)
+    return FunctionSystem(system.space, G @ system.basis)
+
+
+def relabeling(rng, system):
+    """(relabeled system, perm, new): new point k is old point perm[k],
+    old point j is new point new[j]."""
+    perm = rng.permutation(system.n)
+    relabeled = FunctionSystem(
+        FiniteSpace(tuple(system.space.labels[j] for j in perm)), system.basis[:, perm]
+    )
+    return relabeled, perm, np.argsort(perm)

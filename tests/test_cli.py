@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from choquet import lp
 from choquet.cli import _GEN_ARGS, main
 from choquet.convexify import CONVEX_TOL
 from choquet.maxprinciple import ARGMAX_TOL
@@ -312,7 +313,11 @@ def test_dump_lp_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
     lines = dump.read_text().splitlines()
     assert len(lines) == len(calls) >= 1  # one record per membership LP solved
-    assert all("status" in json.loads(ln) for ln in lines)
+    # every record replays: the rebuilt LP gives the same status and value
+    for rec in map(json.loads, lines):
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]))
+        assert out.status == rec["status"]
+        assert (out.value if out.status == lp.OPTIMAL else None) == rec.get("value")
 
     # Ky Fan segments are a closed form: the run solves no LP
     nat4 = tmp_path / "nat4.json"

@@ -15,11 +15,14 @@ from choquet.generators import (
 )
 from choquet.maxprinciple import random_spec
 from conftest import (
+    basis_change,
     biconjugate_lp,
     count_lps,
     hat_positive_lp,
     hat_signed_lp,
+    invariance_systems,
     lower_convex_envelope_1d,
+    relabeling,
 )
 
 
@@ -392,6 +395,33 @@ def test_biconjugate_duality_with_key_interval(naturals4):
     for x in range(4):
         lo = measures.key_interval(naturals4.system, f, x).lo
         assert fxx[x] == pytest.approx(lo, abs=1e-7)
+
+
+def _convexity_verdicts(system, f):
+    """(biconjugate, key-interval lower ends, upper ends, convexity verdict)."""
+    ends = [measures.key_interval(system, f, x) for x in range(system.n)]
+    return (convexify.biconjugate(system, f), np.array([k.lo for k in ends]),
+            np.array([k.hi for k in ends]), convexify.is_choquet_convex(system, f))
+
+
+def test_convexity_verdicts_invariant_under_basis_change_and_relabeling():
+    # the representing measures of each point do not change under B -> G B
+    # or a relabeling, so neither do the values and verdicts built on them
+    rng = np.random.default_rng(47)
+    systems = [s for s, _ in invariance_systems()]
+    systems += [gen_cantor(3).system, gen_disk(n_circle=32, n_interior_rings=1, degree=8).system]
+    for system in systems:
+        f = convexify.realize_convex_trace(system, random_spec(system, rng))
+        for field in (f, f + 0.05 * rng.normal(size=system.n)):
+            *want, convex = _convexity_verdicts(system, field)
+            tol = measures.AGREE_TOL * (1.0 + np.abs(field).max())
+            relabeled, perm, new = relabeling(rng, system)
+            for other, g, back in [(basis_change(rng, system), field, slice(None)),
+                                   (relabeled, field[perm], new)]:
+                *got, verdict = _convexity_verdicts(other, g)
+                assert verdict == convex
+                for a, b in zip(got, want):
+                    assert np.abs(a[back] - b).max() <= tol
 
 
 def test_spec_serialization_round_trip():

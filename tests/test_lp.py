@@ -11,8 +11,8 @@ from conftest import count_calls
 
 
 def test_single_variable_bound():
-    # min x subject to x >= 3, written as the LE row -x <= -3
-    out = lp.solve(lp.LinearProgram([1.0], [[-1.0]], ["LE"], [-3.0]))
+    # min x subject to x >= 3, written as the row -x + s = -3 with slack s >= 0
+    out = lp.solve(lp.LinearProgram([1.0, 0.0], [[-1.0, 1.0]], [-3.0]))
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(3.0, abs=1e-9)
     assert out.point[0] == pytest.approx(3.0, abs=1e-9)
@@ -20,52 +20,60 @@ def test_single_variable_bound():
 
 def test_contradictory_simplex_constraints_infeasible():
     prog = lp.LinearProgram(
-        [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], ["EQ", "EQ"], [1.0, 3.0]
+        [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 3.0]
     )
     assert lp.solve(prog).status == lp.INFEASIBLE
 
 
 def test_free_variable_unbounded():
     # a free variable is a (+, -) pair of columns; max of it is unbounded
-    prog = lp.LinearProgram([-1.0, 1.0], np.zeros((0, 2)), [], [])
+    prog = lp.LinearProgram([-1.0, 1.0], np.zeros((0, 2)), [])
     assert lp.solve(prog).status == lp.UNBOUNDED
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
-        lp.LinearProgram([1.0, 2.0], [[1.0]], ["LE"], [1.0])
+        lp.LinearProgram([1.0, 2.0], [[1.0]], [1.0])
     with pytest.raises(ValidationError):
-        lp.LinearProgram([1.0], [[1.0]], ["LE", "EQ"], [1.0])
+        lp.LinearProgram([1.0], [[1.0]], [1.0, 2.0])
     with pytest.raises(ValidationError):
-        lp.LinearProgram([np.nan], [[1.0]], ["LE"], [1.0])
-    for rel in ("XX", "GE"):
-        with pytest.raises(ValidationError):
-            lp.LinearProgram([1.0], [[1.0]], [rel], [1.0])
+        lp.LinearProgram([np.nan], [[1.0]], [1.0])
 
 
 def test_iteration_limit_is_explicit():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(6, 9))
     x0 = rng.uniform(0.0, 1.0, 9)
-    prog = lp.LinearProgram(rng.normal(size=9), A, ["EQ"] * 6, A @ x0)
+    prog = lp.LinearProgram(rng.normal(size=9), A, A @ x0)
     with pytest.raises(IterationLimitError):
         lp.solve(prog, max_iter=1)
 
 
+def _with_slacks(c, A, rels, b):
+    """min c.x over x >= 0 with row i of ``A x`` at most (``rels[i]`` "LE")
+    or equal to (``rels[i]`` "EQ") ``b[i]``, as an equality program with one
+    slack column per LE row."""
+    le = np.flatnonzero(np.asarray(rels) == "LE")
+    slacks = np.zeros((len(b), le.size))
+    slacks[le, np.arange(le.size)] = 1.0
+    return lp.LinearProgram(np.concatenate([c, np.zeros(le.size)]), np.hstack([A, slacks]), b)
+
+
 def _bland_cycle_lp():
+    """The LE rows A x <= b of ``bland_cycle_lp.json`` as [A | I] (x, s) = b."""
     data = json.loads((Path(__file__).parent / "data" / "bland_cycle_lp.json").read_text())
-    return lp.LinearProgram(
-        data["objective"], data["matrix"], [lp.LE] * len(data["rhs"]), data["rhs"]
-    )
+    b = data["rhs"]
+    return _with_slacks(data["objective"], data["matrix"], ["LE"] * len(b), b)
 
 
 def test_restricted_bland_rule_cannot_cycle(monkeypatch):
     # with a wider pivot filter Bland's rule cycles on this degenerate LP;
     # the unrestricted rule that takes over after a long stall ends it
     prog = _bland_cycle_lp()
-    ref = linprog(prog.objective, A_ub=prog.constraint_matrix, b_ub=prog.rhs, method="highs")
+    status, value = _highs(prog)
+    assert status == 0
     monkeypatch.setattr(lp, "_BLAND_PIVOT_FRAC", 0.25)
-    assert lp.solve(prog, max_iter=5000).value == pytest.approx(ref.fun, abs=1e-9)
+    assert lp.solve(prog, max_iter=5000).value == pytest.approx(value, abs=1e-9)
     monkeypatch.setattr(lp, "_BLAND_EXACT_AFTER", 10**9)
     with pytest.raises(IterationLimitError):
         lp.solve(prog, max_iter=5000)
@@ -80,13 +88,14 @@ def _random_feasible_bounded(rng):
     rels = [("LE", "EQ")[i] for i in rng.integers(0, 2, m)]
     b = A @ x0 + np.where([r == "LE" for r in rels], rng.uniform(0, 1, m), 0.0)
     c = np.abs(rng.normal(size=n))
-    return lp.LinearProgram(c, A, rels, b)
+    return _with_slacks(c, A, rels, b)
 
 
 def _random_lp(rng):
-    """Random LE/EQ rows over x >= 0: half the draws feasible by
-    construction, the others with a random rhs; the objective has either
-    sign, so infeasible, unbounded and optimal programs all occur."""
+    """Random LE/EQ rows over x >= 0, in equality form: half the draws
+    feasible by construction, the others with a random rhs; the objective
+    has either sign, so infeasible, unbounded and optimal programs all
+    occur."""
     m = int(rng.integers(1, 6))
     n = int(rng.integers(1, 6))
     A = rng.normal(size=(m, n))
@@ -96,22 +105,13 @@ def _random_lp(rng):
                                                     rng.uniform(0, 1, m), 0.0)
     else:
         b = rng.normal(size=m)
-    return lp.LinearProgram(rng.normal(size=n), A, rels, b)
+    return _with_slacks(rng.normal(size=n), A, rels, b)
 
 
 def _highs(prog):
     """HiGHS on the same program: (status, value)."""
-    le = np.array(prog.relations) == "LE"
-    A, b = prog.constraint_matrix, prog.rhs
-    res = linprog(
-        prog.objective,
-        A_ub=A[le] if le.any() else None,
-        b_ub=b[le] if le.any() else None,
-        A_eq=A[~le] if (~le).any() else None,
-        b_eq=b[~le] if (~le).any() else None,
-        bounds=(0, None),
-        method="highs",
-    )
+    res = linprog(prog.objective, A_eq=prog.constraint_matrix, b_eq=prog.rhs, bounds=(0, None),
+                  method="highs")
     return res.status, res.fun
 
 
@@ -134,8 +134,7 @@ def test_resubstitution_within_feas_tol():
     for _ in range(50):
         prog = _random_feasible_bounded(rng)
         out = lp.solve(prog)
-        d = prog.constraint_matrix @ out.point - prog.rhs
-        worst = np.where(np.array(prog.relations) == "LE", d, np.abs(d)).max()
+        worst = np.abs(prog.constraint_matrix @ out.point - prog.rhs).max()
         assert worst <= 1e-9 * max(1.0, np.abs(prog.rhs).max())
         assert out.point.min() >= 0.0
 
@@ -169,7 +168,7 @@ def test_against_scipy_reference():
 
 
 def test_zero_variable_program():
-    prog = lp.LinearProgram([], np.zeros((1, 0)), ["EQ"], [1.0])
+    prog = lp.LinearProgram([], np.zeros((1, 0)), [1.0])
     assert lp.solve(prog).status == lp.INFEASIBLE
 
 
@@ -177,7 +176,8 @@ def test_dump_lp_writes_json_lines(tmp_path):
     path = tmp_path / "dump.jsonl"
     lp.set_dump_path(str(path))
     try:
-        prog = lp.LinearProgram([1.0], [[-1.0]], ["LE"], [-2.0])
+        # min x subject to x >= 2: the row -x + s = -2 with slack s >= 0
+        prog = lp.LinearProgram([1.0, 0.0], [[-1.0, 1.0]], [-2.0])
         lp.solve(prog)
     finally:
         lp.set_dump_path(None)
@@ -185,10 +185,29 @@ def test_dump_lp_writes_json_lines(tmp_path):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec["status"] == lp.OPTIMAL
+    assert sorted(rec["lp"]) == ["matrix", "objective", "rhs"]
     rebuilt = lp.LinearProgram.from_dict(rec["lp"])
     assert lp.solve(rebuilt).value == pytest.approx(2.0)
-    # every variable lies in [0, inf)
-    assert rebuilt.lower.tolist() == [0.0] and rebuilt.upper.tolist() == [np.inf]
+    # every variable lies in [0, inf) and every row is an equality
+    assert rebuilt.lower.tolist() == [0.0, 0.0] and rebuilt.upper.tolist() == [np.inf, np.inf]
+    assert rebuilt.relations == ("EQ",)
+
+
+def test_from_dict_reads_records_with_equality_relations():
+    # the record format that named each row's relation, all of them "EQ"
+    rebuilt = lp.LinearProgram.from_dict(
+        {"objective": [1.0, 0.0], "matrix": [[-1.0, 1.0]], "rhs": [-2.0], "relations": ["EQ"]}
+    )
+    assert lp.solve(rebuilt).value == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("relations", [["LE"], ["GE"], ["XX"]], ids=["LE", "GE", "XX"])
+def test_from_dict_rejects_records_with_other_relations(relations):
+    # min x subject to -x <= -2 is not min x subject to -x = -2 with x >= 0:
+    # read as equalities such a record would be another program
+    with pytest.raises(ValidationError):
+        lp.LinearProgram.from_dict({"objective": [1.0], "matrix": [[-1.0]], "rhs": [-2.0],
+                                    "relations": relations})
 
 
 def _standardize_loop(prog):
@@ -197,22 +216,13 @@ def _standardize_loop(prog):
     A0, b0 = prog.constraint_matrix, prog.rhs
     m, n = A0.shape
     scale, sign = np.ones(m), np.ones(m)
-    for i, rel in enumerate(prog.relations):
-        # rows that need an artificial variable (equalities, and LE rows
-        # violated at y = 0) count their rhs in the scale
-        needs_artificial = rel == lp.EQ or b0[i] < 0
-        s = max(np.abs(A0[i]).max(initial=0.0), abs(b0[i]) if needs_artificial else 0.0)
+    for i in range(m):
+        s = max(np.abs(A0[i]).max(initial=0.0), abs(b0[i]))
         scale[i] = s if s > 0.0 else 1.0
         sign[i] = -1.0 if b0[i] < 0 else 1.0
     columns = [A0[:, j] / scale * sign for j in range(n)]
-    slack_of_row = np.full(m, -1, dtype=int)
-    for i, rel in enumerate(prog.relations):
-        if rel == lp.LE:
-            slack_of_row[i] = len(columns)
-            columns.append(np.where(np.arange(m) == i, sign, 0.0))
     A = np.column_stack(columns) if columns else np.zeros((m, 0))
-    c = np.concatenate([prog.objective, np.zeros(len(columns) - n)])
-    return A, b0 / scale * sign, c, sign / scale, slack_of_row
+    return A, b0 / scale * sign, prog.objective, sign / scale
 
 
 def _lp_corpus():
@@ -255,7 +265,7 @@ def test_dependent_row_dropped_by_its_weight_and_dual_certified(extra):
     A = np.vstack([B, np.ones((1, 80)), 2.0 * B[:extra], B[1:1 + extra] + B[2:2 + extra]])
     rhs = A[:, 55].copy()
     c = np.eye(80)[55]
-    out = lp.solve(lp.LinearProgram(c, A, [lp.EQ] * len(rhs), rhs))
+    out = lp.solve(lp.LinearProgram(c, A, rhs))
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
     y = out.dual_point
@@ -267,7 +277,7 @@ def _warm_corpus():
     rng = np.random.default_rng(2024)
     rows = np.vstack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])  # one dependent row
     return [_bland_cycle_lp(),
-            lp.LinearProgram(np.arange(6.0) ** 2, rows, [lp.EQ] * 3, rows[:, 2]),
+            lp.LinearProgram(np.arange(6.0) ** 2, rows, rows[:, 2]),
             *(_random_feasible_bounded(rng) for _ in range(20))]
 
 
@@ -285,8 +295,7 @@ def test_warm_start_from_its_own_optimal_basis_takes_no_pivot(monkeypatch):
 
 # min x1 + x2 + x3 with x1 + x2 = 1, x2 + x3 = 2: optimum 2 at (0, 1, 1);
 # the basis {x1, x2} is nonsingular but puts x1 at -1
-_SMALL = lp.LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
-                          [lp.EQ, lp.EQ], [1.0, 2.0])
+_SMALL = lp.LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -305,7 +314,7 @@ def test_unusable_starting_basis_gives_the_cold_outcome(prog, start, monkeypatch
         "infeasible": ((0, 1), np.ones(2, dtype=bool)),
     }[start]
     if basis is not None:
-        A, b, c, _, _ = lp._standardize(prog)
+        A, b, c, _ = lp._standardize(prog)
         assert lp._warm_start(A, b, c, basis) is None
     phase1 = count_calls(monkeypatch, "_phase1")
     out = lp.solve(prog, basis=basis)

@@ -10,7 +10,15 @@ from choquet import lp, measures, sets
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
-from conftest import count_lps, extreme_lp, kyfan_between_lp, trace_hull_lp
+from conftest import (
+    basis_change,
+    count_lps,
+    extreme_lp,
+    invariance_systems,
+    kyfan_between_lp,
+    relabeling,
+    trace_hull_lp,
+)
 
 
 def test_trace_hull_naturals(naturals4):
@@ -207,43 +215,18 @@ def _kyfan_verdicts(system, pairs, S):
     )
 
 
-def _invariance_systems():
-    """Named systems (False) and random ones (True, small enough for every triple)."""
-    named = [gen_naturals(20).system, gen_interval_affine(21).system, gen_cantor(2).system]
-    randoms = [gen_random(7, 2 + seed % 2, seed=700 + seed).system for seed in range(10)]
-    return [(s, False) for s in named] + [(s, True) for s in randoms]
-
-
-def _basis_change(rng, system):
-    """The system under B -> G B, G a seeded basis change of condition at most 4."""
-    d = system.d
-    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    G = Q * rng.uniform(0.5, 2.0, size=d)
-    return FunctionSystem(system.space, G @ system.basis)
-
-
-def _relabeling(rng, system):
-    """(relabeled system, perm, new): new point k is old point perm[k],
-    old point j is new point new[j]."""
-    perm = rng.permutation(system.n)
-    relabeled = FunctionSystem(
-        FiniteSpace(tuple(system.space.labels[j] for j in perm)), system.basis[:, perm]
-    )
-    return relabeled, perm, np.argsort(perm)
-
-
 def test_kyfan_verdicts_invariant_under_basis_change_and_relabeling():
     rng = np.random.default_rng(41)
-    for system, every_triple in _invariance_systems():
+    for system, every_triple in invariance_systems():
         n = system.n
         pairs = list(itertools.combinations_with_replacement(range(n), 2))
         S = tuple(sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist()))
         want = _kyfan_verdicts(system, pairs, S)
 
         # change of basis of the same span, condition number at most 4
-        assert _kyfan_verdicts(_basis_change(rng, system), pairs, S) == want
+        assert _kyfan_verdicts(basis_change(rng, system), pairs, S) == want
 
-        relabeled, perm, new = _relabeling(rng, system)
+        relabeled, perm, new = relabeling(rng, system)
         segments, ext_S, ext_all = _kyfan_verdicts(
             relabeled, [(new[y], new[z]) for y, z in pairs], [new[j] for j in S]
         )
@@ -317,7 +300,7 @@ def _hull_verdicts(system, S, queries):
 
 def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
     rng, rows = np.random.default_rng(43), np.random.default_rng(53)
-    for system, _ in _invariance_systems():
+    for system, _ in invariance_systems():
         n = system.n
         S = tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False).tolist()))
         queries = []
@@ -325,9 +308,9 @@ def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
             T = tuple(sorted(rng.choice(n, size=int(rng.integers(2, n // 2 + 1)), replace=False)))
             queries.append((int(rng.choice([j for j in range(n) if j not in T])), T))
         want = _hull_verdicts(system, S, queries)
-        assert _hull_verdicts(_basis_change(rng, system), S, queries) == want
+        assert _hull_verdicts(basis_change(rng, system), S, queries) == want
 
-        relabeled, perm, new = _relabeling(rng, system)
+        relabeled, perm, new = relabeling(rng, system)
         got = _hull_verdicts(
             relabeled,
             [new[j] for j in S],
@@ -361,16 +344,16 @@ def test_boundary_verdicts_invariant_under_basis_change_and_relabeling():
     # relabeling changes the order in which the hull oracle visits points,
     # and so which LPs it solves; the verdicts must not move
     rng = np.random.default_rng(47)
-    for system, _ in _invariance_systems():
+    for system, _ in invariance_systems():
         n = system.n
         subsets = [
             tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             for size in rng.integers(2, n + 1, size=3)
         ]
         want = _extreme_verdicts(system, subsets)
-        assert _extreme_verdicts(_basis_change(rng, system), subsets) == want
+        assert _extreme_verdicts(basis_change(rng, system), subsets) == want
 
-        relabeled, perm, new = _relabeling(rng, system)
+        relabeled, perm, new = relabeling(rng, system)
         got = _extreme_verdicts(relabeled, [[int(new[j]) for j in S] for S in subsets])
         assert [tuple(sorted(int(perm[k]) for k in pts)) for pts in got] == want
 
