@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import AGREE_TOL, CERT_TOL, _least_pairing, representation_error
+from .lp import backward_error
+from .measures import AGREE_TOL, CERT_TOL, _least_pairing
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
@@ -128,7 +129,7 @@ def _cone_value(A, f, facets, j, scale):
     phi, touched = max(facets, key=lambda facet: facet[0][j])
     At = A[:, touched]
     mu = np.maximum(np.linalg.lstsq(At, A[:, j], rcond=None)[0], 0.0)
-    if not representation_error(At, mu, A[:, j]) <= CERT_TOL:  # NaN fails too
+    if not backward_error(At, mu, A[:, j]) <= CERT_TOL:  # NaN fails too
         return None
     if not abs(float(mu @ f[touched]) - phi[j]) <= AGREE_TOL * scale:
         return None

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, IterationLimitError, ValidationError
+from .errors import ConsistencyError, IterationLimitError, ValidationError, in_float_range
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -288,13 +288,12 @@ def solve(lp, max_iter=MAX_ITER, basis=None):
     """
     if not isinstance(lp, LinearProgram):
         raise ValidationError("solve expects a LinearProgram")
-    try:
-        with np.errstate(over="raise"):
-            outcome = _solve_inner(lp, max_iter, basis)
-    except FloatingPointError as exc:
-        raise ValidationError(f"LP data out of floating-point range: {exc}") from exc
+    with in_float_range("LP data"):
+        outcome = _solve_inner(lp, max_iter, basis)
     if _dump_path is not None:
         rec = {"lp": lp.to_dict(), "status": outcome.status}
+        if basis is not None:
+            rec["basis"] = [[int(j) for j in basis[0]], [bool(k) for k in basis[1]]]
         if outcome.status == OPTIMAL:
             rec["value"] = float(outcome.value)
         with _dump_lock:
@@ -438,11 +437,17 @@ def _refined_basis_solution(B, b, cb):
     return xb, y
 
 
+def backward_error(A, x, b):
+    """Worst relative (backward-error) miss of ``A @ x`` against ``b`` over
+    the rows, |Ax - b| / (1 + |A||x| + |b|); one per column when ``x`` and
+    ``b`` are matrices, and 0 with no rows."""
+    gap = np.abs(A @ x - b)
+    return np.max(gap / (1.0 + np.abs(A) @ np.abs(x) + np.abs(b)), axis=0, initial=0.0)
+
+
 def _check_primal(lp, x):
     """Per-row relative (backward-error) feasibility check of the point."""
-    d = np.abs(lp.constraint_matrix @ x - lp.rhs)
-    mag = 1.0 + np.abs(lp.constraint_matrix) @ np.abs(x) + np.abs(lp.rhs)
-    worst = np.max(d / mag, initial=0.0)
+    worst = backward_error(lp.constraint_matrix, x, lp.rhs)
     if worst > FEAS_TOL:
         raise ConsistencyError(
             f"optimal point violates constraints by relative {worst:.3e}"

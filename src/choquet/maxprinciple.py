@@ -4,9 +4,9 @@ boundary characterization and the generic-uniqueness experiment.
 Every convex-trace field attains its maximum on the Choquet boundary; the
 verifiers below realize fields from their max-of-affine specs, compute the
 argmax set and ask only the maximizers whether they lie on the boundary.
-Exposing fields are ``measures._separator``'s, like every separating
-witness.  The genericity experiment perturbs a field by random basis
-elements and counts how often the perturbed maximizer is unique.
+Exposing fields are ``measures._separator``'s: a checked Gram-screen
+field, else the membership LP's ray.  The genericity experiment perturbs a
+field by random basis elements and counts how often its maximizer is unique.
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,7 @@ def expose(system, xbar):
     """
     system.require_valid()
     _check_point(system, xbar)
-    coeffs = _separator(system, xbar, np.arange(system.n) != xbar)
+    coeffs = _separator(system, xbar, np.flatnonzero(np.arange(system.n) != xbar))
     if coeffs is None:
         raise ValidationError(
             f"point {system.space.labels[xbar]!r} is not a boundary point "

@@ -9,23 +9,24 @@ and x, plus the ones row.  A row constant (within ``CERT_TOL`` of its
 scale) there holds for every probability measure on the support, so the
 constant row that the bases carry never duplicates the ones row.
 
-Every hull question is decided here, by one membership LP: is column x
-in the hull of the columns of the points S?  Its verdict carries a witness
-checked by O(nd) evaluation that does not trust the simplex engine:
-weights on S that reproduce column x, or a Farkas ray (c, t) whose field
-B'c + t is larger at x than on S beyond rounding.  ``_separator`` rescales
-the ray into the separator and exposing field that ``sets`` and
+Every hull question is decided here: is column x in the hull of the
+columns of the points S?  Its verdict carries a witness checked by O(nd)
+evaluation that does not trust the simplex engine: weights on S that
+reproduce column x, or a ray (c, t) whose field B'c + t is larger at x
+than on S beyond rounding.  First, ``_gram_screen`` tries two rays from
+the data, a raw and a whitened Gram field, checked by that bound and zero
+on every row x's membership LP drops; only where both fail does the
+membership LP decide, with its weights or its Farkas ray.  ``_in_hull``
+asks this of a single point, and ``_separator`` rescales whichever ray
+decided into the separator and exposing field that ``sets`` and
 ``maxprinciple`` return.  ``_hull_members`` asks, of many points, whether
-each is in the hull of one fixed S less the point itself, and solves an
-LP only where no witness it already holds answers: a ray separates every
-point outside S where it beats S, and a weight support often represents
-the next point too.  A reused witness is checked as strictly as the LP's
-own, and a ray only where it is zero on every row that point's own LP
-drops.  First, ``_gram_screen`` tries two rays from the data, a raw and a
-whitened Gram field, at every point asked about, checked by the same
-bound and zero on the same rows: most extreme points, and most points
-outside S, need no LP.  ``_in_hull`` asks it of a single point outside S,
-with that point's LP only where the screen leaves it open.
+each is in the hull of one fixed S less the point itself.  It runs the
+screen once over all of them, then an LP only where no witness found so
+far answers: a ray separates every point outside S where it beats S, and
+a weight support often represents the next point too.  A reused witness is
+checked as strictly as the LP's own, and a ray only where it is zero on
+every row that point's own LP drops.  Most extreme points, and most
+points outside S, need no LP.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -52,13 +53,12 @@ ConsistencyError, except in the closed form, whose point then takes the
 LPs; an overflow while evaluating a witness is a ValidationError.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, in_float_range
 from .space import Measure, as_field
 
 CERT_TOL = 1e-9
@@ -117,14 +117,6 @@ class BoundaryReport:
         return {"boundary": [system.space.labels[j] for j in self.boundary], "points": pts}
 
 
-def representation_error(A, mu, target):
-    """Worst relative (backward-error) miss of ``A @ mu`` against ``target``,
-    one per column when ``mu`` and ``target`` are matrices."""
-    gap = np.abs(A @ mu - target)
-    scale = 1.0 + np.abs(A) @ np.abs(mu) + np.abs(target)
-    return np.max(gap / scale, axis=0)
-
-
 def _margins(B, y, t, rest):
     """``separation_margin`` at every point."""
     phi = B.T @ y + t
@@ -180,7 +172,7 @@ def _membership(system, x, S):
     if out.status == lp.OPTIMAL:
         w = np.maximum(out.point, 0.0)
         w /= w.sum()
-        miss = representation_error(P, w, B[:, x])
+        miss = lp.backward_error(P, w, B[:, x])
         if miss <= CERT_TOL:
             return True, w
         problem = f"hull weights miss it by relative {miss:.3e}"
@@ -244,54 +236,55 @@ def _gram_screen(Q, at, m=None):
 
 
 def _in_hull(system, x, S):
-    """Is column x in the hull of the columns of S, for x not in S?  On the
-    rows x's membership LP keeps, ``_gram_screen`` first tries to certify x
-    outside S; the LP runs only when it cannot."""
+    """Is column x in the hull of the columns of the points S (indices), for
+    x not in S?  Returns ``_membership``'s (member, witness).  On the rows
+    x's membership LP keeps, ``_gram_screen`` first tries to certify x
+    outside S with a field c, which gives (False, (c, 0.0)) with c zero on
+    the other rows; the LP runs only when it cannot."""
     B, S = system.basis, np.asarray(S)
     P = B[:, S]
     keep = _kept_rows(P, B[:, x], coefficient_scales(system))
     if keep.any():
         Q = np.column_stack([P[keep], B[keep, x]])
-        if _gram_screen(Q, np.array([S.size]), S.size)[0][0]:
-            return False
-    return _membership(system, x, S)[0]
+        ok, fields = _gram_screen(Q, np.array([S.size]), S.size)
+        if ok[0]:
+            c = np.zeros(system.d)
+            c[keep] = fields[:, 0]
+            return False, (c, 0.0)
+    return _membership(system, x, S)
 
 
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
-    the columns of S less itself?  ``_gram_screen`` first certifies points
-    outside: the points of S on the rows all their LPs keep, and the other
-    points against S on the rows all of theirs keep.  The rest are visited
-    in ascending order, and one gets its own membership LP only when no
-    witness found so far certifies it; each witness is checked against all
-    open points at once.
+    the columns of S less itself?  One ``_gram_screen``, on the rows all
+    their LPs keep, first certifies points outside it.  The rest are
+    visited in ascending order, and one gets its own membership LP only
+    when no witness found so far certifies it; each witness is checked
+    against all open points at once.
 
     - A ray (c, t) certifies x outside S when c is zero on every row x's own
-      LP drops and ``separation_margin`` against S is positive.  (One found
-      at a point of S is largest there, so it never beats S at another.)
+      LP drops and ``separation_margin`` against S is positive.  (No point
+      of S beats S itself, so only points outside S are certified.)
     - The support J of member weights certifies x outside J when least
-      squares on the rows x's LP keeps, [B[:, J]; 1] w = [column x; 1],
-      clipped at 0 and renormalized, reproduces column x within
-      ``CERT_TOL`` on all rows; at x in J, w = e_x always would.
+      squares [B[:, J]; 1] w = [column x; 1], clipped at 0 and
+      renormalized, reproduces column x within ``CERT_TOL`` on all rows;
+      at x in J, w = e_x always would.
     """
     B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
     P, X = B[:, S], B[:, points]
     # each point's kept rows, by ``_measure_program``'s rule (S less x and x span S)
     span = np.maximum(P.max(axis=1)[:, None], X) - np.minimum(P.min(axis=1)[:, None], X)
     keep = span > (CERT_TOL * coefficient_scales(system))[:, None]
-    rows, group = np.unique(keep, axis=1, return_inverse=True)
-    outside = np.isin(points, S, invert=True)
+    # each point's column of Q: its position in S, or S.size + k for the k-th outside
+    at = np.full(system.n, -1)
+    at[S] = np.arange(S.size)
+    at = at[points]
+    outside = at < 0
+    at[outside] = S.size + np.arange(np.count_nonzero(outside))
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
-    screened = np.flatnonzero(np.isin(S, points))
-    kept = keep[:, ~outside].all(axis=1)
-    if screened.size and kept.any():
-        ok = _gram_screen(P[kept], screened)[0]
-        todo &= np.isin(points, S[screened[ok]], invert=True)
-    kept = keep[:, outside].all(axis=1)
-    if outside.any() and kept.any():
-        Q = np.hstack([P[kept], X[kept][:, outside]])
-        ok = _gram_screen(Q, np.arange(S.size, Q.shape[1]), S.size)[0]
-        todo[np.flatnonzero(outside)[ok]] = False
+    kept = keep.all(axis=1)
+    if kept.any():
+        todo = ~_gram_screen(np.hstack([P[kept], X[kept][:, outside]]), at, S.size)[0]
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]
@@ -299,33 +292,29 @@ def _hull_members(system, S, points):
         member[i], todo[i] = found, False
         if not found:
             c, t = witness
-            if (todo & outside).any():
-                todo &= ~(outside & keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0))
+            todo &= ~(keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0))
             continue
         J = rest[np.flatnonzero(witness)]
-        free = todo & (np.bincount(J, minlength=system.n) == 0)[points]
+        idx = np.flatnonzero(todo & (np.bincount(J, minlength=system.n) == 0)[points])
         PJ = B[:, J]
-        for g, kept in enumerate(rows.T):
-            idx = np.flatnonzero(free & (group == g))
-            if idx.size == 0:
-                continue
-            A = np.vstack([PJ[kept], np.ones((1, PJ.shape[1]))])
-            rhs = np.vstack([X[kept][:, idx], np.ones((1, idx.size))])
-            w = np.maximum(np.linalg.lstsq(A, rhs, rcond=None)[0], 0.0)
-            total = w.sum(axis=0)
-            w /= np.where(total > 0.0, total, 1.0)
-            hit = idx[(total > 0.0) & (representation_error(PJ, w, X[:, idx]) <= CERT_TOL)]
-            member[hit], todo[hit] = True, False
+        A = np.vstack([PJ, np.ones((1, J.size))])
+        rhs = np.vstack([X[:, idx], np.ones((1, idx.size))])
+        w = np.maximum(np.linalg.lstsq(A, rhs, rcond=None)[0], 0.0)
+        total = w.sum(axis=0)
+        w /= np.where(total > 0.0, total, 1.0)
+        hit = idx[(total > 0.0) & (lp.backward_error(PJ, w, X[:, idx]) <= CERT_TOL)]
+        member[hit], todo[hit] = True, False
     return member
 
 
 def _separator(system, x, S):
     """Coefficients of a basis element equal to 1 at x and at most 0 on S,
-    or None when column x is in the hull of S: the membership ray rescaled,
-    then its constant folded in through ``validate``'s constants-in-span
-    vector, and checked again by evaluation."""
+    or None when column x is in the hull of the points S (indices): the
+    field of ``_in_hull``'s witness rescaled, then its constant folded in
+    through ``validate``'s constants-in-span vector, and checked again by
+    evaluation."""
     S = np.asarray(S)
-    member, witness = _membership(system, x, S)
+    member, witness = _in_hull(system, x, S)
     if member:
         return None
     B, (c, t) = system.basis, witness
@@ -340,23 +329,13 @@ def _separator(system, x, S):
     return coeffs
 
 
-@contextmanager
-def _in_float_range():
-    """Evaluate a field's witnesses; an overflow is an input error (exit 2)."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ValidationError(f"field out of floating-point range: {exc}") from exc
-
-
 def _bracket(system, f, x, mu, phi):
     """Check the witnesses of the least pairing of f at x and return the
     minorant phi lowered by its largest excess over f: mu must represent x
     within ``CERT_TOL``, and <mu, f> and phi(x) agree within ``AGREE_TOL``
     (1 + max |f|).  A NaN anywhere fails a check."""
     B, label = system.basis, system.space.labels[x]
-    miss = representation_error(B, mu, B[:, x])
+    miss = lp.backward_error(B, mu, B[:, x])
     if not miss <= CERT_TOL:
         raise ConsistencyError(f"measure at point {label!r} misses it by relative {miss:.3e}")
     phi = phi - float(np.max(phi - f, initial=0.0))
@@ -386,7 +365,7 @@ def _least_pairing(system, g, x, basis=None):
     c = np.zeros(system.d)
     c[keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
-    with _in_float_range():
+    with in_float_range("field"):
         phi = _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
     return float(out.value), mu, phi, out.basis
 
@@ -409,7 +388,7 @@ def _dirac_pairing(system, fields, x):
         return False
     dirac = Measure.dirac(system.n, x).weights
     try:
-        with _in_float_range():
+        with in_float_range("field"):
             for g in fields:
                 lam = float(np.max((g[x] - g[others]) / drop[others], initial=0.0))
                 _bracket(system, g, x, dirac, g[x] - lam * drop)

@@ -6,10 +6,10 @@ trace hull adds no further points.  Membership of a point in the hull of a
 set is decided and checked in ``measures`` (the Choquet boundary asks the
 same question): a Gram field built from the data certifies most points
 outside the hull, and one small feasibility LP decides the rest
-(``measures._in_hull``).  Separation reads its witness from that LP; the
-trace hull and extreme points ask the question of many points against one
-set, and solve an LP only where neither the screen nor a cached, checked
-witness answers (``measures._hull_members``).
+(``measures._in_hull``), and separation rescales the field that decided;
+the trace hull and extreme points ask the question of many points against
+one set, and solve an LP only where neither the screen nor a cached,
+checked witness answers (``measures._hull_members``).
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 
@@ -80,7 +80,7 @@ def in_hull(system, x, S):
     S = as_point_set(S, system.n)
     if not S:
         raise ValidationError("membership test against an empty set")
-    return x in S or _in_hull(system, x, S)
+    return x in S or _in_hull(system, x, S)[0]
 
 
 def trace_hull(system, S, ambient=None):

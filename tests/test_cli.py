@@ -82,6 +82,10 @@ _HULL_REPORTS = {
                                           str(_DATA / "field_naturals4.json")]),
     "convexify_cantor2": ("cantor2", ["convexify", "--field",
                                       str(_DATA / "field_cantor2.json")]),
+    # Gram-screen fields, each rescaled to 1 at the target and at most 0 on
+    # the set (on every other point for expose)
+    "separate_naturals4": ("naturals4", ["separate", "--points", "2,3", "--target", "1"]),
+    "expose_naturals4": ("naturals4", ["expose", "--target", "4"]),
 }
 
 
@@ -330,15 +334,16 @@ def test_dump_lp_flag(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["segment"]["members"] == ["1", "2", "3", "4"]
     assert not kyfan_dump.exists() or kyfan_dump.read_text() == ""
 
-    # separation reads its witness from the one membership LP
+    # separation shares in_hull's route: a member still reaches the
+    # membership LP, and its record replays
     sep_dump = tmp_path / "separate.jsonl"
     code, out, _ = run_cli(
-        ["separate", str(nat4), "--points", "2,3", "--target", "1", "--dump-lp", str(sep_dump)],
+        ["separate", str(nat4), "--points", "1,4", "--target", "2", "--dump-lp", str(sep_dump)],
         capsys=capsys,
     )
-    assert code == 0 and json.loads(out)["separable"] is True
+    assert code == 0 and json.loads(out)["separable"] is False
     records = [json.loads(ln) for ln in sep_dump.read_text().splitlines()]
-    assert [r["status"] for r in records] == ["infeasible"]
+    assert [r["status"] for r in records] == ["optimal"]
 
 
 def test_iteration_limit_is_a_verification_failure(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from choquet import lp
 from choquet import maxprinciple as mp
 from choquet.convexify import ConvexTraceSpec, realize_convex_trace
 from choquet.errors import ValidationError
@@ -174,22 +173,17 @@ def test_boundary_characterization_ring_point():
     assert mp.boundary_characterization(system, system.space.index("ring1_007")) is False
 
 
-def test_expose_solves_one_lp(monkeypatch):
+def test_expose_solves_no_lp(monkeypatch):
+    # the Gram screen certifies every circle point against the others, and
+    # its field, rescaled, is the exposing field
     system = gen_disk(n_circle=16, n_interior_rings=1, degree=3).system
     system.require_valid()
-    calls = []
-    solve = lp.solve
-
-    def counted(prog, **kwargs):
-        calls.append(prog)
-        return solve(prog, **kwargs)
-
-    monkeypatch.setattr(lp, "solve", counted)
+    calls = count_lps(monkeypatch)
     for x in range(16):
         phi = mp.expose(system, x)
         vals = evaluate(system, phi)
         assert vals[x] - np.delete(vals, x).max() == pytest.approx(1.0, abs=1e-9)
-    assert len(calls) == 16
+    assert len(calls) == 0
 
 
 def test_genericity_zero_field(naturals4):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,9 +9,10 @@ from scipy.optimize import linprog
 
 from choquet import lp, measures, sets
 from choquet._util import dumps
+from choquet.convexify import realize_convex_trace
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
-from choquet.maxprinciple import expose
+from choquet.maxprinciple import expose, random_spec
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
 from conftest import count_calls, count_lps, extreme_lp, hat_positive_lp, is_vertex
 
@@ -495,6 +497,28 @@ def test_key_interval_needs_no_lp_on_the_screened_boundary(make, seed, monkeypat
         else:
             assert (len(lps), len(phase1)) == (2, 1) and iv.lo < iv.hi
         assert abs(iv.lo - lo[x]) <= bound and abs(iv.hi - hi[x]) <= bound
+
+
+def test_dumped_key_interval_lps_replay_from_their_bases(tmp_path):
+    # the upper end starts from the lower end's basis; re-solved cold, 30 of
+    # these 80 records end on another optimal basis with a value that
+    # differs in the last bits, so a record carries its starting basis
+    path = tmp_path / "lps.jsonl"
+    lp.set_dump_path(str(path))
+    try:
+        for system in (gen_disk(32, 1, 8).system, gen_cantor(3).system):
+            rng = np.random.default_rng(1)
+            f = realize_convex_trace(system, random_spec(system, rng))
+            f = f + 0.05 * rng.standard_normal(system.n)
+            for x in range(system.n):
+                measures.key_interval(system, f, x)
+    finally:
+        lp.set_dump_path(None)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sum("basis" in rec for rec in records) == 40
+    for rec in records:
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), basis=rec.get("basis"))
+        assert out.status == rec["status"] == lp.OPTIMAL and out.value == rec["value"]
 
 
 def test_lying_screen_falls_back_to_the_lps(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from choquet import lp, measures, sets
+from choquet import lp, maxprinciple, measures, sets
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.space import FiniteSpace, FunctionSystem, evaluate
@@ -358,16 +358,17 @@ def test_boundary_verdicts_invariant_under_basis_change_and_relabeling():
         assert [tuple(sorted(int(perm[k]) for k in pts)) for pts in got] == want
 
 
-def test_in_hull_and_separate_solve_one_lp(naturals4, monkeypatch):
-    # in_hull solves none where the Gram screen certifies the point outside
-    # and one for a member; separate reports the LP's ray, so it solves one
+def test_in_hull_and_separate_solve_at_most_one_lp(naturals4, monkeypatch):
+    # in_hull and separate share one route: none where the Gram screen
+    # certifies the point outside, whose field is then the separator, and
+    # one for a member
     system = naturals4.system
     calls = count_lps(monkeypatch)
     for call, args, lps in [
         (sets.in_hull, (0, [1, 2]), 0),
         (sets.in_hull, (3, [0, 1]), 0),
         (sets.in_hull, (1, [0, 3]), 1),
-        (sets.separate, ([1, 2], 0), 1),
+        (sets.separate, ([1, 2], 0), 0),
         (sets.separate, ([0, 3], 1), 1),
     ]:
         calls.clear()
@@ -569,7 +570,8 @@ def test_in_hull_matches_nnls_and_mostly_skips_the_lp(monkeypatch):
 def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
     # the screen's fields are proposals that the rounding-bound check must
     # reject when they do not separate: a negated field is least at the
-    # point, and the raw field of the first column of S is largest there
+    # point, and the raw field of the first column of S is largest there.
+    # A rejected field costs in_hull, separate and expose one LP each
     big = _named_system("disk(256,4,8)")
     queries = _seeded_queries(np.random.default_rng(2025), big, 20)
     every_16th = tuple(range(0, 256, 16))
@@ -588,6 +590,16 @@ def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
         before = len(calls)
         assert sets.in_hull(big, x, S) == want
         assert len(calls) == before + 1
+        # separate shares the route, and its witness separates by evaluation
+        result = sets.separate(big, S, x)
+        assert result.separable is not want and len(calls) == before + 2
+        if result.separable:
+            vals = evaluate(big, result.witness)
+            assert vals[x] > vals[list(S)].max()
+    for x in (0, 4, 8):  # circle points, on the boundary
+        before = len(calls)
+        vals = evaluate(big, maxprinciple.expose(big, x))
+        assert len(calls) == before + 1 and vals[x] > np.delete(vals, x).max()
     calls.clear()
     assert sets.trace_hull(big, every_16th) == hull
     assert len(calls) > honest_lps
