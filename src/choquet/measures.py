@@ -13,20 +13,21 @@ Every hull question is decided here: is column x in the hull of the
 columns of the points S?  Its verdict carries a witness checked by O(nd)
 evaluation that does not trust the simplex engine: weights on S that
 reproduce column x, or a ray (c, t) whose field B'c + t is larger at x
-than on S beyond rounding.  First, ``_gram_screen`` tries two rays from
-the data, a raw and a whitened Gram field, checked by that bound and zero
-on every row x's membership LP drops; only where both fail does the
-membership LP decide, with its weights or its Farkas ray.  ``_in_hull``
-asks this of a single point, and ``_separator`` rescales whichever ray
-decided into the separator and exposing field that ``sets`` and
-``maxprinciple`` return.  ``_hull_members`` asks, of many points, whether
-each is in the hull of one fixed S less the point itself.  It runs the
-screen once over all of them, then an LP only where no witness found so
-far answers: a ray separates every point outside S where it beats S, and
-a weight support often represents the next point too.  A reused witness is
-checked as strictly as the LP's own, and a ray only where it is zero on
-every row that point's own LP drops.  Most extreme points, and most
-points outside S, need no LP.
+than on S beyond rounding, zero on every row x's membership LP drops.
+The screen, Wolfe and the LP propose in turn, each checked so:
+``_gram_screen``'s raw and whitened Gram fields; then Wolfe's nearest
+point of the hull to x in the screen's whitened frame (``_wolfe``), whose
+weights or field ``_decide`` checks; and last the membership LP's weights
+or Farkas ray.  ``_in_hull`` asks this of a single point, and
+``_separator`` rescales whichever ray decided into the separator and
+exposing field that ``sets`` and ``maxprinciple`` return.
+``_hull_members`` asks, of many points, whether each is in the hull of
+one fixed S less the point itself.  It runs the screen once over all of
+them, then ``_decide`` only where no witness found so far answers: a ray
+separates every point outside S where it beats S, and weight supports
+often represent the next points too.  A reused witness is checked as
+strictly as its own point's, and a ray only where it is zero on every
+row that point's own LP drops.
 
 A point belongs to the Choquet boundary when the Dirac mass is its only
 representing measure.  The least mass a representing measure leaves on x
@@ -188,18 +189,64 @@ def _membership(system, x, S):
 
 def _gram_fields(Q, at, m):
     """Candidate fields for the columns ``at`` of Q against its first m
-    columns, P, in the order to try them: the raw fields c = Q_x, then the
-    whitened ones c = W W'(Q_x - m_P) for P's mean column m_P, where
-    P - m_P = U diag(s) V' and W = U diag(s)^-1 over s > 1e-10 max s.  The
-    SVD runs only when the raw fields leave a column open.  They are only
-    proposals, which ``_gram_screen`` checks."""
+    columns, P, in the order to try them, each with its frame: the raw
+    fields c = Q_x with none, then the whitened ones c = W W'(Q_x - m_P)
+    with (W, U), for P's mean column m_P, P - m_P = U diag(s) V' and
+    W = U diag(s)^-1 over s > 1e-10 max s.  The SVD runs only when the raw
+    fields leave a column open.  They are only proposals, which
+    ``_gram_screen`` checks."""
     X = Q[:, at]
-    yield X
+    yield X, None
     P = Q[:, :m]
     mean = P.mean(axis=1, keepdims=True)
     U, s, _ = np.linalg.svd(P - mean, full_matrices=False)
-    W = U[:, s > 1e-10 * s[0]] / s[s > 1e-10 * s[0]]
-    yield W @ (W.T @ (X - mean))
+    U, s = U[:, s > 1e-10 * s[0]], s[s > 1e-10 * s[0]]
+    W = U / s
+    yield W @ (W.T @ (X - mean)), (W, U)
+
+
+def _wolfe(Y):
+    """P. Wolfe's nearest point p to the origin in the hull of the columns
+    of Y (Math. Programming 11, 1976): (w, p), w convex weights on an
+    active set A of affinely independent columns with p = Y w, or None
+    after 200 cycles.  A starts at the farthest column, which gives wider
+    supports than the nearest for ``_hull_members`` to reuse.  T = R^-1 for the Cholesky factor R
+    of M_A'M_A, M = [1; Y], gains a column per major cycle and is redone by
+    a QR when a minor cycle drops one.  It stops when no column is below p
+    by 1e-12 max |y|^2, and drops weights under 1e-14; these settle only a
+    proposal, which the callers check."""
+    M = np.vstack([np.ones(Y.shape[1]), Y])
+    sq = np.einsum("ij,ij->j", M, M)
+    tol = 1e-12 * (sq.max() - 1.0)
+    A, w, T = [int(np.argmax(sq))], np.zeros(Y.shape[1]), np.zeros((M.shape[0] + 1,) * 2)
+    w[A], T[0, 0], grow = 1.0, sq[A[0]] ** -0.5, True
+    for _ in range(200):
+        k = len(A)
+        if grow:
+            p = Y @ w
+            py = p @ Y
+            j = int(np.argmin(py))
+            r = T[:k, :k].T @ (M[:, j] @ M[:, A])
+            rho = sq[j] - r @ r
+            if p @ p - py[j] <= tol or rho <= 1e-12 * sq[j]:
+                return w, p
+            T[:k, k], T[k, k] = -(T[:k, :k] @ r) * rho**-0.5, rho**-0.5
+            A.append(j)
+            k += 1
+        u = T[:k, :k] @ T[:k, :k].sum(axis=0)
+        alpha, lam = u / u.sum(), w[A]
+        grow = alpha.min() > 1e-14
+        if grow:
+            w[A] = alpha
+            continue
+        ratio = np.where(alpha <= 1e-14, lam / np.maximum(lam - alpha, 1e-300), np.inf)
+        i = int(np.argmin(ratio))
+        lam += ratio[i] * (alpha - lam)
+        lam[i] = 0.0
+        w[A] = np.where(lam > 1e-14, lam, 0.0)
+        A = [a for a, v in zip(A, lam) if v > 1e-14]
+        T[: len(A), : len(A)] = np.linalg.inv(np.linalg.qr(M[:, A], mode="r"))
+    return None
 
 
 def _beats(Q, at, m, C):
@@ -223,16 +270,41 @@ def _gram_screen(Q, at, m=None):
     """Mask over ``at``: does a field from ``_gram_fields`` certify that
     column of Q outside the hull of the first m columns (all by default)
     less itself, by ``_beats``?  Also each column's certifying field, the
-    first one tried that wins (else its last)."""
+    first one tried that wins (else its last), and the last one's frame."""
     m = Q.shape[1] if m is None else m
     ok, fields = np.zeros(at.size, dtype=bool), np.empty((Q.shape[0], at.size))
-    for C in _gram_fields(Q, at, m):
+    for C, frame in _gram_fields(Q, at, m):
         todo = np.flatnonzero(~ok)
         fields[:, todo] = C[:, todo]
         ok[todo] = _beats(Q, at[todo], m, C[:, todo])
         if ok.all():
             break
-    return ok, fields
+    return ok, fields, frame
+
+
+def _decide(system, x, rest, rows, frame):
+    """``_membership``'s (member, witness) for column x against the points
+    ``rest`` (indices), first by ``_wolfe`` on G'(column - column x) if the
+    screen left a frame (W, U) on the basis rows ``rows``: W' on ``rows``,
+    the part off the span of U there, and the other rows x's LP keeps as
+    they are.  Its weights decide if they reproduce column x within
+    ``CERT_TOL``, else its field c = -G p if it separates, else the LP."""
+    B = system.basis
+    if frame is not None:
+        W, U = frame
+        r, idx = W.shape[1], np.flatnonzero(rows)
+        own = _kept_rows(B[:, rest], B[:, x], coefficient_scales(system))
+        G = np.hstack([np.zeros((system.d, r)), np.diag(own.astype(float))])
+        G[idx, :r] = W
+        G[np.ix_(idx, r + idx)] -= U @ U.T
+        near = _wolfe(G.T @ (B[:, rest] - B[:, [x]]))
+        if near is not None:
+            w, c = near[0] / near[0].sum(), -G @ near[1]
+            if lp.backward_error(B[:, rest], w, B[:, x]) <= CERT_TOL:
+                return True, w
+            if separation_margin(B, c, 0.0, x, rest) > 0.0:
+                return False, (c, 0.0)
+    return _membership(system, x, rest)
 
 
 def _in_hull(system, x, S):
@@ -240,35 +312,37 @@ def _in_hull(system, x, S):
     x not in S?  Returns ``_membership``'s (member, witness).  On the rows
     x's membership LP keeps, ``_gram_screen`` first tries to certify x
     outside S with a field c, which gives (False, (c, 0.0)) with c zero on
-    the other rows; the LP runs only when it cannot."""
+    the other rows; ``_decide`` settles the rest."""
     B, S = system.basis, np.asarray(S)
     P = B[:, S]
-    keep = _kept_rows(P, B[:, x], coefficient_scales(system))
+    keep, frame = _kept_rows(P, B[:, x], coefficient_scales(system)), None
     if keep.any():
         Q = np.column_stack([P[keep], B[keep, x]])
-        ok, fields = _gram_screen(Q, np.array([S.size]), S.size)
+        ok, fields, frame = _gram_screen(Q, np.array([S.size]), S.size)
         if ok[0]:
             c = np.zeros(system.d)
             c[keep] = fields[:, 0]
             return False, (c, 0.0)
-    return _membership(system, x, S)
+    return _decide(system, x, S, keep, frame)
 
 
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
     the columns of S less itself?  One ``_gram_screen``, on the rows all
     their LPs keep, first certifies points outside it.  The rest are
-    visited in ascending order, and one gets its own membership LP only
-    when no witness found so far certifies it; each witness is checked
-    against all open points at once.
+    visited in ascending order, and one is put to ``_decide`` only when no
+    witness found so far certifies it; each witness is checked against all
+    open points at once.
 
     - A ray (c, t) certifies x outside S when c is zero on every row x's own
       LP drops and ``separation_margin`` against S is positive.  (No point
       of S beats S itself, so only points outside S are certified.)
-    - The support J of member weights certifies x outside J when least
-      squares [B[:, J]; 1] w = [column x; 1], clipped at 0 and
-      renormalized, reproduces column x within ``CERT_TOL`` on all rows;
-      at x in J, w = e_x always would.
+    - The support K of the last member's weights, and then the union K of
+      all supports found so far, certifies x outside K when least squares
+      [B[:, K]; 1] w = [column x; 1], clipped at 0 and renormalized,
+      reproduces column x within ``CERT_TOL`` on all rows; at x in K,
+      w = e_x always would.  Wolfe's weights put x near a face of their
+      support, which then holds few other points; the union holds more.
     """
     B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
     P, X = B[:, S], B[:, points]
@@ -282,28 +356,31 @@ def _hull_members(system, S, points):
     outside = at < 0
     at[outside] = S.size + np.arange(np.count_nonzero(outside))
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
-    kept = keep.all(axis=1)
+    kept, frame, J = keep.all(axis=1), None, np.zeros(0, dtype=int)
     if kept.any():
-        todo = ~_gram_screen(np.hstack([P[kept], X[kept][:, outside]]), at, S.size)[0]
+        ok, _, frame = _gram_screen(np.hstack([P[kept], X[kept][:, outside]]), at, S.size)
+        todo = ~ok
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]
-        found, witness = _membership(system, points[i], rest)
+        found, witness = _decide(system, points[i], rest, kept, frame)
         member[i], todo[i] = found, False
         if not found:
             c, t = witness
             todo &= ~(keep[c != 0].all(axis=0) & (_margins(B, c, t, S)[points] > 0.0))
             continue
-        J = rest[np.flatnonzero(witness)]
-        idx = np.flatnonzero(todo & (np.bincount(J, minlength=system.n) == 0)[points])
-        PJ = B[:, J]
-        A = np.vstack([PJ, np.ones((1, J.size))])
-        rhs = np.vstack([X[:, idx], np.ones((1, idx.size))])
-        w = np.maximum(np.linalg.lstsq(A, rhs, rcond=None)[0], 0.0)
-        total = w.sum(axis=0)
-        w /= np.where(total > 0.0, total, 1.0)
-        hit = idx[(total > 0.0) & (lp.backward_error(PJ, w, X[:, idx]) <= CERT_TOL)]
-        member[hit], todo[hit] = True, False
+        support = rest[np.flatnonzero(witness)]
+        J = np.union1d(J, support)
+        for K in (support, J):
+            idx = np.flatnonzero(todo & (np.bincount(K, minlength=system.n) == 0)[points])
+            PK = B[:, K]
+            A = np.vstack([PK, np.ones((1, K.size))])
+            rhs = np.vstack([X[:, idx], np.ones((1, idx.size))])
+            w = np.maximum(np.linalg.lstsq(A, rhs, rcond=None)[0], 0.0)
+            total = w.sum(axis=0)
+            w /= np.where(total > 0.0, total, 1.0)
+            hit = idx[(total > 0.0) & (lp.backward_error(PK, w, X[:, idx]) <= CERT_TOL)]
+            member[hit], todo[hit] = True, False
     return member
 
 
@@ -381,7 +458,7 @@ def _dirac_pairing(system, fields, x):
     Q = B[_kept_rows(B, B[:, x], coefficient_scales(system))]
     if Q.shape[0] == 0:
         return False
-    ok, c = _gram_screen(Q, np.array([x]))
+    ok, c, _ = _gram_screen(Q, np.array([x]))
     psi = Q.T @ c[:, 0]
     drop, others = psi[x] - psi, np.arange(system.n) != x
     if not (ok[0] and (drop[others] > 0.0).all()):

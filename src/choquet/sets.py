@@ -5,11 +5,11 @@ intersection of the embedded space with a convex set, equivalently when the
 trace hull adds no further points.  Membership of a point in the hull of a
 set is decided and checked in ``measures`` (the Choquet boundary asks the
 same question): a Gram field built from the data certifies most points
-outside the hull, and one small feasibility LP decides the rest
-(``measures._in_hull``), and separation rescales the field that decided;
-the trace hull and extreme points ask the question of many points against
-one set, and solve an LP only where neither the screen nor a cached,
-checked witness answers (``measures._hull_members``).
+outside the hull, Wolfe's nearest point settles the rest, and one small
+feasibility LP decides what it leaves open (``measures._in_hull``), and
+separation rescales the field that decided; the trace hull and extreme
+points ask the question of many points against one set, but only where no
+cached, checked witness answers (``measures._hull_members``).
 Ky Fan betweenness needs no LP: it has a closed form in the directions from
 a point to the two endpoints (see ``kyfan_strictly_between``).
 

@@ -40,6 +40,27 @@ def count_lps(monkeypatch):
     return count_calls(monkeypatch, "solve")
 
 
+def no_wolfe(monkeypatch):
+    """From here on Wolfe's algorithm proposes nothing, so every hull
+    question the Gram screen leaves open reaches its membership LP."""
+    monkeypatch.setattr(measures, "_wolfe", lambda Y: None)
+
+
+def forge_wolfe(monkeypatch):
+    """From here on every proposal of Wolfe's algorithm is forged: its
+    nearest point p is negated, which gives a field least at the point, and
+    all its weight moves to the column farthest from the point."""
+    wolfe = measures._wolfe
+
+    def forged(Y):
+        near = wolfe(Y)
+        if near is None:
+            return None
+        return np.eye(Y.shape[1])[np.argmax(np.einsum("ij,ij->j", Y, Y))], -near[1]
+
+    monkeypatch.setattr(measures, "_wolfe", forged)
+
+
 def is_vertex(system, x):
     """Whether column x is outside the convex hull of the other columns.
 
@@ -166,6 +187,15 @@ def basis_change(rng, system):
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     G = Q * rng.uniform(0.5, 2.0, size=d)
     return FunctionSystem(system.space, G @ system.basis)
+
+
+def row_changes(rng, system):
+    """The system with a seeded basis row duplicated, and with every row
+    scaled by a seeded factor between 1e-2 and 1e2."""
+    B = system.basis
+    duplicated = np.vstack([B, B[rng.integers(system.d)]])
+    scaled = B * 10.0 ** rng.uniform(-2.0, 2.0, size=(system.d, 1))
+    return [FunctionSystem(system.space, duplicated), FunctionSystem(system.space, scaled)]
 
 
 def relabeling(rng, system):

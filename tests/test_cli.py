@@ -12,7 +12,7 @@ from choquet import lp
 from choquet.cli import _GEN_ARGS, main
 from choquet.convexify import CONVEX_TOL
 from choquet.maxprinciple import ARGMAX_TOL
-from conftest import count_lps
+from conftest import count_lps, no_wolfe
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -312,6 +312,9 @@ def test_dump_lp_flag(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "nat.json"
     dump = tmp_path / "lps.jsonl"
     run_cli(["gen", "naturals", "3", "-o", str(inst)], capsys=capsys)
+    # Wolfe's algorithm would settle naturals(3)'s interior point and the
+    # separate member below with no LP, so it proposes nothing here
+    no_wolfe(monkeypatch)
     calls = count_lps(monkeypatch)
     code, _, _ = run_cli(["boundary", str(inst), "--dump-lp", str(dump)], capsys=capsys)
     assert code == 0

@@ -23,6 +23,7 @@ from conftest import (
     invariance_systems,
     lower_convex_envelope_1d,
     relabeling,
+    row_changes,
 )
 
 
@@ -405,9 +406,10 @@ def _convexity_verdicts(system, f):
 
 
 def test_convexity_verdicts_invariant_under_basis_change_and_relabeling():
-    # the representing measures of each point do not change under B -> G B
-    # or a relabeling, so neither do the values and verdicts built on them
-    rng = np.random.default_rng(47)
+    # the representing measures of each point do not change under B -> G B,
+    # a relabeling, a duplicated basis row or scaled rows, so neither do the
+    # values and verdicts built on them
+    rng, rows = np.random.default_rng(47), np.random.default_rng(59)
     systems = [s for s, _ in invariance_systems()]
     systems += [gen_cantor(3).system, gen_disk(n_circle=32, n_interior_rings=1, degree=8).system]
     for system in systems:
@@ -416,8 +418,9 @@ def test_convexity_verdicts_invariant_under_basis_change_and_relabeling():
             *want, convex = _convexity_verdicts(system, field)
             tol = measures.AGREE_TOL * (1.0 + np.abs(field).max())
             relabeled, perm, new = relabeling(rng, system)
+            changed = [(other, field, slice(None)) for other in row_changes(rows, system)]
             for other, g, back in [(basis_change(rng, system), field, slice(None)),
-                                   (relabeled, field[perm], new)]:
+                                   (relabeled, field[perm], new), *changed]:
                 *got, verdict = _convexity_verdicts(other, g)
                 assert verdict == convex
                 for a, b in zip(got, want):

@@ -14,7 +14,7 @@ from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose, random_spec
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
-from conftest import count_calls, count_lps, extreme_lp, hat_positive_lp, is_vertex
+from conftest import count_calls, count_lps, extreme_lp, hat_positive_lp, is_vertex, no_wolfe
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,17 +170,18 @@ def test_boundary_and_extreme_points_match_per_point_lp_oracle(naturals4, interv
 
 
 @pytest.mark.parametrize(
-    "make, most",
-    [(lambda: gen_disk(64, 2, 8), 100), (lambda: gen_interval_affine(200), 5)],
+    "make",
+    [lambda: gen_disk(64, 2, 8), lambda: gen_interval_affine(200)],
     ids=["disk(64,2,8)", "interval(200)"],
 )
-def test_boundary_solves_an_lp_only_on_a_miss(make, most, monkeypatch):
-    # one LP per point, 193 and 200, before the boundary reused witnesses
+def test_boundary_solves_an_lp_only_on_a_miss(make, monkeypatch):
+    # one LP per point, 193 and 200, before the boundary reused witnesses;
+    # Wolfe's algorithm now settles every miss
     system = make().system
     system.require_valid()
     calls = count_lps(monkeypatch)
     measures.choquet_boundary(system)
-    assert len(calls) <= most
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -210,21 +211,22 @@ def _cloud(seed, n, dim, sphere=False):
 
 
 @pytest.mark.parametrize(
-    "make, most",
+    "make",
     [
-        (lambda: (_cloud(1, 40, 2, sphere=True), tuple(range(40))), 0),
-        (lambda: (gen_cantor(4).system, gen_cantor(4).expected_boundary), 20),
-        (lambda: (gen_disk(128, 3, 12).system, tuple(range(128))), 30),
+        lambda: (_cloud(1, 40, 2, sphere=True), tuple(range(40))),
+        lambda: (gen_cantor(4).system, gen_cantor(4).expected_boundary),
+        lambda: (gen_disk(128, 3, 12).system, tuple(range(128))),
     ],
     ids=["circle(40)", "cantor(4)", "disk(128,3,12)"],
 )
-def test_gram_screen_certifies_boundary_points_without_an_lp(make, most, monkeypatch):
-    # the boundary took 40, 63 and 150 LPs before the screen
+def test_gram_screen_certifies_boundary_points_without_an_lp(make, monkeypatch):
+    # the boundary took 40, 63 and 150 LPs before the screen, and 0, 15
+    # and 22 before Wolfe's algorithm took the points it leaves open
     system, boundary = make()
     system.require_valid()
     calls = count_lps(monkeypatch)
     assert measures.choquet_boundary(system).boundary == boundary
-    assert len(calls) <= most
+    assert not calls
 
 
 def test_gram_screen_edge_cases_fall_through_to_the_loop(naturals4):
@@ -289,23 +291,44 @@ def _exact_margin(Q, c, x):
     ],
     ids=["naturals(4)", "cantor(3)", "random(12,3)", "random(20,4)", "random(30,5)"],
 )
-def test_gram_screen_certificates_hold_exactly(make):
+def test_gram_screen_certificates_hold_exactly(make, monkeypatch):
     # independent of the 64 eps rounding bound: every field the screen
     # accepts beats the other columns at its point in rational arithmetic
     system = make().system
     B = system.basis
     Q = B[np.ptp(B, axis=1) > measures.CERT_TOL * measures.coefficient_scales(system)]
-    ok, fields = measures._gram_screen(Q, np.arange(system.n))
+    ok, fields, _ = measures._gram_screen(Q, np.arange(system.n))
     assert ok.any()
     for x in np.flatnonzero(ok):
         assert _exact_margin(Q, fields[:, x], x) > 0
     # the odd points against the even ones, S
     S, out = Q[:, 0::2], Q[:, 1::2]
-    ok, fields = measures._gram_screen(np.hstack([S, out]), np.arange(out.shape[1]) + S.shape[1],
-                                       S.shape[1])
+    ok, fields, _ = measures._gram_screen(np.hstack([S, out]), np.arange(out.shape[1]) + S.shape[1],
+                                          S.shape[1])
     assert ok.any()
     for i in np.flatnonzero(ok):
         assert _exact_margin(np.column_stack([S, out[:, i]]), fields[:, i], S.shape[1]) > 0
+    # so does every field of Wolfe's algorithm that its check accepts, at
+    # every point the screen is made to leave open: the boundary, and the
+    # odd points against the even ones.  A point that reached no LP got
+    # Wolfe's witness
+    lps, wolfe_fields, decide = count_lps(monkeypatch), [], measures._decide
+
+    def recording(system, x, rest, rows, frame):
+        before = len(lps)
+        member, witness = decide(system, x, rest, rows, frame)
+        if not member and len(lps) == before:
+            wolfe_fields.append((x, rest, witness[0]))
+        return member, witness
+
+    monkeypatch.setattr(measures, "_decide", recording)
+    monkeypatch.setattr(measures, "_beats", lambda Q, at, m, C: np.zeros(at.size, dtype=bool))
+    every, even = np.arange(system.n), np.arange(0, system.n, 2)
+    measures._hull_members(system, every, every)
+    measures._hull_members(system, even, np.arange(1, system.n, 2))
+    assert wolfe_fields
+    for x, rest, c in wolfe_fields:
+        assert _exact_margin(np.column_stack([B[:, rest], B[:, x]]), c, rest.size) > 0
 
 
 @pytest.mark.parametrize(
@@ -352,6 +375,8 @@ def test_exposing_dual_on_degenerate_vertices():
 
 
 def _tampered_solve(monkeypatch, corrupt):
+    # hull questions must reach the LP, so Wolfe's algorithm proposes nothing
+    no_wolfe(monkeypatch)
     solve = lp.solve
 
     def bad_solve(prog, *args, **kwargs):
@@ -393,6 +418,18 @@ def test_nan_minorant_fails_the_bracket(naturals4, at):
     phi[1 if at == "x" else 3] = np.nan
     with pytest.raises(ConsistencyError):
         measures._bracket(system, f, 1, np.array([1 / 3, 0.0, 0.0, 2 / 3]), phi)
+
+
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="known defect: the lower-end LP's dual certificate fails")
+@pytest.mark.parametrize("label", ["ring2_087", "ring3_081"])
+def test_key_interval_on_the_seed_2_disk_field(label):
+    # the lower-end LP stops with least reduced cost -8.001e-08 at
+    # ring2_087 and with duality gap 3.033e-04 at ring3_081, so its dual
+    # certificate fails; a pivot rule that cannot cycle should mend both
+    system = gen_disk(128, 3, 12).system
+    f = realize_convex_trace(system, random_spec(system, np.random.default_rng(2)))
+    measures.key_interval(system, f, system.space.index(label))
 
 
 def test_key_interval_monotone_in_basis():
@@ -529,7 +566,7 @@ def test_lying_screen_falls_back_to_the_lps(monkeypatch):
     x = system.space.index("ring1_005")
     want = measures.key_interval(system, f, x)
     monkeypatch.setattr(measures, "_gram_screen",
-                        lambda Q, at: (np.ones(at.size, dtype=bool), Q[:, [0]]))
+                        lambda Q, at: (np.ones(at.size, dtype=bool), Q[:, [0]], None))
     lps = count_lps(monkeypatch)
     got = measures.key_interval(system, f, x)
     assert len(lps) == 2

@@ -14,9 +14,12 @@ from conftest import (
     basis_change,
     count_lps,
     extreme_lp,
+    forge_wolfe,
     invariance_systems,
     kyfan_between_lp,
+    no_wolfe,
     relabeling,
+    row_changes,
     trace_hull_lp,
 )
 
@@ -110,13 +113,14 @@ def test_phi_extreme_equals_boundary_on_full_space():
 
 def test_phi_extreme_points_screen_leaves_few_lps(monkeypatch):
     # a random 24-point subset of disk(256,4,8): every point is extreme, and
-    # it took one LP per point before the Gram screen
+    # it took one LP per point before the Gram screen and up to 10 before
+    # Wolfe's algorithm
     system = gen_disk(256, 4, 8).system
     system.require_valid()
     S = sorted(np.random.default_rng(0).choice(system.n, size=24, replace=False).tolist())
     calls = count_lps(monkeypatch)
     ext = sets.phi_extreme_points(system, S)
-    assert len(calls) <= 10
+    assert not calls
     assert ext == extreme_lp(system, S)
 
 
@@ -321,17 +325,8 @@ def test_hull_verdicts_invariant_under_basis_change_and_relabeling():
         # the whitened Gram field is affine covariant and the raw one is
         # not, so the screen's certificates change under these; the
         # verdicts must not
-        for changed in _row_changes(rows, system):
+        for changed in row_changes(rows, system):
             assert _hull_verdicts(changed, S, queries) == want
-
-
-def _row_changes(rng, system):
-    """The system with a seeded basis row duplicated, and with every row
-    scaled by a seeded factor between 1e-2 and 1e2."""
-    B = system.basis
-    duplicated = np.vstack([B, B[rng.integers(system.d)]])
-    scaled = B * 10.0 ** rng.uniform(-2.0, 2.0, size=(system.d, 1))
-    return [FunctionSystem(system.space, duplicated), FunctionSystem(system.space, scaled)]
 
 
 def _extreme_verdicts(system, subsets):
@@ -361,16 +356,23 @@ def test_boundary_verdicts_invariant_under_basis_change_and_relabeling():
 def test_in_hull_and_separate_solve_at_most_one_lp(naturals4, monkeypatch):
     # in_hull and separate share one route: none where the Gram screen
     # certifies the point outside, whose field is then the separator, and
-    # one for a member
+    # none for a member, whose weights Wolfe's algorithm proposes; without
+    # that proposal the member takes one LP
     system = naturals4.system
     calls = count_lps(monkeypatch)
-    for call, args, lps in [
+    cases = [
         (sets.in_hull, (0, [1, 2]), 0),
         (sets.in_hull, (3, [0, 1]), 0),
         (sets.in_hull, (1, [0, 3]), 1),
         (sets.separate, ([1, 2], 0), 0),
         (sets.separate, ([0, 3], 1), 1),
-    ]:
+    ]
+    for call, args, _ in cases:
+        calls.clear()
+        call(system, *args)
+        assert not calls
+    no_wolfe(monkeypatch)
+    for call, args, lps in cases:
         calls.clear()
         call(system, *args)
         assert len(calls) == lps
@@ -388,8 +390,8 @@ def test_membership_witnesses_check_by_evaluation(naturals4):
 
 
 # a disk(256,4,8) non-member (seeded draw) that the Gram screen leaves open,
-# so in_hull reaches the LP's ray; on naturals(4) the screen certifies every
-# non-member
+# so in_hull reaches the LP's ray when Wolfe's algorithm proposes nothing;
+# on naturals(4) the screen certifies every non-member
 _OPEN_NON_MEMBER = (314, (24, 76, 108, 119, 126, 193, 252, 346, 365, 421, 454, 499, 537, 574, 591,
                           617, 672, 760, 762, 797, 858, 988, 1024, 1030, 1033, 1048, 1079, 1102,
                           1140, 1218, 1227))
@@ -402,9 +404,11 @@ _OPEN_NON_MEMBER = (314, (24, 76, 108, 119, 126, 193, 252, 346, 365, 421, 454, 4
     ids=["ray", "weights"],
 )
 def test_corrupted_membership_witness_raises(monkeypatch, name, field, x, S, message):
-    # a negated ray separates the wrong way; shifted weights miss the column
+    # a negated ray separates the wrong way; shifted weights miss the column.
+    # Wolfe's algorithm would settle both, so it proposes nothing here
     system = _named_system(name)
     assert _nnls_member(system.basis, x, S) == (field == "point")
+    no_wolfe(monkeypatch)
     solve = lp.solve
 
     def corrupted(prog, *args, **kwargs):
@@ -535,11 +539,12 @@ def test_trace_hull_matches_per_point_lp_oracle(name, S, ambient):
 @pytest.mark.parametrize("name, step", [("disk(256,4,8)", 16), ("disk(64,2,8)", 4)])
 def test_trace_hull_solves_an_lp_only_on_a_miss(name, step, monkeypatch):
     # one LP per point outside S, 1265 and 177, before witnesses were
-    # reused, and 17 and 16 before the Gram screen ran on points outside S
+    # reused, 17 and 16 before the Gram screen ran on points outside S, and
+    # 2 and 2 before Wolfe's algorithm took the misses
     system = _named_system(name)
     calls = count_lps(monkeypatch)
     sets.trace_hull(system, tuple(range(0, 16 * step, step)))
-    assert len(calls) <= 5
+    assert not calls
 
 
 def _seeded_queries(rng, system, count):
@@ -554,16 +559,13 @@ def _seeded_queries(rng, system, count):
 
 
 def test_in_hull_matches_nnls_and_mostly_skips_the_lp(monkeypatch):
-    # the Gram screen leaves about a quarter of these to the LP: the
-    # members, and non-members of the larger sets
+    # the Gram screen leaves about a quarter of these open, the members and
+    # non-members of the larger sets, and Wolfe's algorithm settles them all
     big = _named_system("disk(256,4,8)")
     calls = count_lps(monkeypatch)
-    solved = 0
     for x, S in _seeded_queries(np.random.default_rng(2024), big, 200):
-        calls.clear()
         assert sets.in_hull(big, x, S) == _nnls_member(big.basis, x, S)
-        solved += bool(calls)
-    assert solved <= 70
+    assert not calls
 
 
 @pytest.mark.parametrize("forgery", ["negated", "another-points"])
@@ -571,7 +573,8 @@ def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
     # the screen's fields are proposals that the rounding-bound check must
     # reject when they do not separate: a negated field is least at the
     # point, and the raw field of the first column of S is largest there.
-    # A rejected field costs in_hull, separate and expose one LP each
+    # Wolfe's proposals are forged too (``forge_wolfe``), so a rejected
+    # field costs in_hull, separate and expose one LP each
     big = _named_system("disk(256,4,8)")
     queries = _seeded_queries(np.random.default_rng(2025), big, 20)
     every_16th = tuple(range(0, 256, 16))
@@ -581,10 +584,11 @@ def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
     fields = measures._gram_fields
 
     def forged(Q, at, m):
-        for C in fields(Q, at, m):
-            yield -C if forgery == "negated" else np.repeat(Q[:, [0]], at.size, axis=1)
+        for C, frame in fields(Q, at, m):
+            yield (-C if forgery == "negated" else np.repeat(Q[:, [0]], at.size, axis=1)), frame
 
     monkeypatch.setattr(measures, "_gram_fields", forged)
+    forge_wolfe(monkeypatch)
     calls.clear()
     for (x, S), want in zip(queries, honest):
         before = len(calls)
@@ -603,6 +607,38 @@ def test_forged_gram_fields_cost_lps_not_wrong_verdicts(monkeypatch, forgery):
     calls.clear()
     assert sets.trace_hull(big, every_16th) == hull
     assert len(calls) > honest_lps
+
+
+def test_forged_wolfe_proposals_cost_lps_not_wrong_verdicts(monkeypatch):
+    # Wolfe's proposals are checked like the LP's witnesses: a negated
+    # nearest point gives a field least at the point, and weights moved to
+    # the farthest column miss it.  On the draws the screen leaves open,
+    # each forged proposal costs in_hull and separate one LP each
+    big = _named_system("disk(256,4,8)")
+    wolfe, asked = measures._wolfe, []
+
+    def asking(Y):
+        asked.append(Y)
+        return wolfe(Y)
+
+    monkeypatch.setattr(measures, "_wolfe", asking)
+    calls, open_draws = count_lps(monkeypatch), []
+    for x, S in _seeded_queries(np.random.default_rng(2025), big, 100):
+        before = len(asked)
+        member = sets.in_hull(big, x, S)
+        if len(asked) > before:
+            open_draws.append((x, S, member))
+    assert not calls
+    assert len(open_draws) >= 10 and {m for _, _, m in open_draws} == {False, True}
+    forge_wolfe(monkeypatch)
+    for x, S, want in open_draws:
+        before = len(calls)
+        assert sets.in_hull(big, x, S) == want and len(calls) == before + 1
+        result = sets.separate(big, S, x)
+        assert result.separable is not want and len(calls) == before + 2
+        if result.separable:
+            vals = evaluate(big, result.witness)
+            assert vals[x] > vals[list(S)].max()
 
 
 def test_reused_rays_keep_the_rows_of_each_points_own_lp(disk64):
@@ -644,6 +680,7 @@ def test_forged_witnesses_cause_misses_not_wrong_verdicts(disk64, monkeypatch, f
         (lambda: sets.phi_extreme_points(disk64, every_3rd), extreme_lp(disk64, every_3rd), weights),
     ]
     membership = measures._membership
+    no_wolfe(monkeypatch)  # the LP's witnesses are the ones forged and reused
 
     def forged(system, x, S):
         member, witness = membership(system, x, S)
