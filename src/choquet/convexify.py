@@ -13,9 +13,11 @@ mu of x, the lower end of the key interval (``measures.key_interval``).
 ``biconjugate`` sweeps the envelope facet by facet, so it solves one LP
 per facet it reaches rather than one per point.  At a point x that no
 earlier facet certifies it solves that least-pairing LP over the
-representing measures of x (``measures._least_pairing``), whose two
-witnesses ``measures._bracket`` checks by direct evaluation that does not
-trust the simplex engine:
+representing measures of x (``measures._least_pairing``).  After the
+first, each such LP starts at the Dirac mass of x, a vertex reached from
+the previous LP's optimal basis by one column swap, so it runs no phase
+1.  Its two witnesses ``measures._bracket`` checks by direct evaluation
+that does not trust the simplex engine:
 
 * the LP's point, a representing measure mu of x, checked by
   B mu = B e_x within relative 1e-9; <mu, f> is an upper bound on f**(x);
@@ -150,7 +152,7 @@ def biconjugate(system, f):
     A = np.vstack([system.basis, np.ones((1, system.n))])
     value = np.empty(system.n)
     done = np.zeros(system.n, dtype=bool)
-    facets = []
+    facets, start = [], None
     for x in range(system.n):
         if done[x]:
             continue
@@ -160,7 +162,7 @@ def biconjugate(system, f):
                 value[x] = v
                 done[x] = True
                 continue
-        phi = _least_pairing(system, f, x)[2]
+        _, _, phi, start = _least_pairing(system, f, x, start)
         touched = np.flatnonzero(f - phi <= CERT_TOL * scale)
         fresh = touched[~done[touched]]
         value[fresh] = np.minimum(phi[fresh], f[fresh])

@@ -15,18 +15,30 @@ The solver is a pure function of its input: identical inputs produce
 identical outputs, and instances may be solved concurrently.
 
 An optimal outcome carries its ``basis``: the standard-form columns and
-the mask of rows that phase 1 kept (it drops dependent rows).  Standard
-form depends on the rows and rhs alone, so an LP with the same rows and
-rhs and another objective can start from that basis: ``solve(lp,
-basis=...)`` refactorizes it and runs phase 2 only, falling back to the
-cold two-phase solve when the basis is singular or not primal feasible
-within ``FEAS_TOL``.
+the mask of rows that phase 1 kept (it drops dependent rows).  Any program
+with the same constraint matrix can start from that basis, whatever its
+objective and rhs: standard form only scales and negates rows, which keeps
+a basis nonsingular.  The rhs must satisfy the dependencies of the rows
+phase 1 dropped, as any combination of the matrix's columns does, or the
+final feasibility check fails.  ``solve(lp, basis=...)`` refactorizes the
+basis and runs phase 2 only, falling back to the cold two-phase solve when
+the basis is singular or not primal feasible within ``FEAS_TOL``.
 
 Optimal outcomes are certified: the returned point is checked feasible
 within ``FEAS_TOL``, and the dual is checked feasible (no reduced cost
 below ``-GAP_TOL`` times the cost scale) with its value within ``GAP_TOL``
 of the objective value.  An infeasible outcome carries the phase-1 dual
 in ``dual_point``: a Farkas ray y'A <= 0, y'b > 0.
+
+A failed certificate is repaired from its own basis before
+ConsistencyError is raised.  Pivot drift in the dense tableau can leave
+its reduced costs optimal where the refactorized ones are not, and the
+ratio test clips negative basic values to 0, so such a basic never
+leaves.  Each of up to ``_REPAIR_ROUNDS`` rounds refactorizes the basis,
+with the basic values and reduced costs of the equilibrated solve the
+certificate uses, drives the negative basic values out with at most
+``_CLEANUP_PIVOTS`` dual simplex pivots, and resumes the primal simplex.
+An LP whose certificate passes never reaches a repair.
 """
 
 import json
@@ -277,14 +289,17 @@ def _standardize(lp):
 def solve(lp, max_iter=MAX_ITER, basis=None):
     """Solve ``lp``.  Returns an LPOutcome with a certified optimum.
 
-    ``basis`` is an optimal outcome's ``basis``, from this LP or one with
-    the same rows and rhs: phase 2 then starts there, and the cold
-    two-phase solve runs only when it is singular or not primal feasible.
+    ``basis`` is an optimal outcome's ``basis``, or any (columns, kept
+    rows) of that form, from a program with the same constraint matrix;
+    its objective and rhs may differ (see the module docstring).  Phase 2
+    then starts there, and the cold two-phase solve runs only when it is
+    singular or not primal feasible.
 
     Raises ValidationError for malformed input (via the LinearProgram
     constructor) and for finite input whose solve overflows the float
     range, IterationLimitError if pivoting exhausts ``max_iter``, and
-    ConsistencyError if the optimality certificate fails its own tolerances.
+    ConsistencyError if the optimality certificate still fails its own
+    tolerances after ``_REPAIR_ROUNDS`` repair rounds.
     """
     if not isinstance(lp, LinearProgram):
         raise ValidationError("solve expects a LinearProgram")
@@ -304,7 +319,6 @@ def solve(lp, max_iter=MAX_ITER, basis=None):
 
 def _solve_inner(lp, max_iter, basis):
     A, b, c, signs = _standardize(lp)
-    nrows, ncols = A.shape
     start = None if basis is None else _warm_start(A, b, c, basis)
     if start is None:
         start = _phase1(A, b, c, max_iter)
@@ -315,43 +329,100 @@ def _solve_inner(lp, max_iter, basis):
     status, iters, T, z, basis = _run_simplex(
         A_kept, b_kept, c, T, z, basis, max_iter, it_start=iters
     )
+    rounds = 0
+    while status == OPTIMAL:
+        y_std, dual, failure = _certificate(A_kept, b_kept, c, T, basis)
+        if failure is None:
+            break
+        if rounds == _REPAIR_ROUNDS or not basis:
+            raise ConsistencyError(failure)
+        status, iters, T, z, basis = _repair(A_kept, b_kept, c, basis, max_iter, iters)
+        rounds += 1
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
 
-    # Primal solution and dual certificate from the optimal basis.  A fresh
-    # equilibrated solve usually beats the pivot-accumulated tableau values,
-    # but on degenerate (near-singular) bases it can be worse, so the
-    # candidate with the smaller residual wins.
-    y_std = np.zeros(ncols)
+    x = y_std[: lp.n_vars]
+    dual_point = np.zeros(A.shape[0])
+    dual_point[keep] = dual
+    _check_primal(lp, x)
+    return LPOutcome(status=OPTIMAL, value=float(c @ y_std), point=x,
+                     dual_point=signs * dual_point, basis=(tuple(basis), keep))
+
+
+def _certificate(A, b, c, T, basis):
+    """Primal solution and dual from an optimal basis, and why they fail
+    the certificate (None when they pass).
+
+    A fresh equilibrated solve usually beats the pivot-accumulated tableau
+    values, but on degenerate (near-singular) bases it can be worse, so the
+    candidate with the smaller residual wins.
+    """
+    y_std = np.zeros(A.shape[1])
     dual = np.zeros(len(basis))
     if basis:
-        B = A_kept[:, basis]
+        B = A[:, basis]
         xb = np.clip(T[:, -1], 0.0, None)
         try:
-            xb_ref, dual = _refined_basis_solution(B, b_kept, c[basis])
+            xb_ref, dual = _refined_basis_solution(B, b, c[basis])
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError("optimal basis is singular") from exc
         if not np.isfinite(dual).all():  # LAPACK overflows without raising
             raise FloatingPointError("overflow in the dual solve")
         np.clip(xb_ref, 0.0, None, out=xb_ref)
-        if np.abs(B @ xb_ref - b_kept).max() < np.abs(B @ xb - b_kept).max():
+        if np.abs(B @ xb_ref - b).max() < np.abs(B @ xb - b).max():
             xb = xb_ref
         y_std[basis] = xb
-    x = y_std[: lp.n_vars]
     primal_std = float(c @ y_std)
-    gap = abs(primal_std - float(dual @ b_kept))
-    least = float((c - A_kept.T @ dual).min(initial=0.0))
+    gap = abs(primal_std - float(dual @ b))
+    least = float((c - A.T @ dual).min(initial=0.0))
     cscale = max(1.0, float(np.abs(c).max(initial=0.0)))
     if least < -GAP_TOL * cscale or gap > GAP_TOL * max(1.0, abs(primal_std)):
-        raise ConsistencyError(
+        return y_std, dual, (
             f"dual certificate fails: least reduced cost {least:.3e}, duality gap {gap:.3e}"
         )
+    return y_std, dual, None
 
-    dual_point = np.zeros(nrows)
-    dual_point[keep] = dual
-    _check_primal(lp, x)
-    return LPOutcome(status=OPTIMAL, value=primal_std, point=x, dual_point=signs * dual_point,
-                     basis=(tuple(basis), keep))
+
+_REPAIR_ROUNDS = 4
+_CLEANUP_PIVOTS = 200
+
+
+def _repair(A, b, cost, basis, max_iter, it):
+    """One repair round of an optimal basis whose certificate failed (see
+    the module docstring); returns ``_run_simplex``'s outcome.  The basic
+    values and reduced costs are the ones the certificate sees, from the
+    equilibrated solve, not the tableau's."""
+    try:
+        T = _refactor(A, b, basis, cost)[0]
+        xb, y = _refined_basis_solution(A[:, basis], b, cost[basis])
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError("optimal basis is singular") from exc
+    T[:, -1] = xb
+    z = np.concatenate([cost - A.T @ y, [-float(y @ b)]])
+    z[basis] = 0.0
+    it += _dual_simplex(T, z, basis, _CLEANUP_PIVOTS)
+    return _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=it)
+
+
+def _dual_simplex(T, z, basis, max_pivots):
+    """Dual simplex pivots on the tableau in place; returns their count.
+
+    The row with the most negative basic value leaves, and the entering
+    column wins the dual ratio test (least z_j / -T[r, j], z_j clipped at
+    0) over that row's entries below ``-_PIVOT_TOL``.  Stops when no basic
+    value is below ``-FEAS_TOL``, when the leaving row has no such entry,
+    or after ``max_pivots`` pivots.
+    """
+    ncols = T.shape[1] - 1
+    for k in range(max_pivots):
+        r = int(np.argmin(T[:, -1]))
+        row = T[r, :ncols]
+        cand = np.flatnonzero(row < -_PIVOT_TOL)
+        if not T[r, -1] < -FEAS_TOL or cand.size == 0:
+            return k
+        ratios = np.maximum(z[cand], 0.0) / -row[cand]
+        _pivot(T, z, basis, r, int(cand[np.argmin(ratios)]))
+    return max_pivots
 
 
 def _phase1(A, b, c, max_iter):

@@ -48,7 +48,8 @@ the Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
 slope that keeps it below f, and solves no LP.  Elsewhere each end is
 one LP (``_least_pairing``) with phi from its dual; both LPs have the
 same rows and rhs, so the upper end starts from the lower end's optimal
-basis; each facet of the biconjugate is this LP too.  Representing
+basis; each facet of the biconjugate is this LP too, started at the Dirac
+mass from the previous facet's basis.  Representing
 measures take the same two routes.  A failed check raises
 ConsistencyError, except in the closed form, whose point then takes the
 LPs; an overflow while evaluating a witness is a ValidationError.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import ConsistencyError, ValidationError, in_float_range
+from .errors import ConsistencyError, IterationLimitError, ValidationError, in_float_range
 from .space import Measure, as_field
 
 CERT_TOL = 1e-9
@@ -425,15 +426,30 @@ def _bracket(system, f, x, mu, phi):
     return phi
 
 
-def _least_pairing(system, g, x, basis=None):
+# pivots phase 2 may take from a neighbour's Dirac start before the LP is
+# solved cold
+_NEIGHBOUR_PIVOTS = 1000
+
+
+def _least_pairing(system, g, x, start=None):
     """Least pairing <mu, g> over representing measures mu of x, a mu
     attaining it, a minorant phi <= g in the span with phi(x) at that value,
-    and the LP's optimal basis: one ``_measure_program`` LP, started from
-    ``basis`` when given, whose point mu and dual minorant B'c + t
-    ``_bracket`` checks; phi is the minorant it returns."""
+    and the LP's start record: one ``_measure_program`` LP, whose point mu
+    and dual minorant B'c + t ``_bracket`` checks; phi is the minorant it
+    returns.
+
+    ``start`` is the record an earlier call on the same system returned,
+    (its point, its kept rows, its optimal basis).  At x itself the LP
+    starts from that basis, whose rhs is the same.  At another point it
+    starts at the Dirac mass (``_neighbour_solve``), and is solved cold
+    when that start fails.
+    """
     B = system.basis
     prog, keep = _measure_program(B, B[:, x], coefficient_scales(system), g)
-    out = lp.solve(prog, basis=basis)
+    if start is None or start[0] == x:
+        out = lp.solve(prog, basis=None if start is None else start[2])
+    else:
+        out = _neighbour_solve(prog, keep, x, start) or lp.solve(prog)
     if out.status != lp.OPTIMAL:
         raise ConsistencyError(
             f"representing-measure LP reported {out.status}; the Dirac mass is "
@@ -444,7 +460,32 @@ def _least_pairing(system, g, x, basis=None):
     mu = np.maximum(out.point, 0.0)
     with in_float_range("field"):
         phi = _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
-    return float(out.value), mu, phi, out.basis
+    return float(out.value), mu, phi, (x, keep, out.basis)
+
+
+def _neighbour_solve(prog, keep, x, start):
+    """``prog``, the LP of x, solved from a basis whose basic solution is
+    the Dirac mass e_x, a vertex of the representing measures of x: the
+    optimal basis of ``start``'s LP at another point, on the same kept
+    rows, with column x in place of the basic column that B^-1 a_x weighs
+    most.  The rhs of ``prog`` is a_x itself, so B^-1 b is then the unit
+    vector at x.  None when the kept rows differ, that basis is singular or
+    phase 2 reaches ``_NEIGHBOUR_PIVOTS`` pivots."""
+    _, kept, (cols, rows) = start
+    if not np.array_equal(kept, keep):
+        return None
+    cols = list(cols)
+    if x not in cols:
+        A = prog.constraint_matrix[np.asarray(rows)]
+        try:
+            w = np.linalg.solve(A[:, cols], A[:, x])
+        except np.linalg.LinAlgError:
+            return None
+        cols[int(np.argmax(np.abs(w)))] = x
+    try:
+        return lp.solve(prog, max_iter=_NEIGHBOUR_PIVOTS, basis=(cols, rows))
+    except IterationLimitError:
+        return None
 
 
 def _dirac_pairing(system, fields, x):
@@ -496,8 +537,8 @@ def key_interval(system, f, x):
     f = as_field(system, f)
     if _dirac_pairing(system, (f, -f), x):
         return KeyInterval(lo=float(f[x]), hi=float(f[x]))
-    lo, _, _, basis = _least_pairing(system, f, x)
-    hi = _least_pairing(system, -f, x, basis)[0]
+    lo, _, _, start = _least_pairing(system, f, x)
+    hi = _least_pairing(system, -f, x, start)[0]
     return KeyInterval(lo=lo, hi=-hi)
 
 

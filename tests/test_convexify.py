@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from choquet.maxprinciple import random_spec
 from conftest import (
     basis_change,
     biconjugate_lp,
+    count_calls,
     count_lps,
     hat_positive_lp,
     hat_signed_lp,
@@ -126,6 +128,43 @@ def test_sweep_matches_per_point_lp_oracles():
             assert np.abs(got - hat_positive_lp(system, g)).max() <= tol, name
             if name != "noisy":
                 assert np.abs(got - g).max() <= tol, name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["disk32", "cantor3"])
+def test_warm_sweep_matches_the_cold_route_with_few_phase_1s(name, seed, monkeypatch):
+    # after its first LP the sweep starts each LP at the Dirac vertex of the
+    # previous LP's optimal basis, so phase 1 runs again only where that
+    # start fails; the cold route ran it once per LP (up to 23 times here)
+    system = gen_disk(32, 1, 8).system if name == "disk32" else gen_cantor(3).system
+    rng = np.random.default_rng(seed)
+    f = convexify.realize_convex_trace(system, random_spec(system, rng))
+    for g in (f, f + 0.05 * rng.normal(size=system.n)):
+        phase1 = count_calls(monkeypatch, "_phase1")
+        got = convexify.biconjugate(system, g)
+        monkeypatch.undo()
+        assert len(phase1) <= 2
+        tol = measures.AGREE_TOL * (1.0 + np.abs(g).max())
+        assert np.abs(got - hat_positive_lp(system, g)).max() <= tol
+
+
+def test_dumped_sweep_lps_replay_from_their_bases(tmp_path):
+    # every LP of a sweep after the first records the Dirac start it was
+    # solved from, and solved again from it gives the same value
+    system = gen_disk(32, 1, 8).system
+    f = _convex_field(np.random.default_rng(1), system)
+    path = tmp_path / "lps.jsonl"
+    lp.set_dump_path(str(path))
+    try:
+        convexify.biconjugate(system, f)
+    finally:
+        lp.set_dump_path(None)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) > 1
+    assert "basis" not in records[0] and all("basis" in rec for rec in records[1:])
+    for rec in records:
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), basis=rec.get("basis"))
+        assert out.status == rec["status"] == lp.OPTIMAL and out.value == rec["value"]
 
 
 def test_noisy_interval_takes_one_lp_per_envelope_edge(monkeypatch):

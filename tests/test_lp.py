@@ -328,3 +328,29 @@ def test_basis_that_does_not_fit_is_rejected():
     for basis in [(cols, keep[:1]), (cols[:1], keep), ((0, 9), keep)]:
         with pytest.raises(ValidationError):
             lp.solve(_SMALL, basis=basis)
+
+
+def test_repair_runs_only_where_the_certificate_fails(monkeypatch):
+    repairs = count_calls(monkeypatch, "_repair")
+    for prog in [*_lp_corpus(), *_warm_corpus(), _SMALL]:
+        lp.solve(prog)
+    assert repairs == []
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["ring2_087", "ring3_081"])
+def test_failed_certificate_is_repaired_from_its_basis(k, monkeypatch):
+    # the lower-end LPs of key_interval at two points of the seed-2
+    # convex-trace field on disk(128,3,12).  Their simplex used to stop on
+    # a basis whose certificate fails: at ring2_087 the tableau's reduced
+    # costs had drifted from the refactorized ones (least reduced cost
+    # -8.0e-08), and at ring3_081 a basic value of -7.2e-05 never left,
+    # because the ratio test clips negative basics to 0 (gap 3.0e-04)
+    path = Path(__file__).parent / "data" / "disk128_lower_end_lps.jsonl"
+    rec = json.loads(path.read_text().splitlines()[k])
+    prog = lp.LinearProgram.from_dict(rec["lp"])
+    repairs = count_calls(monkeypatch, "_repair")
+    out = lp.solve(prog)
+    assert out.status == lp.OPTIMAL and len(repairs) >= 1
+    status, value = _highs(prog)
+    assert status == 0
+    assert abs(out.value - value) <= 1e-9 * (1.0 + np.abs(prog.objective).max())

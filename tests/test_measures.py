@@ -14,7 +14,8 @@ from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose, random_spec
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
-from conftest import count_calls, count_lps, extreme_lp, hat_positive_lp, is_vertex, no_wolfe
+from conftest import (biconjugate_lp, count_calls, count_lps, extreme_lp, hat_positive_lp,
+                      is_vertex, no_wolfe)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -420,16 +421,21 @@ def test_nan_minorant_fails_the_bracket(naturals4, at):
         measures._bracket(system, f, 1, np.array([1 / 3, 0.0, 0.0, 2 / 3]), phi)
 
 
-@pytest.mark.xfail(strict=True, raises=ConsistencyError,
-                   reason="known defect: the lower-end LP's dual certificate fails")
 @pytest.mark.parametrize("label", ["ring2_087", "ring3_081"])
 def test_key_interval_on_the_seed_2_disk_field(label):
-    # the lower-end LP stops with least reduced cost -8.001e-08 at
-    # ring2_087 and with duality gap 3.033e-04 at ring3_081, so its dual
-    # certificate fails; a pivot rule that cannot cycle should mend both
+    # the lower-end LP used to stop with least reduced cost -8.001e-08 at
+    # ring2_087 and with duality gap 3.033e-04 at ring3_081.  Neither is a
+    # cycle: at ring2_087 the tableau's reduced costs had drifted from the
+    # refactorized ones, and at ring3_081 a basic value of -7.2e-05 never
+    # left the basis, because the ratio test clips negative basics to 0.
+    # lp repairs both from the failed basis.
     system = gen_disk(128, 3, 12).system
     f = realize_convex_trace(system, random_spec(system, np.random.default_rng(2)))
-    measures.key_interval(system, f, system.space.index(label))
+    x = system.space.index(label)
+    iv = measures.key_interval(system, f, x)
+    assert iv.lo < iv.hi
+    tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
+    assert abs(iv.lo - biconjugate_lp(system, f, [x])[0]) <= tol
 
 
 def test_key_interval_monotone_in_basis():
