@@ -10,14 +10,18 @@ convexification: f is Choquet convex exactly when f == f**.  By LP duality
 f**(x) is also the least pairing <mu, f> over the representing measures
 mu of x, the lower end of the key interval (``measures.key_interval``).
 
-``biconjugate`` sweeps the envelope facet by facet, so it solves one LP
-per facet it reaches rather than one per point.  At a point x that no
-earlier facet certifies it solves that least-pairing LP over the
-representing measures of x (``measures._least_pairing``).  After the
-first, each such LP starts at the Dirac mass of x, a vertex reached from
-the previous LP's optimal basis by one column swap, so it runs no phase
-1.  Its two witnesses ``measures._bracket`` checks by direct evaluation
-that does not trust the simplex engine:
+On the Choquet boundary the Dirac mass is the only representing measure,
+so f**(x) = f(x) there.  ``biconjugate`` first takes that value at every
+boundary point one Gram screen certifies (``measures._dirac_values``,
+each point checked by ``measures._bracket``), then sweeps the envelope
+facet by facet over the points left open, so it solves one LP per facet
+it reaches rather than one per point.  At a point x that no earlier facet
+certifies it solves that least-pairing LP over the representing measures
+of x (``measures._least_pairing``).  After the first, each such LP starts
+at the Dirac mass of x, a vertex reached from the previous LP's optimal
+basis by one column swap, so it runs no phase 1.  Its two witnesses
+``measures._bracket`` checks by direct evaluation that does not trust the
+simplex engine:
 
 * the LP's point, a representing measure mu of x, checked by
   B mu = B e_x within relative 1e-9; <mu, f> is an upper bound on f**(x);
@@ -35,6 +39,9 @@ facet then certifies further points with no LP:
 * a point j in the convex hull of the touched points of the facet with
   the largest phi(j) takes phi(j): the nonnegative least-squares weights
   that reproduce column j are its representing measure, checked like mu.
+
+``is_choquet_convex`` runs the same sweep and stops at the first value
+more than ``tol`` below f, so its verdict is ``convexity_gap <= tol``.
 
 ``hat_positive`` takes the inf-over-equivalence-class convexification
 over probability measures.  The probability measures equivalent to the
@@ -54,7 +61,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lp import backward_error
-from .measures import AGREE_TOL, CERT_TOL, _least_pairing
+from .measures import AGREE_TOL, CERT_TOL, _dirac_values, _least_pairing
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
@@ -138,40 +145,44 @@ def _cone_value(A, f, facets, j, scale):
     return phi[j]
 
 
-def biconjugate(system, f):
-    """Pointwise largest minorant of f within the span of the basis.
-
-    A facet sweep: at each point no stored facet certifies, one bracketed
-    least-pairing LP (``measures._least_pairing``), whose checked minorant
-    then certifies every point it touches and every point in the convex
-    hull of those (see the module docstring).
-    """
+def _sweep(system, f, tol=None):
+    """``biconjugate``'s values; with ``tol``, None as soon as one of them is
+    more than ``tol`` below f."""
     system.require_valid()
     f = as_field(system, f)
     scale = 1.0 + float(np.abs(f).max())
     A = np.vstack([system.basis, np.ones((1, system.n))])
-    value = np.empty(system.n)
-    done = np.zeros(system.n, dtype=bool)
+    done = _dirac_values(system, (f,), np.arange(system.n))
+    value = np.where(done, f, np.nan)
+    if tol is not None and not np.all(f[done] - value[done] <= tol):
+        return None
     facets, start = [], None
     for x in range(system.n):
         if done[x]:
             continue
-        if facets:
-            v = _cone_value(A, f, facets, x, scale)
-            if v is not None:
-                value[x] = v
-                done[x] = True
-                continue
-        _, _, phi, start = _least_pairing(system, f, x, start)
-        touched = np.flatnonzero(f - phi <= CERT_TOL * scale)
-        fresh = touched[~done[touched]]
-        value[fresh] = np.minimum(phi[fresh], f[fresh])
-        done[fresh] = True
-        if not done[x]:
+        v = _cone_value(A, f, facets, x, scale) if facets else None
+        if v is not None:
+            value[x], settled = v, [x]
+        else:
+            _, _, phi, start = _least_pairing(system, f, x, start)
+            touched = np.flatnonzero(f - phi <= CERT_TOL * scale)
+            fresh = touched[~done[touched]]
             value[x] = phi[x]
-            done[x] = True
-        facets.append((phi, touched))
+            value[fresh] = np.minimum(phi[fresh], f[fresh])
+            settled = np.append(fresh, x)
+            facets.append((phi, touched))
+        done[settled] = True
+        if tol is not None and not np.all(f[settled] - value[settled] <= tol):
+            return None
     return value
+
+
+def biconjugate(system, f):
+    """Pointwise largest minorant of f within the span of the basis: f(x)
+    at each boundary point ``measures._dirac_values`` certifies, then a
+    facet sweep of bracketed least-pairing LPs over the points left open
+    (see the module docstring)."""
+    return _sweep(system, f)
 
 
 def convexity_gap(system, f):
@@ -181,8 +192,10 @@ def convexity_gap(system, f):
 
 
 def is_choquet_convex(system, f, tol=CONVEX_TOL):
-    """f is Choquet convex iff it equals its biconjugate within ``tol``."""
-    return convexity_gap(system, f) <= tol
+    """f is Choquet convex iff it equals its biconjugate within ``tol``: the
+    ``biconjugate`` sweep, stopped at its first value more than ``tol``
+    below f."""
+    return _sweep(system, f, tol) is not None
 
 
 def hat_positive(system, f):

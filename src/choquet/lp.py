@@ -159,7 +159,7 @@ def _pivot(T, z, basis, row, col):
     T[row] /= T[row, col]
     fac = T[:, col].copy()
     fac[row] = 0.0
-    T -= np.outer(fac, T[row])
+    T -= fac[:, None] * T[row]
     z -= z[col] * T[row]
     basis[row] = col
 
@@ -211,13 +211,18 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
     fresh = True
     last_obj = -z[-1]
     while True:
-        neg = np.flatnonzero(z[:ncols] < -enter_tol)
-        if neg.size == 0:
+        if bland:
+            neg = z[:ncols] < -enter_tol
+            enter = int(np.argmax(neg))
+            optimal = not neg[enter]
+        else:
+            enter = int(np.argmin(z[:ncols]))
+            optimal = not z[enter] < -enter_tol
+        if optimal:
             return OPTIMAL, it, T, z, basis
-        enter = int(neg[0]) if bland else int(neg[np.argmin(z[neg])])
         col = T[:, enter]
-        pos = col > _PIVOT_TOL
-        if not pos.any():
+        pos = np.flatnonzero(col > _PIVOT_TOL)
+        if pos.size == 0:
             if not fresh:
                 try:
                     T, z = _refactor(A, b, basis, cost)
@@ -228,10 +233,9 @@ def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
             if z[enter] >= -1e-7 * cscale:
                 return OPTIMAL, it, T, z, basis
             return UNBOUNDED, it, T, z, basis
-        rhs = np.maximum(T[:, -1], 0.0)
-        ratios = np.where(pos, rhs / np.where(pos, col, 1.0), np.inf)
+        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
         best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
+        ties = pos[ratios <= best + 1e-9 * (1.0 + best)]
         if bland:
             # a tiny pivot taken for its index alone grows the tableau until
             # the basis is numerically singular; the unrestricted rule is

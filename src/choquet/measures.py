@@ -43,14 +43,17 @@ checks: a representing measure mu, whose pairing <mu, f> bounds the
 value from above, and a minorant phi <= f in the span, whose phi(x)
 bounds it from below; a NaN fails the checks.  On the boundary the Dirac
 mass is the only representing measure, so both ends are f(x).  Where the
-Gram screen certifies x there with a field psi, ``_dirac_pairing`` takes
+Gram screen certifies x there with a field psi, ``_dirac_values`` takes
 the Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
-slope that keeps it below f, and solves no LP.  Elsewhere each end is
-one LP (``_least_pairing``) with phi from its dual; both LPs have the
-same rows and rhs, so the upper end starts from the lower end's optimal
-basis; each facet of the biconjugate is this LP too, started at the Dirac
-mass from the previous facet's basis.  Representing
-measures take the same two routes.  A failed check raises
+slope that keeps it below f, and solves no LP.  The rows the screen runs
+on are the same for every x, so one screen and one vectorized slope
+serve any number of points: a key interval asks it of one point, the
+biconjugate sweep of all of them at once.  Elsewhere each end is one LP
+(``_least_pairing``) with phi from its dual; both LPs have the same rows
+and rhs, so the upper end starts from the lower end's optimal basis;
+each facet of the biconjugate is this LP too, started at the Dirac mass
+from the previous facet's basis.  Representing measures take the same
+two routes.  A failed check raises
 ConsistencyError, except in the closed form, whose point then takes the
 LPs; an overflow while evaluating a witness is a ValidationError.
 """
@@ -488,54 +491,66 @@ def _neighbour_solve(prog, keep, x, start):
         return None
 
 
-def _dirac_pairing(system, fields, x):
-    """Whether the Dirac mass at x is certified the least pairing of each
-    field with no LP: ``_gram_screen``, on the rows ``_measure_program``
-    keeps for x against all points, must put x on the Choquet boundary
-    with a field psi, and each field g must pass ``_bracket`` with the
-    Dirac mass and the minorant g(x) - lam (psi(x) - psi), where lam is
-    the least slope that keeps it below g."""
-    B = system.basis
-    Q = B[_kept_rows(B, B[:, x], coefficient_scales(system))]
+def _dirac_values(system, fields, points):
+    """Mask over the distinct ``points``: is the Dirac mass at each certified
+    the least pairing of every field, with no LP?  The rows
+    ``_measure_program`` keeps for x against all points are the same for
+    every x, so one ``_gram_screen`` on them must put x on the Choquet
+    boundary with a field psi, and each field g must pass ``_bracket`` at
+    x with the Dirac mass and the minorant g(x) - lam (psi(x) - psi),
+    where lam is the least slope that keeps it below g."""
+    B, points = system.basis, np.asarray(points, dtype=int)
+    # the rows ``_kept_rows`` keeps for any one point against all of them
+    Q = B[B.max(axis=1) - B.min(axis=1) > CERT_TOL * coefficient_scales(system)]
     if Q.shape[0] == 0:
-        return False
-    ok, c, _ = _gram_screen(Q, np.array([x]))
-    psi = Q.T @ c[:, 0]
-    drop, others = psi[x] - psi, np.arange(system.n) != x
-    if not (ok[0] and (drop[others] > 0.0).all()):
-        return False
-    dirac = Measure.dirac(system.n, x).weights
-    try:
-        with in_float_range("field"):
-            for g in fields:
-                lam = float(np.max((g[x] - g[others]) / drop[others], initial=0.0))
-                _bracket(system, g, x, dirac, g[x] - lam * drop)
-    except ConsistencyError:
-        return False
-    return True
+        return np.zeros(points.size, dtype=bool)
+    ok, C, _ = _gram_screen(Q, points)
+    dirac = np.zeros(system.n)
+    with in_float_range("field"):
+        for lo in range(0, points.size, 256):  # n x 256 slopes at a time
+            block, mine = points[lo : lo + 256], ok[lo : lo + 256]  # a view of ok
+            psi, at = Q.T @ C[:, lo : lo + 256], np.arange(block.size)
+            drop = psi[block, at] - psi
+            drop[block, at] = np.inf  # each point against the others only
+            mine &= (drop > 0.0).all(axis=0)
+            cert = np.flatnonzero(mine)
+            drop = drop[:, cert]
+            lams = [np.max((g[block[cert]] - g[:, None]) / drop, axis=0, initial=0.0)
+                    for g in fields]
+            drop[block[cert], at[: cert.size]] = 0.0
+            for k, i in enumerate(cert):
+                x = block[i]
+                dirac[x] = 1.0
+                try:
+                    for g, lam in zip(fields, lams):
+                        _bracket(system, g, x, dirac, g[x] - lam[k] * drop[:, k])
+                except ConsistencyError:
+                    mine[i] = False
+                dirac[x] = 0.0
+    return ok
 
 
 def representing_measure(system, x, objective=None):
     """A representing measure for x, minimizing ``objective`` when given:
-    the Dirac mass where ``_dirac_pairing`` certifies it, else the
+    the Dirac mass where ``_dirac_values`` certifies it, else the
     ``_least_pairing`` LP's."""
     system.require_valid()
     _check_point(system, x)
     g = np.zeros(system.n) if objective is None else as_field(system, objective)
-    if _dirac_pairing(system, (g,), x):
+    if _dirac_values(system, (g,), [x])[0]:
         return Measure.dirac(system.n, x)
     return Measure.probability(_least_pairing(system, g, x)[1])
 
 
 def key_interval(system, f, x):
     """Min and max of the pairing of ``f`` over representing measures of x:
-    f(x) at both ends where ``_dirac_pairing`` certifies the Dirac mass,
+    f(x) at both ends where ``_dirac_values`` certifies the Dirac mass,
     else two bracketed ``_least_pairing`` LPs, the upper end started from
     the lower end's basis."""
     system.require_valid()
     _check_point(system, x)
     f = as_field(system, f)
-    if _dirac_pairing(system, (f, -f), x):
+    if _dirac_values(system, (f, -f), [x])[0]:
         return KeyInterval(lo=float(f[x]), hi=float(f[x]))
     lo, _, _, start = _least_pairing(system, f, x)
     hi = _least_pairing(system, -f, x, start)[0]

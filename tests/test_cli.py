@@ -58,6 +58,7 @@ _GOLDEN_FIXTURES = {
     "interval101": ["interval", "101"],
     "cantor2": ["cantor", "2"],
     "disk64_2_8": ["disk", "--n-circle", "64", "--rings", "2", "--degree", "8"],
+    "interval17": ["interval", "17"],
 }
 _EVERY_2ND_CIRCLE = ",".join(f"circ{k:03d}" for k in range(0, 64, 2))
 _DATA = Path(__file__).parent / "data"
@@ -66,7 +67,8 @@ _HULL_REPORTS = {
     "hull_interval101": ("interval101", ["hull", "--points", "0.1,0.5,0.9"]),
     "hull_cantor2": ("cantor2", ["hull", "--points", "0,0.5,1"]),
     "hull_disk64_2_8": ("disk64_2_8", ["hull", "--points", _EVERY_2ND_CIRCLE]),
-    **{f"extreme_{fx}": (fx, ["extreme", "--krein-milman"]) for fx in _GOLDEN_FIXTURES},
+    **{f"extreme_{fx}": (fx, ["extreme", "--krein-milman"])
+       for fx in ("naturals4", "interval101", "cantor2", "disk64_2_8")},
     # integer spec coefficients: every field value is exact; two maximizers
     # in bauer_naturals4, three (one off the boundary) in the cantor2 reports
     "bauer_naturals4": ("naturals4", ["bauer", "--spec", str(_DATA / "spec_naturals4.json")]),
@@ -82,6 +84,11 @@ _HULL_REPORTS = {
                                           str(_DATA / "field_naturals4.json")]),
     "convexify_cantor2": ("cantor2", ["convexify", "--field",
                                       str(_DATA / "field_cantor2.json")]),
+    # an integer field on the dyadic grid of interval(17), whose sweep runs
+    # one cold LP and starts each later LP from a basis; the envelope
+    # 4, 2, then 1 is exact
+    "convexify_interval17": ("interval17", ["convexify", "--field",
+                                            str(_DATA / "field_interval17.json")]),
     # Gram-screen fields, each rescaled to 1 at the target and at most 0 on
     # the set (on every other point for expose)
     "separate_naturals4": ("naturals4", ["separate", "--points", "2,3", "--target", "1"]),

@@ -135,17 +135,100 @@ def test_sweep_matches_per_point_lp_oracles():
 def test_warm_sweep_matches_the_cold_route_with_few_phase_1s(name, seed, monkeypatch):
     # after its first LP the sweep starts each LP at the Dirac vertex of the
     # previous LP's optimal basis, so phase 1 runs again only where that
-    # start fails; the cold route ran it once per LP (up to 23 times here)
+    # start fails; the cold route ran it once per LP (up to 23 times here).
+    # On cantor(3) the boundary takes the closed form and one LP the rest
     system = gen_disk(32, 1, 8).system if name == "disk32" else gen_cantor(3).system
     rng = np.random.default_rng(seed)
     f = convexify.realize_convex_trace(system, random_spec(system, rng))
     for g in (f, f + 0.05 * rng.normal(size=system.n)):
-        phase1 = count_calls(monkeypatch, "_phase1")
+        lps, phase1 = count_lps(monkeypatch), count_calls(monkeypatch, "_phase1")
         got = convexify.biconjugate(system, g)
         monkeypatch.undo()
-        assert len(phase1) <= 2
+        assert len(phase1) <= 2 and (name == "disk32" or len(lps) <= 1)
         tol = measures.AGREE_TOL * (1.0 + np.abs(g).max())
         assert np.abs(got - hat_positive_lp(system, g)).max() <= tol
+
+
+def _sweep_starts(monkeypatch):
+    """Record the point of every least-pairing LP the sweep solves from here on."""
+    starts, pairing = [], convexify._least_pairing
+
+    def recording(system, g, x, start=None):
+        starts.append(x)
+        return pairing(system, g, x, start)
+
+    monkeypatch.setattr(convexify, "_least_pairing", recording)
+    return starts
+
+
+def test_batched_dirac_values_match_one_point_calls_and_skip_the_boundary(monkeypatch):
+    # one screen over all points certifies exactly the points one-point
+    # calls certify, and the sweep solves no LP at a certified point.  The
+    # screen certifies every boundary point of the named systems; on some
+    # random ones it leaves a boundary point open, which then takes an LP
+    named = [gen_naturals(4).system, gen_cantor(3).system, gen_disk(32, 1, 8).system,
+             gen_interval_affine(60).system]
+    rng = np.random.default_rng(2026)
+    for k, system in enumerate(named + _random_systems(20, 70_000)):
+        boundary = measures.choquet_boundary(system).is_boundary
+        f = _convex_field(rng, system)
+        for g in (f, f + rng.uniform(0.05, 0.25, size=system.n)):
+            for fields in [(g,), (g, -g)]:
+                batch = measures._dirac_values(system, fields, np.arange(system.n))
+                one = [measures._dirac_values(system, fields, [x])[0] for x in range(system.n)]
+                assert np.array_equal(batch, one)
+            dirac = measures._dirac_values(system, (g,), np.arange(system.n))
+            starts = _sweep_starts(monkeypatch)
+            got = convexify.biconjugate(system, g)
+            monkeypatch.undo()
+            assert not dirac[starts].any()
+            if k < len(named):
+                assert dirac[boundary].all() and not boundary[starts].any()
+            tol = measures.AGREE_TOL * (1.0 + np.abs(g).max())
+            assert np.abs(got - biconjugate_lp(system, g)).max() <= tol
+
+
+def test_lying_screen_sends_the_sweep_to_the_lps(monkeypatch):
+    # the screen claims every point with the raw Gram field of circ000,
+    # which is largest at circ000: only circ000 may take the closed form
+    system = gen_disk(32, 1, 8).system
+    rng = np.random.default_rng(1)
+    g = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
+    want = convexify.biconjugate(system, g)
+    boundary = measures.choquet_boundary(system).is_boundary
+    monkeypatch.setattr(measures, "_gram_screen", lambda Q, at: (
+        np.ones(at.size, dtype=bool), Q[:, np.zeros(at.size, dtype=int)], None))
+    starts = _sweep_starts(monkeypatch)
+    got = convexify.biconjugate(system, g)
+    assert 0 not in starts and boundary[starts].any()
+    assert np.abs(got - want).max() <= measures.AGREE_TOL * (1.0 + np.abs(g).max())
+
+
+def test_convexity_test_stops_early_with_the_gap_verdict(monkeypatch):
+    # is_choquet_convex stops at the first value more than tol below f, and
+    # agrees with the full sweep's gap at every tolerance
+    rng = np.random.default_rng(31)
+    systems = [gen_cantor(3).system, gen_disk(32, 1, 8).system,
+               gen_interval_affine(200).system] + _random_systems(10, 80_000)
+    for system in systems:
+        f = convexify.realize_convex_trace(system, random_spec(system, rng))
+        fields = [f, f + rng.uniform(0.05, 0.25, size=system.n),
+                  system.basis.T @ rng.normal(size=system.d)]
+        for g in fields:
+            gap = convexify.convexity_gap(system, g)
+            for tol in (0.0, 1e-7, 1.0):
+                assert convexify.is_choquet_convex(system, g, tol) == (gap <= tol)
+    system = gen_disk(32, 1, 8).system
+    rng = np.random.default_rng(1)
+    noisy = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
+    lps = count_lps(monkeypatch)
+    convexify.biconjugate(system, noisy)
+    full = len(lps)
+    lps.clear()
+    assert not convexify.is_choquet_convex(system, noisy)
+    assert len(lps) < full
+    with pytest.raises(ValidationError):
+        convexify.sup_family(system, [noisy])
 
 
 def test_dumped_sweep_lps_replay_from_their_bases(tmp_path):

@@ -354,3 +354,108 @@ def test_failed_certificate_is_repaired_from_its_basis(k, monkeypatch):
     status, value = _highs(prog)
     assert status == 0
     assert abs(out.value - value) <= 1e-9 * (1.0 + np.abs(prog.objective).max())
+
+
+def _pivot_outer(T, z, basis, row, col):
+    """``lp._pivot`` with the row update as ``np.outer``, frozen as its
+    reference."""
+    T[row] /= T[row, col]
+    fac = T[:, col].copy()
+    fac[row] = 0.0
+    T -= np.outer(fac, T[row])
+    z -= z[col] * T[row]
+    basis[row] = col
+
+
+def _run_simplex_masks(A, b, cost, T, z, basis, max_iter, it_start=0):
+    """``lp._run_simplex`` with the entering column picked from the list of
+    negative reduced costs and the ratio test over every row, infinite where
+    the column entry is not positive, frozen as its reference; it pivots by
+    ``lp._pivot``."""
+    it = it_start
+    ncols = T.shape[1] - 1
+    cscale = max(1.0, float(np.abs(cost).max(initial=0.0)))
+    enter_tol = lp._PIVOT_TOL * cscale
+    bland, stall, fresh, last_obj = False, 0, True, -z[-1]
+    while True:
+        neg = np.flatnonzero(z[:ncols] < -enter_tol)
+        if neg.size == 0:
+            return lp.OPTIMAL, it, T, z, basis
+        enter = int(neg[0]) if bland else int(neg[np.argmin(z[neg])])
+        col = T[:, enter]
+        pos = col > lp._PIVOT_TOL
+        if not pos.any():
+            if not fresh:
+                try:
+                    T, z = lp._refactor(A, b, basis, cost)
+                except np.linalg.LinAlgError:
+                    return lp.UNBOUNDED, it, T, z, basis
+                fresh = True
+                continue
+            if z[enter] >= -1e-7 * cscale:
+                return lp.OPTIMAL, it, T, z, basis
+            return lp.UNBOUNDED, it, T, z, basis
+        rhs = np.maximum(T[:, -1], 0.0)
+        ratios = np.where(pos, rhs / np.where(pos, col, 1.0), np.inf)
+        best = float(ratios.min())
+        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
+        if bland:
+            if stall < lp._BLAND_EXACT_AFTER:
+                ties = ties[col[ties] >= lp._BLAND_PIVOT_FRAC * col[ties].max()]
+            leave = int(ties[np.argmin([basis[i] for i in ties])])
+        else:
+            leave = int(ties[np.argmax(col[ties])])
+        lp._pivot(T, z, basis, leave, enter)
+        fresh = False
+        it += 1
+        if it >= max_iter:
+            raise IterationLimitError(f"simplex iteration limit {max_iter} reached")
+        obj = -z[-1]
+        if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
+            last_obj, stall, bland = obj, 0, False
+        else:
+            stall += 1
+            if stall >= lp._STALL_LIMIT and not bland:
+                bland = True
+                try:
+                    T, z = lp._refactor(A, b, basis, cost)
+                    fresh = True
+                except np.linalg.LinAlgError:
+                    pass
+        if it % lp._REFRESH_EVERY == 0:
+            try:
+                T, z = lp._refactor(A, b, basis, cost)
+                fresh = True
+            except np.linalg.LinAlgError:
+                pass
+
+
+def _outcome(prog, **kwargs):
+    """The outcome of ``prog`` and its pivots as (row, column) pairs."""
+    pivots = []
+    pivot = lp._pivot
+    lp._pivot = lambda *args: (pivots.append(args[3:]), pivot(*args))
+    try:
+        out = lp.solve(prog, **kwargs)
+    finally:
+        lp._pivot = pivot
+    return out, pivots
+
+
+def test_pivot_loop_bit_identical_to_its_reference(monkeypatch):
+    # the corpus holds optimal, infeasible and unbounded programs, Bland
+    # stalls (``bland_cycle_lp.json``) and warm starts from optimal bases
+    progs = [(prog, None) for prog in [*_lp_corpus(), *_warm_corpus()]]
+    progs += [(prog, lp.solve(prog).basis) for prog in _warm_corpus()]
+    new = [_outcome(prog, basis=basis) for prog, basis in progs]
+    monkeypatch.setattr(lp, "_pivot", _pivot_outer)
+    monkeypatch.setattr(lp, "_run_simplex", _run_simplex_masks)
+    for (prog, basis), (out, cols) in zip(progs, new):
+        ref, ref_cols = _outcome(prog, basis=basis)
+        assert cols == ref_cols
+        assert (out.status, out.value) == (ref.status, ref.value)
+        for a, b in [(out.point, ref.point), (out.dual_point, ref.dual_point)]:
+            assert (a is None and b is None) or np.array_equal(a, b)
+        if ref.basis is not None:
+            assert out.basis[0] == ref.basis[0]
+            assert np.array_equal(out.basis[1], ref.basis[1])
