@@ -17,9 +17,9 @@ each point checked by ``measures._bracket``), then sweeps the envelope
 facet by facet over the points left open, so it solves one LP per facet
 it reaches rather than one per point.  At a point x that no earlier facet
 certifies it solves that least-pairing LP over the representing measures
-of x (``measures._least_pairing``).  After the first, each such LP starts
-at the Dirac mass of x, a vertex reached from the previous LP's optimal
-basis by one column swap, so it runs no phase 1.  Its two witnesses
+of x (``measures._least_pairing``), started at the Dirac mass of x, a
+vertex: the first from a crash basis, each later one from the previous
+LP's optimal basis by one column swap.  Its two witnesses
 ``measures._bracket`` checks by direct evaluation that does not trust the
 simplex engine:
 

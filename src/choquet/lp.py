@@ -1,44 +1,44 @@
 """Self-contained dense linear-programming engine.
 
-Two-phase primal simplex on the full tableau.  Pricing is Dantzig's most
-negative reduced cost with ratio ties broken toward the largest pivot
-element; a degeneracy stall switches to Bland's smallest-index anti-cycling
-rule, restricted to well-sized pivots, until the objective falls again,
-and the tableau is refactorized from the basis periodically so pivot drift
-cannot accumulate.
+Primal simplex on the full tableau, from a primal feasible basis that the
+caller supplies.  Pricing is Dantzig's most negative reduced cost with
+ratio ties broken toward the largest pivot element; a degeneracy stall
+switches to Bland's smallest-index anti-cycling rule, restricted to
+well-sized pivots, until the objective falls again.
 
-There is one LP form: minimize ``c.x`` over x >= 0 subject to ``A x = b``.
-Rows are equilibrated and negated where needed so that ``b >= 0``, and
-phase 1 starts from one artificial column per row.
+There is one LP form: minimize ``c.x`` over x >= 0 subject to ``A x = b``,
+with rows equilibrated and negated where needed so that ``b >= 0``.
+There is no phase 1.  Every LP this package builds is over the
+representing measures of a point x, and the Dirac mass e_x is always one
+of them: ``_crash`` gives a basis there, column x first, and its rank
+test drops the dependent rows.  A basis is (standard-form columns, mask
+of the rows kept); standard form only scales and negates rows, so an
+optimal outcome's ``basis`` can start any program with the same
+constraint matrix where its basic solution is feasible.
 
 The solver is a pure function of its input: identical inputs produce
 identical outputs, and instances may be solved concurrently.
 
-An optimal outcome carries its ``basis``: the standard-form columns and
-the mask of rows that phase 1 kept (it drops dependent rows).  Any program
-with the same constraint matrix can start from that basis, whatever its
-objective and rhs: standard form only scales and negates rows, which keeps
-a basis nonsingular.  The rhs must satisfy the dependencies of the rows
-phase 1 dropped, as any combination of the matrix's columns does, or the
-final feasibility check fails.  ``solve(lp, basis=...)`` refactorizes the
-basis and runs phase 2 only, falling back to the cold two-phase solve when
-the basis is singular or not primal feasible within ``FEAS_TOL``.
+At e_x every basic value but x's is 0, and the simplex can stall on such
+a degenerate basis.  So it runs in stretches of at most
+``_REFRESH_EVERY`` pivots, each from a fresh factorization in which
+every basic value at most ``FEAS_TOL``, in row i of m, is first raised
+to ``_SHIFT`` (1 + i/m) by a shift of the rhs.  ``_SHIFT`` must stay
+well above the ratio test's tie tolerance and well below the basic
+values' scale.
 
-Optimal outcomes are certified: the returned point is checked feasible
-within ``FEAS_TOL``, and the dual is checked feasible (no reduced cost
-below ``-GAP_TOL`` times the cost scale) with its value within ``GAP_TOL``
-of the objective value.  An infeasible outcome carries the phase-1 dual
-in ``dual_point``: a Farkas ray y'A <= 0, y'b > 0.
-
-A failed certificate is repaired from its own basis before
-ConsistencyError is raised.  Pivot drift in the dense tableau can leave
-its reduced costs optimal where the refactorized ones are not, and the
-ratio test clips negative basic values to 0, so such a basic never
-leaves.  Each of up to ``_REPAIR_ROUNDS`` rounds refactorizes the basis,
-with the basic values and reduced costs of the equilibrated solve the
-certificate uses, drives the negative basic values out with at most
-``_CLEANUP_PIVOTS`` dual simplex pivots, and resumes the primal simplex.
-An LP whose certificate passes never reaches a repair.
+Optimal outcomes are certified on the true rhs: from an equilibrated
+solve, no basic value is below ``-_PIVOT_TOL``, no reduced cost below
+``-GAP_TOL`` times the cost scale, and the dual value is within
+``GAP_TOL`` of the objective value; the returned point is checked against
+the unscaled rows too.  A failed certificate is repaired from its own
+basis (Koberstein, PhD thesis, Paderborn 2005): the shift leaves negative
+basic values, drift in the dense tableau can leave its reduced costs
+optimal where the refactorized ones are not, and the ratio test clips
+negative basic values to 0, so such a basic never leaves.  Each of up to
+``_REPAIR_ROUNDS`` rounds drives the negative basic values out with at
+most ``_CLEANUP_PIVOTS`` dual simplex pivots and resumes the primal
+simplex, shifted as above.
 """
 
 import json
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConsistencyError, IterationLimitError, ValidationError, in_float_range
 
-OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+OPTIMAL, UNBOUNDED = "optimal", "unbounded"
 
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
@@ -144,9 +144,9 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict; ``value``/``point``/``basis`` set when optimal,
-    ``dual_point`` also if infeasible.  ``basis`` is the optimal basis as
-    (standard-form columns, mask of the rows phase 1 kept)."""
+    """Solver verdict, OPTIMAL or UNBOUNDED; ``value``, ``point``,
+    ``dual_point`` and ``basis`` are set when optimal.  ``basis`` is the
+    optimal basis as (standard-form columns, mask of the rows kept)."""
 
     status: str
     value: float | None = None
@@ -164,21 +164,15 @@ def _pivot(T, z, basis, row, col):
     basis[row] = col
 
 
-def _reduced_row(T, basis, cost):
-    z = np.concatenate([cost, [0.0]])
-    for r, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb != 0.0:
-            z = z - cb * T[r]
-    return z
-
-
 def _refactor(A, b, basis, cost):
-    """Rebuild tableau and reduced costs from the basis (drops pivot drift)."""
-    B = A[:, basis]
-    rhs = np.hstack([A, b[:, None]])
-    T = np.linalg.solve(B, rhs)
-    return T, _reduced_row(T, basis, cost)
+    """Rebuild tableau and reduced costs from the basis (drops pivot drift),
+    with the basic values and the dual from the equilibrated solve the
+    certificate uses."""
+    T = np.linalg.solve(A[:, basis], np.hstack([A, b[:, None]]))
+    T[:, -1], y = _refined_basis_solution(A[:, basis], b, cost[basis])
+    z = np.concatenate([cost - A.T @ y, [-float(y @ b)]])
+    z[basis] = 0.0
+    return T, z
 
 
 _REFRESH_EVERY = 64
@@ -276,10 +270,10 @@ def _standardize(lp):
     """Rewrite ``lp`` with ``b >= 0``.
 
     Returns (A, b, c, row_factor).  Every row is divided by the largest
-    magnitude among its coefficients and rhs, so the phase-1 infeasibility
-    measure is relative per row, then negated where its rhs is negative;
-    ``row_factor`` is the combined factor per row (standard-form duals map
-    back via y_i = row_factor_i * y_std_i).
+    magnitude among its coefficients and rhs, so the feasibility
+    tolerances are relative per row, then negated where its rhs is
+    negative; ``row_factor`` is the combined factor per row (standard-form
+    duals map back via y_i = row_factor_i * y_std_i).
     """
     A, b = lp.constraint_matrix, lp.rhs
     row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
@@ -290,29 +284,66 @@ def _standardize(lp):
     return A, b * signs, lp.objective, signs / row_scale
 
 
-def solve(lp, max_iter=MAX_ITER, basis=None):
-    """Solve ``lp``.  Returns an LPOutcome with a certified optimum.
+_RANK_TOL = 1e-9
 
-    ``basis`` is an optimal outcome's ``basis``, or any (columns, kept
-    rows) of that form, from a program with the same constraint matrix;
-    its objective and rhs may differ (see the module docstring).  Phase 2
-    then starts there, and the cold two-phase solve runs only when it is
-    singular or not primal feasible.
+
+def _crash(A, lead):
+    """A nonsingular basis of the matrix ``A``, as (columns, kept-row mask):
+    the columns ``lead`` in order, then greedy elimination with complete
+    pivoting on the row-equilibrated matrix, each step taking the largest
+    entry left in the rows without a pivot.  A lead column with no entry
+    above ``_RANK_TOL`` there is skipped, and the elimination stops when no
+    column has one; the rows left then depend on the others and are
+    dropped (Bixby, ORSA J. Computing 4, 1992)."""
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    M = A / np.where(scale > 0.0, scale, 1.0)[:, None]
+    left, cols = np.ones(A.shape[0], dtype=bool), []
+    for j in [*lead, None]:
+        while left.any():
+            rows = np.flatnonzero(left)
+            if j is None:
+                k = int(np.argmax(np.abs(M[rows])))
+                r, col = rows[k // A.shape[1]], k % A.shape[1]
+            else:
+                r, col = rows[np.argmax(np.abs(M[rows, j]))], j
+            if not abs(M[r, col]) > _RANK_TOL:
+                break
+            M[rows] -= np.outer(M[rows, col] / M[r, col], M[r])
+            left[r] = False
+            cols.append(int(col))
+            if j is not None:
+                break
+    return tuple(cols), ~left
+
+
+def solve(lp, basis, max_iter=MAX_ITER):
+    """Solve ``lp`` from ``basis``; returns an LPOutcome, a certified
+    optimum or UNBOUNDED.
+
+    ``basis`` is (standard-form columns, kept-row mask), such as
+    ``_crash``'s or an optimal outcome's of a program with the same
+    matrix, and must be nonsingular and primal feasible within
+    ``FEAS_TOL`` on every row, the dropped ones too.  Earlier versions
+    took no basis, ran a phase 1 and reported infeasible programs with a
+    Farkas ray; now a program needs a feasible basis to be solved.
 
     Raises ValidationError for malformed input (via the LinearProgram
-    constructor) and for finite input whose solve overflows the float
-    range, IterationLimitError if pivoting exhausts ``max_iter``, and
-    ConsistencyError if the optimality certificate still fails its own
-    tolerances after ``_REPAIR_ROUNDS`` repair rounds.
+    constructor), for a basis that is missing, does not fit, is singular
+    or is not primal feasible, and for finite input whose solve overflows
+    the float range; IterationLimitError if pivoting exhausts
+    ``max_iter``; and ConsistencyError if the optimality certificate still
+    fails after ``_REPAIR_ROUNDS`` repair rounds.
     """
     if not isinstance(lp, LinearProgram):
         raise ValidationError("solve expects a LinearProgram")
+    if basis is None:
+        raise ValidationError("solve needs a primal feasible starting basis")
+    cols, keep = [int(j) for j in basis[0]], np.asarray(basis[1], dtype=bool)
     with in_float_range("LP data"):
-        outcome = _solve_inner(lp, max_iter, basis)
+        outcome = _solve_inner(lp, cols, keep, max_iter)
     if _dump_path is not None:
-        rec = {"lp": lp.to_dict(), "status": outcome.status}
-        if basis is not None:
-            rec["basis"] = [[int(j) for j in basis[0]], [bool(k) for k in basis[1]]]
+        rec = {"lp": lp.to_dict(), "status": outcome.status,
+               "basis": [cols, [bool(k) for k in keep]]}
         if outcome.status == OPTIMAL:
             rec["value"] = float(outcome.value)
         with _dump_lock:
@@ -321,26 +352,32 @@ def solve(lp, max_iter=MAX_ITER, basis=None):
     return outcome
 
 
-def _solve_inner(lp, max_iter, basis):
+def _solve_inner(lp, cols, keep, max_iter):
     A, b, c, signs = _standardize(lp)
-    start = None if basis is None else _warm_start(A, b, c, basis)
-    if start is None:
-        start = _phase1(A, b, c, max_iter)
-    if isinstance(start, np.ndarray):  # phase 1's Farkas ray
-        return LPOutcome(status=INFEASIBLE, dual_point=signs * start)
-    keep, T, z, basis, iters = start
+    if keep.shape != (A.shape[0],) or len(cols) != keep.sum() or not all(
+        0 <= j < A.shape[1] for j in cols
+    ):
+        raise ValidationError("basis does not fit the program's rows and columns")
     A_kept, b_kept = A[keep], b[keep]
-    status, iters, T, z, basis = _run_simplex(
-        A_kept, b_kept, c, T, z, basis, max_iter, it_start=iters
-    )
+    try:
+        T, z = _refactor(A_kept, b_kept, cols, c)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError("starting basis is singular") from exc
+    start = np.zeros(lp.n_vars)
+    start[cols] = np.maximum(T[:, -1], 0.0)
+    # on every row, the dropped ones too, as ``_check_primal`` checks; NaN fails
+    if not (T[:, -1].min(initial=0.0) >= -FEAS_TOL
+            and backward_error(lp.constraint_matrix, start, lp.rhs) <= FEAS_TOL):
+        raise ValidationError("starting basis is not primal feasible")
+    status, iters, basis = _primal(A_kept, b_kept, c, T, z, cols, max_iter, 0)
     rounds = 0
     while status == OPTIMAL:
-        y_std, dual, failure = _certificate(A_kept, b_kept, c, T, basis)
+        y_std, dual, failure = _certificate(A_kept, b_kept, c, basis)
         if failure is None:
             break
         if rounds == _REPAIR_ROUNDS or not basis:
             raise ConsistencyError(failure)
-        status, iters, T, z, basis = _repair(A_kept, b_kept, c, basis, max_iter, iters)
+        status, iters, basis = _repair(A_kept, b_kept, c, basis, max_iter, iters)
         rounds += 1
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
@@ -353,36 +390,57 @@ def _solve_inner(lp, max_iter, basis):
                      dual_point=signs * dual_point, basis=(tuple(basis), keep))
 
 
-def _certificate(A, b, c, T, basis):
-    """Primal solution and dual from an optimal basis, and why they fail
-    the certificate (None when they pass).
+_SHIFT = 1e-6
 
-    A fresh equilibrated solve usually beats the pivot-accumulated tableau
-    values, but on degenerate (near-singular) bases it can be worse, so the
-    candidate with the smaller residual wins.
-    """
+
+def _primal(A, b, cost, T, z, basis, max_iter, it):
+    """``_run_simplex`` from ``_refactor``'s tableau of a basis, in runs of at
+    most ``_REFRESH_EVERY`` pivots, each from ``_refactor``'s tableau of the
+    basis it starts at.  Before each run every basic value at most
+    ``FEAS_TOL``, in row i of m, is raised to ``_SHIFT`` (1 + i/m) through
+    the rhs (see the module docstring).  Returns the status, the pivot
+    count so far and the basis."""
+    floor = _SHIFT * (1.0 + np.arange(len(basis)) / max(len(basis), 1))
+    while True:
+        xb = T[:, -1]
+        shift = np.where(xb <= FEAS_TOL, floor - xb, 0.0)
+        T[:, -1] += shift
+        stop = min(max_iter, it + _REFRESH_EVERY)
+        try:
+            status, it, _, _, basis = _run_simplex(A, b + A[:, basis] @ shift, cost, T, z,
+                                                   basis, stop, it)
+            return status, it, basis
+        except IterationLimitError:
+            if stop == max_iter:
+                raise
+            it = stop
+            T, z = _refactor(A, b, basis, cost)
+
+
+def _certificate(A, b, c, basis):
+    """Primal solution and dual of a basis, from an equilibrated solve, and
+    why they fail the certificate (None when they pass)."""
     y_std = np.zeros(A.shape[1])
     dual = np.zeros(len(basis))
+    least_x = 0.0
     if basis:
-        B = A[:, basis]
-        xb = np.clip(T[:, -1], 0.0, None)
         try:
-            xb_ref, dual = _refined_basis_solution(B, b, c[basis])
+            xb, dual = _refined_basis_solution(A[:, basis], b, c[basis])
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError("optimal basis is singular") from exc
         if not np.isfinite(dual).all():  # LAPACK overflows without raising
             raise FloatingPointError("overflow in the dual solve")
-        np.clip(xb_ref, 0.0, None, out=xb_ref)
-        if np.abs(B @ xb_ref - b).max() < np.abs(B @ xb - b).max():
-            xb = xb_ref
-        y_std[basis] = xb
+        least_x = float(xb.min())
+        y_std[basis] = np.maximum(xb, 0.0)
     primal_std = float(c @ y_std)
     gap = abs(primal_std - float(dual @ b))
     least = float((c - A.T @ dual).min(initial=0.0))
     cscale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    if least < -GAP_TOL * cscale or gap > GAP_TOL * max(1.0, abs(primal_std)):
+    if not (least_x >= -_PIVOT_TOL and least >= -GAP_TOL * cscale
+            and gap <= GAP_TOL * max(1.0, abs(primal_std))):
         return y_std, dual, (
-            f"dual certificate fails: least reduced cost {least:.3e}, duality gap {gap:.3e}"
+            f"certificate fails: least basic value {least_x:.3e}, "
+            f"least reduced cost {least:.3e}, duality gap {gap:.3e}"
         )
     return y_std, dual, None
 
@@ -393,19 +451,17 @@ _CLEANUP_PIVOTS = 200
 
 def _repair(A, b, cost, basis, max_iter, it):
     """One repair round of an optimal basis whose certificate failed (see
-    the module docstring); returns ``_run_simplex``'s outcome.  The basic
+    the module docstring); returns ``_primal``'s outcome.  The basic
     values and reduced costs are the ones the certificate sees, from the
-    equilibrated solve, not the tableau's."""
+    equilibrated solve, not the tableau's, and so are the primal
+    simplex's after the dual simplex pivots."""
     try:
-        T = _refactor(A, b, basis, cost)[0]
-        xb, y = _refined_basis_solution(A[:, basis], b, cost[basis])
+        T, z = _refactor(A, b, basis, cost)
+        it += _dual_simplex(T, z, basis, _CLEANUP_PIVOTS)
+        T, z = _refactor(A, b, basis, cost)
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError("optimal basis is singular") from exc
-    T[:, -1] = xb
-    z = np.concatenate([cost - A.T @ y, [-float(y @ b)]])
-    z[basis] = 0.0
-    it += _dual_simplex(T, z, basis, _CLEANUP_PIVOTS)
-    return _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=it)
+    return _primal(A, b, cost, T, z, basis, max_iter, it)
 
 
 def _dual_simplex(T, z, basis, max_pivots):
@@ -413,96 +469,30 @@ def _dual_simplex(T, z, basis, max_pivots):
 
     The row with the most negative basic value leaves, and the entering
     column wins the dual ratio test (least z_j / -T[r, j], z_j clipped at
-    0) over that row's entries below ``-_PIVOT_TOL``.  Stops when no basic
-    value is below ``-FEAS_TOL``, when the leaving row has no such entry,
-    or after ``max_pivots`` pivots.
+    0) over that row's entries below ``-_PIVOT_TOL`` times the row's
+    largest magnitude (at least 1), so that drift in a row of large
+    entries cannot pass for a pivot.  Stops when no basic value is below
+    ``-_PIVOT_TOL``, the certificate's bound, when the leaving row has no
+    such entry, or after ``max_pivots`` pivots.
     """
     ncols = T.shape[1] - 1
     for k in range(max_pivots):
         r = int(np.argmin(T[:, -1]))
         row = T[r, :ncols]
-        cand = np.flatnonzero(row < -_PIVOT_TOL)
-        if not T[r, -1] < -FEAS_TOL or cand.size == 0:
+        cand = np.flatnonzero(row < -_PIVOT_TOL * max(1.0, float(np.abs(row).max())))
+        if not T[r, -1] < -_PIVOT_TOL or cand.size == 0:
             return k
         ratios = np.maximum(z[cand], 0.0) / -row[cand]
         _pivot(T, z, basis, r, int(cand[np.argmin(ratios)]))
     return max_pivots
 
 
-def _phase1(A, b, c, max_iter):
-    """Phase 1 from one artificial column per row: the Farkas ray when the
-    program is infeasible, else phase 2's start (kept-row mask, tableau,
-    reduced costs, basis, pivots so far)."""
-    nrows, ncols = A.shape
-    start = ncols + np.arange(nrows)
-    basis = start.tolist()
-    A1 = np.hstack([A, np.eye(nrows)])
-    T = np.hstack([A1, b[:, None]])
-    cost1 = np.concatenate([np.zeros(ncols), np.ones(nrows)])
-    z = _reduced_row(T, basis, cost1)
-    status, iters, T, z, basis = _run_simplex(A1, b, cost1, T, z, basis, max_iter)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below
-        raise ConsistencyError("phase 1 reported unbounded")
-    if -z[-1] > FEAS_TOL:  # equilibrated, so no rhs entry exceeds 1
-        # the phase-1 dual, read off the starting identity columns' reduced costs
-        ray = (cost1 - z[:-1])[start]
-        return ray
-
-    # Drive artificial variables out of the basis (largest pivot in the row
-    # keeps this stable).  A row with no real pivot left is a dependency
-    # among the constraint rows, with weights read off its starting identity
-    # columns; the constraint row it weighs most heavily is dropped, after
-    # eliminating the dependencies already used, so each drops another row.
-    deps = []
-    for r in range(nrows):
-        if basis[r] >= ncols:
-            row = np.abs(T[r, :ncols])
-            col = int(np.argmax(row))
-            if row[col] > 1e-9:
-                _pivot(T, z, basis, r, col)
-            else:
-                deps.append(r)
-    weights = T[deps][:, start]
-    keep = np.ones(nrows, dtype=bool)
-    for k, v in enumerate(weights):
-        i = int(np.argmax(np.abs(v)))
-        keep[i] = False
-        weights[k + 1:] -= np.outer(weights[k + 1:, i] / v[i], v)
-    rows = [r for r in range(nrows) if r not in deps]
-    T = T[rows][:, list(range(ncols)) + [ncols + nrows]]
-    basis = [basis[r] for r in rows]
-
-    # Phase 2 starts on the true objective from a freshly factorized tableau.
-    try:
-        T, z = _refactor(A[keep], b[keep], basis, c)
-    except np.linalg.LinAlgError:  # pragma: no cover - keep the pivoted state
-        z = _reduced_row(T, basis, c)
-    return keep, T, z, basis, iters
-
-
-def _warm_start(A, b, c, basis):
-    """Phase 2's start at the given (columns, kept-row mask), or None when
-    that basis is singular or not primal feasible within ``FEAS_TOL``."""
-    cols, keep = list(basis[0]), np.asarray(basis[1], dtype=bool)
-    if keep.shape != (A.shape[0],) or len(cols) != keep.sum() or not all(
-        0 <= j < A.shape[1] for j in cols
-    ):
-        raise ValidationError("basis does not fit the program's rows and columns")
-    try:
-        T, z = _refactor(A[keep], b[keep], cols, c)
-    except np.linalg.LinAlgError:
-        return None
-    if not T[:, -1].min(initial=0.0) >= -FEAS_TOL:  # NaN fails too
-        return None
-    return keep, T, z, cols, 0
-
-
 def _refined_basis_solution(B, b, cb):
     """Solve B x = b and B' y = cb after row/column equilibration."""
-    row = np.abs(B).max(axis=1)
+    row = np.abs(B).max(axis=1, initial=0.0)
     row[row == 0.0] = 1.0
     Bs = B / row[:, None]
-    col = np.abs(Bs).max(axis=0)
+    col = np.abs(Bs).max(axis=0, initial=0.0)
     col[col == 0.0] = 1.0
     Bs = Bs / col[None, :]
     # with Bs = D1 B D2:  B x = b  <=>  Bs (x / D2) = D1 b, and

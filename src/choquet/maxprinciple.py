@@ -5,8 +5,9 @@ Every convex-trace field attains its maximum on the Choquet boundary; the
 verifiers below realize fields from their max-of-affine specs, compute the
 argmax set and ask only the maximizers whether they lie on the boundary.
 Exposing fields are ``measures._separator``'s: a checked Gram-screen
-field, else Wolfe's, else the membership LP's ray.  The genericity experiment perturbs a
-field by random basis elements and counts how often its maximizer is unique.
+field, else Wolfe's, else the self-mass LP's dual field.  The genericity
+experiment perturbs a field by random basis elements and counts how often
+its maximizer is unique.
 """
 
 from dataclasses import dataclass

@@ -13,12 +13,14 @@ Every hull question is decided here: is column x in the hull of the
 columns of the points S?  Its verdict carries a witness checked by O(nd)
 evaluation that does not trust the simplex engine: weights on S that
 reproduce column x, or a ray (c, t) whose field B'c + t is larger at x
-than on S beyond rounding, zero on every row x's membership LP drops.
+than on S beyond rounding, zero on every row x's self-mass LP drops.
 The screen, Wolfe and the LP propose in turn, each checked so:
 ``_gram_screen``'s raw and whitened Gram fields; then Wolfe's nearest
 point of the hull to x in the screen's whitened frame (``_wolfe``), whose
-weights or field ``_decide`` checks; and last the membership LP's weights
-or Farkas ray.  ``_in_hull`` asks this of a single point, and
+weights or field ``_decide`` checks; and last the self-mass LP
+(``_membership``), min mu_x over the representing measures of x on S and
+x, whose point gives weights and whose dual gives a field.
+``_in_hull`` asks this of a single point, and
 ``_separator`` rescales whichever ray decided into the separator and
 exposing field that ``sets`` and ``maxprinciple`` return.
 ``_hull_members`` asks, of many points, whether each is in the hull of
@@ -49,13 +51,14 @@ slope that keeps it below f, and solves no LP.  The rows the screen runs
 on are the same for every x, so one screen and one vectorized slope
 serve any number of points: a key interval asks it of one point, the
 biconjugate sweep of all of them at once.  Elsewhere each end is one LP
-(``_least_pairing``) with phi from its dual; both LPs have the same rows
-and rhs, so the upper end starts from the lower end's optimal basis;
-each facet of the biconjugate is this LP too, started at the Dirac mass
-from the previous facet's basis.  Representing measures take the same
-two routes.  A failed check raises
-ConsistencyError, except in the closed form, whose point then takes the
-LPs; an overflow while evaluating a witness is a ValidationError.
+(``_least_pairing``) with phi from its dual, started at the Dirac mass
+e_x from ``lp._crash``'s basis; both LPs have the same rows and rhs, so
+the upper end starts from the lower end's optimal basis.  Each facet of
+the biconjugate is this LP too, started at e_x from the previous facet's
+basis.  Representing measures take the same two routes.  A failed check
+raises ConsistencyError, except in the closed form, whose point then
+takes the LPs; an overflow while evaluating a witness is a
+ValidationError.
 """
 
 from dataclasses import dataclass
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import ConsistencyError, IterationLimitError, ValidationError, in_float_range
+from .errors import ConsistencyError, ValidationError, in_float_range
 from .space import Measure, as_field
 
 CERT_TOL = 1e-9
@@ -166,29 +169,34 @@ def _measure_program(P, col, scales, objective=None):
 
 
 def _membership(system, x, S):
-    """The membership LP of column x against the points S (indices or a
-    mask); returns (member, witness) checked by evaluation: weights on S
-    reproducing column x within ``CERT_TOL``, or a Farkas ray (c, t) with
-    B'c + t larger at x than on S beyond rounding."""
+    """The self-mass LP of column x against the points S (indices or a
+    mask): min mu_x over the representing measures of x on S and x,
+    started at the Dirac mass e_x.  Returns (member, witness) checked by
+    evaluation: mu on S, renormalized, as weights reproducing column x
+    within ``CERT_TOL``; else the dual field B'c + t, 1 at x and at most 0
+    on S at the optimum 1, larger at x than on S beyond rounding.  No
+    threshold applies to the LP's value."""
     B, S = system.basis, np.asarray(S)
     P = B[:, S]
-    prog, keep = _measure_program(P, B[:, x], coefficient_scales(system))
-    out = lp.solve(prog)
-    if out.status == lp.OPTIMAL:
-        w = np.maximum(out.point, 0.0)
+    k = P.shape[1]
+    prog, keep = _measure_program(np.column_stack([P, B[:, x]]), B[:, x],
+                                  coefficient_scales(system), np.eye(k + 1)[k])
+    out = lp.solve(prog, lp._crash(prog.constraint_matrix, [k]))
+    w, miss = np.maximum(out.point[:k], 0.0), np.inf
+    if w.sum() > 0.0:
         w /= w.sum()
         miss = lp.backward_error(P, w, B[:, x])
         if miss <= CERT_TOL:
             return True, w
-        problem = f"hull weights miss it by relative {miss:.3e}"
-    else:
-        c = np.zeros(system.d)
-        c[keep], t = out.dual_point[:-1], out.dual_point[-1]
-        margin = separation_margin(B, c, t, x, S)
-        if margin > 0.0:
-            return False, (c, t)
-        problem = f"Farkas ray separates it by {margin:.3e}"
-    raise ConsistencyError(f"membership of point {system.space.labels[x]!r}: {problem}")
+    c = np.zeros(system.d)
+    c[keep], t = out.dual_point[:-1], out.dual_point[-1]
+    margin = separation_margin(B, c, t, x, S)
+    if margin > 0.0:
+        return False, (c, t)
+    raise ConsistencyError(
+        f"membership of point {system.space.labels[x]!r}: its weights on the set miss it "
+        f"by relative {miss:.3e} and its dual field separates it by {margin:.3e}"
+    )
 
 
 def _gram_fields(Q, at, m):
@@ -314,7 +322,7 @@ def _decide(system, x, rest, rows, frame):
 def _in_hull(system, x, S):
     """Is column x in the hull of the columns of the points S (indices), for
     x not in S?  Returns ``_membership``'s (member, witness).  On the rows
-    x's membership LP keeps, ``_gram_screen`` first tries to certify x
+    x's self-mass LP keeps, ``_gram_screen`` first tries to certify x
     outside S with a field c, which gives (False, (c, 0.0)) with c zero on
     the other rows; ``_decide`` settles the rest."""
     B, S = system.basis, np.asarray(S)
@@ -429,11 +437,6 @@ def _bracket(system, f, x, mu, phi):
     return phi
 
 
-# pivots phase 2 may take from a neighbour's Dirac start before the LP is
-# solved cold
-_NEIGHBOUR_PIVOTS = 1000
-
-
 def _least_pairing(system, g, x, start=None):
     """Least pairing <mu, g> over representing measures mu of x, a mu
     attaining it, a minorant phi <= g in the span with phi(x) at that value,
@@ -442,42 +445,34 @@ def _least_pairing(system, g, x, start=None):
     returns.
 
     ``start`` is the record an earlier call on the same system returned,
-    (its point, its kept rows, its optimal basis).  At x itself the LP
-    starts from that basis, whose rhs is the same.  At another point it
-    starts at the Dirac mass (``_neighbour_solve``), and is solved cold
-    when that start fails.
+    (its point, its optimal basis).  The LP's matrix is the same at every
+    point.  At x itself the LP starts from that basis, whose rhs is the
+    same.  At another point it starts at the Dirac mass e_x, a vertex of
+    the representing measures of x: from that basis by one column swap
+    (``_neighbour_basis``), else, like an LP with no record, from
+    ``lp._crash``'s basis that takes column x first.
     """
     B = system.basis
     prog, keep = _measure_program(B, B[:, x], coefficient_scales(system), g)
-    if start is None or start[0] == x:
-        out = lp.solve(prog, basis=None if start is None else start[2])
-    else:
-        out = _neighbour_solve(prog, keep, x, start) or lp.solve(prog)
-    if out.status != lp.OPTIMAL:
-        raise ConsistencyError(
-            f"representing-measure LP reported {out.status}; the Dirac mass is "
-            "always feasible, so this signals an engine bug"
-        )
+    basis = None
+    if start is not None:
+        basis = start[1] if start[0] == x else _neighbour_basis(prog, x, start[1])
+    out = lp.solve(prog, basis or lp._crash(prog.constraint_matrix, [x]))
     c = np.zeros(system.d)
     c[keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
     with in_float_range("field"):
         phi = _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
-    return float(out.value), mu, phi, (x, keep, out.basis)
+    return float(out.value), mu, phi, (x, out.basis)
 
 
-def _neighbour_solve(prog, keep, x, start):
-    """``prog``, the LP of x, solved from a basis whose basic solution is
-    the Dirac mass e_x, a vertex of the representing measures of x: the
-    optimal basis of ``start``'s LP at another point, on the same kept
-    rows, with column x in place of the basic column that B^-1 a_x weighs
-    most.  The rhs of ``prog`` is a_x itself, so B^-1 b is then the unit
-    vector at x.  None when the kept rows differ, that basis is singular or
-    phase 2 reaches ``_NEIGHBOUR_PIVOTS`` pivots."""
-    _, kept, (cols, rows) = start
-    if not np.array_equal(kept, keep):
-        return None
-    cols = list(cols)
+def _neighbour_basis(prog, x, basis):
+    """A basis of ``prog``, the LP of x, whose basic solution is the Dirac
+    mass e_x: ``basis``, optimal for the LP at another point, with column
+    x in place of the basic column that B^-1 a_x weighs most.  The rhs of
+    ``prog`` is a_x itself, so B^-1 b is then the unit vector at x.  None
+    when that basis is singular."""
+    cols, rows = list(basis[0]), basis[1]
     if x not in cols:
         A = prog.constraint_matrix[np.asarray(rows)]
         try:
@@ -485,10 +480,7 @@ def _neighbour_solve(prog, keep, x, start):
         except np.linalg.LinAlgError:
             return None
         cols[int(np.argmax(np.abs(w)))] = x
-    try:
-        return lp.solve(prog, max_iter=_NEIGHBOUR_PIVOTS, basis=(cols, rows))
-    except IterationLimitError:
-        return None
+    return cols, rows
 
 
 def _dirac_values(system, fields, points):

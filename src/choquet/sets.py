@@ -6,7 +6,7 @@ trace hull adds no further points.  Membership of a point in the hull of a
 set is decided and checked in ``measures`` (the Choquet boundary asks the
 same question): a Gram field built from the data certifies most points
 outside the hull, Wolfe's nearest point settles the rest, and one small
-feasibility LP decides what it leaves open (``measures._in_hull``), and
+self-mass LP decides what it leaves open (``measures._in_hull``), and
 separation rescales the field that decided; the trace hull and extreme
 points ask the question of many points against one set, but only where no
 cached, checked witness answers (``measures._hull_members``).

@@ -42,7 +42,7 @@ def count_lps(monkeypatch):
 
 def no_wolfe(monkeypatch):
     """From here on Wolfe's algorithm proposes nothing, so every hull
-    question the Gram screen leaves open reaches its membership LP."""
+    question the Gram screen leaves open reaches its self-mass LP."""
     monkeypatch.setattr(measures, "_wolfe", lambda Y: None)
 
 
@@ -64,7 +64,7 @@ def forge_wolfe(monkeypatch):
 def is_vertex(system, x):
     """Whether column x is outside the convex hull of the other columns.
 
-    The boundary's own membership LP decides the same question, so this
+    The boundary's own self-mass LP decides the same question, so this
     oracle asks HiGHS instead of ``choquet.lp``.
     """
     others = [j for j in range(system.n) if j != x]
@@ -118,10 +118,12 @@ def biconjugate_lp(system, f, points=None):
 
 def hat_positive_lp(system, f):
     """Measure-side route: the least pairing <mu, f> over representing
-    measures, one unchecked LP per point."""
+    measures, one unchecked LP per point, each from its crash basis at the
+    Dirac mass."""
     B, scales, out = system.basis, measures.coefficient_scales(system), []
     for x in range(system.n):
-        res = lp.solve(measures._measure_program(B, B[:, x], scales, f)[0])
+        prog = measures._measure_program(B, B[:, x], scales, f)[0]
+        res = lp.solve(prog, lp._crash(prog.constraint_matrix, [x]))
         assert res.status == lp.OPTIMAL
         out.append(res.value)
     return np.array(out)
@@ -158,7 +160,7 @@ def kyfan_between_lp(system, x, y, z):
 
 def extreme_lp(system, S):
     """The distinct points S whose column is outside the hull of the other
-    points' columns, by one membership LP per point: the route
+    points' columns, by one self-mass LP per point: the route
     ``choquet_boundary`` and ``phi_extreme_points`` took before the hull
     oracle."""
     S = np.asarray(S, dtype=int)
@@ -166,7 +168,7 @@ def extreme_lp(system, S):
 
 
 def trace_hull_lp(system, S, ambient=None):
-    """One membership LP per point, the route ``trace_hull`` took before its
+    """One self-mass LP per point, the route ``trace_hull`` took before its
     witness-reusing oracle."""
     S = sets.as_point_set(S, system.n)
     scope = range(system.n) if ambient is None else sets.as_point_set(ambient, system.n)

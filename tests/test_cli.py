@@ -326,10 +326,11 @@ def test_dump_lp_flag(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["boundary", str(inst), "--dump-lp", str(dump)], capsys=capsys)
     assert code == 0
     lines = dump.read_text().splitlines()
-    assert len(lines) == len(calls) >= 1  # one record per membership LP solved
-    # every record replays: the rebuilt LP gives the same status and value
+    assert len(lines) == len(calls) >= 1  # one record per self-mass LP solved
+    # every record carries its starting basis and replays from it: the
+    # rebuilt LP gives the same status and value
     for rec in map(json.loads, lines):
-        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]))
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), basis=rec["basis"])
         assert out.status == rec["status"]
         assert (out.value if out.status == lp.OPTIMAL else None) == rec.get("value")
 
@@ -345,7 +346,7 @@ def test_dump_lp_flag(tmp_path, capsys, monkeypatch):
     assert not kyfan_dump.exists() or kyfan_dump.read_text() == ""
 
     # separation shares in_hull's route: a member still reaches the
-    # membership LP, and its record replays
+    # self-mass LP, and its record replays
     sep_dump = tmp_path / "separate.jsonl"
     code, out, _ = run_cli(
         ["separate", str(nat4), "--points", "1,4", "--target", "2", "--dump-lp", str(sep_dump)],

@@ -133,18 +133,20 @@ def test_sweep_matches_per_point_lp_oracles():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["disk32", "cantor3"])
 def test_warm_sweep_matches_the_cold_route_with_few_phase_1s(name, seed, monkeypatch):
-    # after its first LP the sweep starts each LP at the Dirac vertex of the
-    # previous LP's optimal basis, so phase 1 runs again only where that
-    # start fails; the cold route ran it once per LP (up to 23 times here).
-    # On cantor(3) the boundary takes the closed form and one LP the rest
+    # every LP of the sweep starts at a Dirac vertex: its first at the crash
+    # basis, each later one from the previous LP's optimal basis, so every
+    # lp.solve call gets a basis (phase 1, which ran once per LP on the cold
+    # route, is gone).  On cantor(3) the boundary takes the closed form and
+    # one LP the rest
     system = gen_disk(32, 1, 8).system if name == "disk32" else gen_cantor(3).system
     rng = np.random.default_rng(seed)
     f = convexify.realize_convex_trace(system, random_spec(system, rng))
     for g in (f, f + 0.05 * rng.normal(size=system.n)):
-        lps, phase1 = count_lps(monkeypatch), count_calls(monkeypatch, "_phase1")
+        lps, crashes = count_lps(monkeypatch), count_calls(monkeypatch, "_crash")
         got = convexify.biconjugate(system, g)
         monkeypatch.undo()
-        assert len(phase1) <= 2 and (name == "disk32" or len(lps) <= 1)
+        assert all(args[1] is not None for args in lps) and len(crashes) == min(len(lps), 1)
+        assert name == "disk32" or len(lps) <= 1
         tol = measures.AGREE_TOL * (1.0 + np.abs(g).max())
         assert np.abs(got - hat_positive_lp(system, g)).max() <= tol
 
@@ -232,8 +234,8 @@ def test_convexity_test_stops_early_with_the_gap_verdict(monkeypatch):
 
 
 def test_dumped_sweep_lps_replay_from_their_bases(tmp_path):
-    # every LP of a sweep after the first records the Dirac start it was
-    # solved from, and solved again from it gives the same value
+    # every LP of a sweep records the Dirac start it was solved from, and
+    # solved again from it gives the same outcome, bit for bit
     system = gen_disk(32, 1, 8).system
     f = _convex_field(np.random.default_rng(1), system)
     path = tmp_path / "lps.jsonl"
@@ -243,10 +245,9 @@ def test_dumped_sweep_lps_replay_from_their_bases(tmp_path):
     finally:
         lp.set_dump_path(None)
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(records) > 1
-    assert "basis" not in records[0] and all("basis" in rec for rec in records[1:])
+    assert len(records) > 1 and all("basis" in rec for rec in records)
     for rec in records:
-        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), basis=rec.get("basis"))
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), rec["basis"])
         assert out.status == rec["status"] == lp.OPTIMAL and out.value == rec["value"]
 
 

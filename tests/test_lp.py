@@ -11,24 +11,30 @@ from conftest import count_calls
 
 
 def test_single_variable_bound():
-    # min x subject to x >= 3, written as the row -x + s = -3 with slack s >= 0
-    out = lp.solve(lp.LinearProgram([1.0, 0.0], [[-1.0, 1.0]], [-3.0]))
+    # min x subject to x >= 3, written as the row -x + s = -3 with slack s >= 0,
+    # from the basis {x}
+    out = lp.solve(lp.LinearProgram([1.0, 0.0], [[-1.0, 1.0]], [-3.0]), ((0,), [True]))
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(3.0, abs=1e-9)
     assert out.point[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_contradictory_simplex_constraints_infeasible():
+    # x1 + x2 = 1 and x1 - x2 = 3 force x2 = -1: no basis is primal feasible,
+    # and the engine, which has no phase 1, rejects each one handed to it
     prog = lp.LinearProgram(
         [0.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 3.0]
     )
-    assert lp.solve(prog).status == lp.INFEASIBLE
+    for basis in [((0, 1), [True, True]), ((0,), [True, False]), ((1,), [False, True]),
+                  ((), [False, False])]:
+        with pytest.raises(ValidationError):
+            lp.solve(prog, basis)
 
 
 def test_free_variable_unbounded():
     # a free variable is a (+, -) pair of columns; max of it is unbounded
     prog = lp.LinearProgram([-1.0, 1.0], np.zeros((0, 2)), [])
-    assert lp.solve(prog).status == lp.UNBOUNDED
+    assert lp.solve(prog, ((), [])).status == lp.UNBOUNDED
 
 
 def test_dimension_mismatch_rejected():
@@ -43,10 +49,12 @@ def test_dimension_mismatch_rejected():
 def test_iteration_limit_is_explicit():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(6, 9))
-    x0 = rng.uniform(0.0, 1.0, 9)
-    prog = lp.LinearProgram(rng.normal(size=9), A, A @ x0)
+    lead = rng.choice(9, size=6, replace=False)
+    prog = lp.LinearProgram(rng.normal(size=9), A, A[:, lead] @ rng.uniform(0.0, 1.0, 6))
+    basis = lp._crash(A, lead)
+    assert lp.solve(prog, basis).status in (lp.OPTIMAL, lp.UNBOUNDED)
     with pytest.raises(IterationLimitError):
-        lp.solve(prog, max_iter=1)
+        lp.solve(prog, basis, max_iter=1)
 
 
 def _with_slacks(c, A, rels, b):
@@ -60,52 +68,71 @@ def _with_slacks(c, A, rels, b):
 
 
 def _bland_cycle_lp():
-    """The LE rows A x <= b of ``bland_cycle_lp.json`` as [A | I] (x, s) = b."""
+    """The LE rows A x <= b of ``bland_cycle_lp.json`` as [A | I] (x, s) = b,
+    with its slack basis, feasible since b >= 0."""
     data = json.loads((Path(__file__).parent / "data" / "bland_cycle_lp.json").read_text())
     b = data["rhs"]
-    return _with_slacks(data["objective"], data["matrix"], ["LE"] * len(b), b)
+    prog = _with_slacks(data["objective"], data["matrix"], ["LE"] * len(b), b)
+    return prog, (tuple(range(prog.n_vars - len(b), prog.n_vars)), [True] * len(b))
 
 
 def test_restricted_bland_rule_cannot_cycle(monkeypatch):
     # with a wider pivot filter Bland's rule cycles on this degenerate LP;
-    # the unrestricted rule that takes over after a long stall ends it
-    prog = _bland_cycle_lp()
+    # the unrestricted rule that takes over after a long stall ends it.
+    # ``solve`` shifts the degenerate slack basis and then never cycles, so
+    # the simplex loop runs here unshifted, from the slack basis
+    prog, basis = _bland_cycle_lp()
     status, value = _highs(prog)
     assert status == 0
+
+    def run():
+        A, b, c, _ = lp._standardize(prog)
+        T, z = lp._refactor(A, b, list(basis[0]), c)
+        status, _, _, z, _ = lp._run_simplex(A, b, c, T, z, list(basis[0]), 5000)
+        return status, -z[-1]
+
     monkeypatch.setattr(lp, "_BLAND_PIVOT_FRAC", 0.25)
-    assert lp.solve(prog, max_iter=5000).value == pytest.approx(value, abs=1e-9)
+    assert run() == (lp.OPTIMAL, pytest.approx(value, abs=1e-9))
     monkeypatch.setattr(lp, "_BLAND_EXACT_AFTER", 10**9)
     with pytest.raises(IterationLimitError):
-        lp.solve(prog, max_iter=5000)
+        run()
+    assert lp.solve(prog, basis, max_iter=5000).value == pytest.approx(value, abs=1e-9)
+
+
+def _rows(rng, m, n):
+    """A random m x n matrix and relations "LE" or "EQ" for its rows."""
+    return rng.normal(size=(m, n)), [("LE", "EQ")[i] for i in rng.integers(0, 2, m)]
+
+
+def _at_random_basis(rng, c, A, rels):
+    """The program with rows ``A``, ``rels`` and objective ``c`` whose rhs is
+    a combination, with weights in [0, 1], of the columns of a random basis
+    of its equality form; returns it with that basis (``lp._crash`` on those
+    columns), a feasible start."""
+    M = _with_slacks(c, A, rels, np.zeros(len(rels))).constraint_matrix
+    lead = rng.choice(M.shape[1], size=min(M.shape), replace=False)
+    b = M[:, lead] @ rng.uniform(0.0, 1.0, lead.size)
+    return _with_slacks(c, A, rels, b), lp._crash(M, lead)
 
 
 def _random_feasible_bounded(rng):
-    """Feasible by construction (b from a feasible x0), bounded below by 0."""
-    m = int(rng.integers(1, 8))
-    n = int(rng.integers(1, 8))
-    A = rng.normal(size=(m, n))
-    x0 = rng.uniform(0.0, 1.0, n)
-    rels = [("LE", "EQ")[i] for i in rng.integers(0, 2, m)]
-    b = A @ x0 + np.where([r == "LE" for r in rels], rng.uniform(0, 1, m), 0.0)
-    c = np.abs(rng.normal(size=n))
-    return _with_slacks(c, A, rels, b)
+    """(program, feasible starting basis), bounded below by 0."""
+    A, rels = _rows(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    return _at_random_basis(rng, np.abs(rng.normal(size=A.shape[1])), A, rels)
 
 
 def _random_lp(rng):
-    """Random LE/EQ rows over x >= 0, in equality form: half the draws
-    feasible by construction, the others with a random rhs; the objective
-    has either sign, so infeasible, unbounded and optimal programs all
-    occur."""
-    m = int(rng.integers(1, 6))
-    n = int(rng.integers(1, 6))
-    A = rng.normal(size=(m, n))
-    rels = [("LE", "EQ")[i] for i in rng.integers(0, 2, m)]
+    """(program, feasible starting basis) over x >= 0, in equality form:
+    half the draws LE/EQ rows with the rhs at a random basis, the others LE
+    rows with a random rhs b >= 0 that start at their slacks; the objective
+    has either sign, so unbounded and optimal programs both occur."""
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     if rng.uniform() < 0.5:
-        b = A @ rng.uniform(0.0, 1.0, n) + np.where([r == "LE" for r in rels],
-                                                    rng.uniform(0, 1, m), 0.0)
-    else:
-        b = rng.normal(size=m)
-    return _with_slacks(rng.normal(size=n), A, rels, b)
+        A, rels = _rows(rng, m, n)
+        return _at_random_basis(rng, rng.normal(size=n), A, rels)
+    prog = _with_slacks(rng.normal(size=n), rng.normal(size=(m, n)), ["LE"] * m,
+                        np.abs(rng.normal(size=m)))
+    return prog, (tuple(range(n, n + m)), [True] * m)
 
 
 def _highs(prog):
@@ -118,8 +145,8 @@ def _highs(prog):
 def test_strong_duality_200_random():
     rng = np.random.default_rng(1234)
     for _ in range(200):
-        prog = _random_feasible_bounded(rng)
-        out = lp.solve(prog)
+        prog, basis = _random_feasible_bounded(rng)
+        out = lp.solve(prog, basis)
         assert out.status == lp.OPTIMAL
         # every variable sits at x >= 0, so the dual objective is exactly b . y
         dual_value = float(prog.rhs @ out.dual_point)
@@ -132,8 +159,8 @@ def test_strong_duality_200_random():
 def test_resubstitution_within_feas_tol():
     rng = np.random.default_rng(77)
     for _ in range(50):
-        prog = _random_feasible_bounded(rng)
-        out = lp.solve(prog)
+        prog, basis = _random_feasible_bounded(rng)
+        out = lp.solve(prog, basis)
         worst = np.abs(prog.constraint_matrix @ out.point - prog.rhs).max()
         assert worst <= 1e-9 * max(1.0, np.abs(prog.rhs).max())
         assert out.point.min() >= 0.0
@@ -141,8 +168,8 @@ def test_resubstitution_within_feas_tol():
 
 def test_deterministic_outcomes():
     rng = np.random.default_rng(9)
-    prog = _random_feasible_bounded(rng)
-    a, b = lp.solve(prog), lp.solve(prog)
+    prog, basis = _random_feasible_bounded(rng)
+    a, b = lp.solve(prog, basis), lp.solve(prog, basis)
     assert a.status == b.status and a.value == b.value
     assert np.array_equal(a.point, b.point)
     assert np.array_equal(a.dual_point, b.dual_point)
@@ -152,24 +179,26 @@ def test_against_scipy_reference():
     rng = np.random.default_rng(42)
     seen = set()
     for _ in range(120):
-        prog = _random_lp(rng)
-        out = lp.solve(prog)
+        prog, basis = _random_lp(rng)
+        out = lp.solve(prog, basis)
         status, value = _highs(prog)
         seen.add(out.status)
         if out.status == lp.OPTIMAL:
             assert status == 0
             assert out.value == pytest.approx(value, abs=1e-6, rel=1e-6)
-        elif out.status == lp.UNBOUNDED:
+        else:
             # HiGHS presolve may fold unbounded into "infeasible or unbounded"
             assert status in (2, 3)
-        else:
-            assert status == 2
-    assert seen == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert seen == {lp.OPTIMAL, lp.UNBOUNDED}
 
 
 def test_zero_variable_program():
+    # its one row 0 = 1 holds at no point: the empty basis that drops it is
+    # not primal feasible, and no other fits
     prog = lp.LinearProgram([], np.zeros((1, 0)), [1.0])
-    assert lp.solve(prog).status == lp.INFEASIBLE
+    for basis in [((), [False]), None]:
+        with pytest.raises(ValidationError):
+            lp.solve(prog, basis)
 
 
 def test_dump_lp_writes_json_lines(tmp_path):
@@ -178,16 +207,16 @@ def test_dump_lp_writes_json_lines(tmp_path):
     try:
         # min x subject to x >= 2: the row -x + s = -2 with slack s >= 0
         prog = lp.LinearProgram([1.0, 0.0], [[-1.0, 1.0]], [-2.0])
-        lp.solve(prog)
+        lp.solve(prog, ((0,), [True]))
     finally:
         lp.set_dump_path(None)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
-    assert rec["status"] == lp.OPTIMAL
+    assert rec["status"] == lp.OPTIMAL and rec["basis"] == [[0], [True]]
     assert sorted(rec["lp"]) == ["matrix", "objective", "rhs"]
     rebuilt = lp.LinearProgram.from_dict(rec["lp"])
-    assert lp.solve(rebuilt).value == pytest.approx(2.0)
+    assert lp.solve(rebuilt, rec["basis"]).value == pytest.approx(2.0)
     # every variable lies in [0, inf) and every row is an equality
     assert rebuilt.lower.tolist() == [0.0, 0.0] and rebuilt.upper.tolist() == [np.inf, np.inf]
     assert rebuilt.relations == ("EQ",)
@@ -198,7 +227,7 @@ def test_from_dict_reads_records_with_equality_relations():
     rebuilt = lp.LinearProgram.from_dict(
         {"objective": [1.0, 0.0], "matrix": [[-1.0, 1.0]], "rhs": [-2.0], "relations": ["EQ"]}
     )
-    assert lp.solve(rebuilt).value == pytest.approx(2.0)
+    assert lp.solve(rebuilt, ((0,), [True])).value == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("relations", [["LE"], ["GE"], ["XX"]], ids=["LE", "GE", "XX"])
@@ -233,17 +262,17 @@ def _lp_corpus():
 
 
 def test_standardize_matches_column_loop():
-    for prog in _lp_corpus():
+    for prog, _ in _lp_corpus():
         for a, r in zip(lp._standardize(prog), _standardize_loop(prog)):
             assert np.array_equal(a, r)
 
 
 def test_solve_bit_identical_to_column_loop(monkeypatch):
     progs = _lp_corpus()
-    new = [lp.solve(prog) for prog in progs]
+    new = [lp.solve(prog, basis) for prog, basis in progs]
     monkeypatch.setattr(lp, "_standardize", _standardize_loop)
-    for prog, out in zip(progs, new):
-        ref = lp.solve(prog)
+    for (prog, basis), out in zip(progs, new):
+        ref = lp.solve(prog, basis)
         assert out.status == ref.status
         if ref.status == lp.OPTIMAL:
             assert out.value == ref.value
@@ -255,17 +284,19 @@ def test_solve_bit_identical_to_column_loop(monkeypatch):
 def test_dependent_row_dropped_by_its_weight_and_dual_certified(extra):
     # the self-mass LP of p55 in gen_random(80, 6, seed=3): min mu_55 over
     # probability measures representing column 55, whose appended ones row
-    # duplicates the basis's constant row.  Dropping the constraint row of
-    # the stuck artificial kept both ones rows and ended on a basis of
-    # condition 6.6e16 whose dual had value 0.45 and reduced costs down to
-    # -2.3; the dependency's heaviest row must go instead.  With extra
-    # dependent rows each dependency must drop a different row.
+    # duplicates the basis's constant row.  Phase 1 once dropped the
+    # constraint row of a stuck artificial, kept both ones rows and ended on
+    # a basis of condition 6.6e16 whose dual had value 0.45 and reduced
+    # costs down to -2.3.  The crash basis at column 55 now finds the
+    # dependencies: each of them, 1 and 5 here, drops its own row
     rng = np.random.default_rng(3)
     B = np.vstack([np.ones(80), rng.uniform(0.0, 1.0, size=(5, 80))])
     A = np.vstack([B, np.ones((1, 80)), 2.0 * B[:extra], B[1:1 + extra] + B[2:2 + extra]])
     rhs = A[:, 55].copy()
     c = np.eye(80)[55]
-    out = lp.solve(lp.LinearProgram(c, A, rhs))
+    basis = lp._crash(A, [55])
+    assert basis[0][0] == 55 and np.count_nonzero(~basis[1]) == 1 + 2 * extra
+    out = lp.solve(lp.LinearProgram(c, A, rhs), basis)
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
     y = out.dual_point
@@ -277,16 +308,16 @@ def _warm_corpus():
     rng = np.random.default_rng(2024)
     rows = np.vstack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])  # one dependent row
     return [_bland_cycle_lp(),
-            lp.LinearProgram(np.arange(6.0) ** 2, rows, rows[:, 2]),
+            (lp.LinearProgram(np.arange(6.0) ** 2, rows, rows[:, 2]), lp._crash(rows, [2])),
             *(_random_feasible_bounded(rng) for _ in range(20))]
 
 
 def test_warm_start_from_its_own_optimal_basis_takes_no_pivot(monkeypatch):
-    for prog in _warm_corpus():
-        cold = lp.solve(prog)
-        pivots, phase1 = count_calls(monkeypatch, "_pivot"), count_calls(monkeypatch, "_phase1")
+    for prog, basis in _warm_corpus():
+        cold = lp.solve(prog, basis)
+        pivots = count_calls(monkeypatch, "_pivot")
         warm = lp.solve(prog, basis=cold.basis)
-        assert (len(pivots), len(phase1)) == (0, 0)
+        assert len(pivots) == 0
         assert warm.status == lp.OPTIMAL
         assert abs(warm.value - cold.value) <= lp.GAP_TOL * max(1.0, abs(cold.value))
         assert np.array_equal(warm.basis[1], cold.basis[1])
@@ -298,43 +329,63 @@ def test_warm_start_from_its_own_optimal_basis_takes_no_pivot(monkeypatch):
 _SMALL = lp.LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0])
 
 
+_SMALL_START = ((0, 2), [True, True])  # x1 = 1, x3 = 2
+
+
 @pytest.mark.parametrize(
     "prog, start",
     [(_SMALL, "none"), (_SMALL, "singular"), (_SMALL, "infeasible"),
-     (_bland_cycle_lp(), "none"), (_bland_cycle_lp(), "singular")],
+     (_bland_cycle_lp()[0], "none"), (_bland_cycle_lp()[0], "singular")],
     ids=["small-none", "small-singular", "small-infeasible", "bland-cycle-none",
          "bland-cycle-singular"],
 )
 def test_unusable_starting_basis_gives_the_cold_outcome(prog, start, monkeypatch):
-    cold = lp.solve(prog)
-    cols, keep = cold.basis
+    # there is no cold outcome any more: with no phase 1 to fall back on, a
+    # missing, singular or primal infeasible basis is rejected
+    good = _SMALL_START if prog is _SMALL else _bland_cycle_lp()[1]
+    assert lp.solve(prog, good).status == lp.OPTIMAL
+    cols, keep = good
     basis = {
         "none": None,
         "singular": ((cols[0], *cols[:-1]), keep),  # a repeated column
         "infeasible": ((0, 1), np.ones(2, dtype=bool)),
     }[start]
-    if basis is not None:
-        A, b, c, _ = lp._standardize(prog)
-        assert lp._warm_start(A, b, c, basis) is None
-    phase1 = count_calls(monkeypatch, "_phase1")
-    out = lp.solve(prog, basis=basis)
-    assert len(phase1) == 1
-    assert out.status == cold.status
-    assert abs(out.value - cold.value) <= lp.GAP_TOL
+    pivots = count_calls(monkeypatch, "_pivot")
+    with pytest.raises(ValidationError):
+        lp.solve(prog, basis=basis)
+    assert not pivots
 
 
 def test_basis_that_does_not_fit_is_rejected():
-    cols, keep = lp.solve(_SMALL).basis
+    cols, keep = lp.solve(_SMALL, _SMALL_START).basis
     for basis in [(cols, keep[:1]), (cols[:1], keep), ((0, 9), keep)]:
         with pytest.raises(ValidationError):
             lp.solve(_SMALL, basis=basis)
 
 
 def test_repair_runs_only_where_the_certificate_fails(monkeypatch):
-    repairs = count_calls(monkeypatch, "_repair")
-    for prog in [*_lp_corpus(), *_warm_corpus(), _SMALL]:
-        lp.solve(prog)
-    assert repairs == []
+    # the shift leaves negative basic values for the true rhs, so repairs
+    # run, but each only after a failed certificate, and the last
+    # certificate of every solve passes
+    events, certificate, repair = [], lp._certificate, lp._repair
+
+    def certifying(*args):
+        out = certificate(*args)
+        events.append(out[2] is None)
+        return out
+
+    def repairing(*args):
+        events.append("repair")
+        return repair(*args)
+
+    monkeypatch.setattr(lp, "_certificate", certifying)
+    monkeypatch.setattr(lp, "_repair", repairing)
+    for prog, basis in [*_lp_corpus(), *_warm_corpus(), (_SMALL, _SMALL_START)]:
+        events.clear()
+        if lp.solve(prog, basis).status == lp.OPTIMAL:
+            assert events[-1] is True
+        for before, event in zip(events, events[1:]):
+            assert event != "repair" or before is False
 
 
 @pytest.mark.parametrize("k", [0, 1], ids=["ring2_087", "ring3_081"])
@@ -345,14 +396,27 @@ def test_failed_certificate_is_repaired_from_its_basis(k, monkeypatch):
     # costs had drifted from the refactorized ones (least reduced cost
     # -8.0e-08), and at ring3_081 a basic value of -7.2e-05 never left,
     # because the ratio test clips negative basics to 0 (gap 3.0e-04)
+    # because the ratio test clips negative basics to 0 (gap 3.0e-04).  Each
+    # record holds the basis that simplex stopped on; the repair rounds
+    # start there, and the LP solved from its crash basis agrees too
     path = Path(__file__).parent / "data" / "disk128_lower_end_lps.jsonl"
     rec = json.loads(path.read_text().splitlines()[k])
     prog = lp.LinearProgram.from_dict(rec["lp"])
-    repairs = count_calls(monkeypatch, "_repair")
-    out = lp.solve(prog)
-    assert out.status == lp.OPTIMAL and len(repairs) >= 1
+    A, b, c, _ = lp._standardize(prog)
+    basis = list(rec["failed_basis"][0])
+    assert all(rec["failed_basis"][1])
+    assert lp._certificate(A, b, c, basis)[2] is not None
+    for rounds in range(1, lp._REPAIR_ROUNDS + 1):
+        status, _, basis = lp._repair(A, b, c, basis, lp.MAX_ITER, 0)
+        y_std, _, failure = lp._certificate(A, b, c, basis)
+        if status == lp.OPTIMAL and failure is None:
+            break
+    assert failure is None
     status, value = _highs(prog)
     assert status == 0
+    assert abs(c @ y_std - value) <= 1e-9 * (1.0 + np.abs(prog.objective).max())
+    x = int(np.flatnonzero((prog.constraint_matrix == prog.rhs[:, None]).all(axis=0))[0])
+    out = lp.solve(prog, lp._crash(prog.constraint_matrix, [x]))
     assert abs(out.value - value) <= 1e-9 * (1.0 + np.abs(prog.objective).max())
 
 
@@ -443,10 +507,10 @@ def _outcome(prog, **kwargs):
 
 
 def test_pivot_loop_bit_identical_to_its_reference(monkeypatch):
-    # the corpus holds optimal, infeasible and unbounded programs, Bland
-    # stalls (``bland_cycle_lp.json``) and warm starts from optimal bases
-    progs = [(prog, None) for prog in [*_lp_corpus(), *_warm_corpus()]]
-    progs += [(prog, lp.solve(prog).basis) for prog in _warm_corpus()]
+    # the corpus holds optimal and unbounded programs, a Bland stall
+    # (``bland_cycle_lp.json``) and warm starts from optimal bases
+    progs = [*_lp_corpus(), *_warm_corpus()]
+    progs += [(prog, lp.solve(prog, basis).basis) for prog, basis in _warm_corpus()]
     new = [_outcome(prog, basis=basis) for prog, basis in progs]
     monkeypatch.setattr(lp, "_pivot", _pivot_outer)
     monkeypatch.setattr(lp, "_run_simplex", _run_simplex_masks)

@@ -388,28 +388,36 @@ def _tampered_solve(monkeypatch, corrupt):
 
 def test_corrupted_dual_is_caught(monkeypatch):
     # the Gram screen leaves vertices of this Gaussian cloud to their own
-    # LPs: the first one's negated Farkas ray separates it the wrong way
+    # LPs: the first one's negated dual field separates it the wrong way
     system = _cloud(0, 40, 3)
     _tampered_solve(monkeypatch, lambda out: replace(out, dual_point=-out.dual_point))
-    with pytest.raises(ConsistencyError, match="Farkas ray"):
+    with pytest.raises(ConsistencyError, match="dual field separates it by -"):
         measures.choquet_boundary(system)
 
 
-@pytest.mark.parametrize("point", [np.full(3, 1 / 3), np.eye(3)[0]], ids=["uniform", "dirac"])
+@pytest.mark.parametrize("point", [np.full(4, 1 / 4), np.eye(4)[0]], ids=["uniform", "dirac"])
 def test_corrupted_measure_is_caught(naturals4, monkeypatch, point):
     # point 1 (label "2") is interior, so its witness is weights on the
-    # other three points; these two miss its column
+    # other three points: the self-mass LP's point on them, renormalized,
+    # which for these two points misses its column
     _tampered_solve(monkeypatch, lambda out: replace(out, point=point))
-    with pytest.raises(ConsistencyError, match="hull weights miss it"):
+    with pytest.raises(ConsistencyError, match="weights on the set miss it"):
         measures.min_self_mass(naturals4.system, 1)
 
 
 def test_overflowing_key_interval_is_an_input_error():
-    # the least-pairing LP's dual overflows on this finite field; its NaN
-    # minorant used to pass the bracket and give an interval
+    # the cold least-pairing LP's dual overflowed on this finite field, and
+    # its NaN minorant once passed the bracket and gave an interval.  This
+    # field is affine in the cantor(2) basis, and from the crash basis the
+    # LPs of the interior point 3 stay in range: both ends are the exact
+    # value 1e308 f(3), checked by the bracket.  A field whose witnesses do
+    # overflow is still an input error
+    # (``test_convexify.py::test_overflowing_field_is_an_input_error``)
     system = gen_cantor(2).system
-    with pytest.raises(ValidationError):
-        measures.key_interval(system, 1e308 * np.linspace(-1, 1, system.n), 3)
+    f = 1e308 * np.linspace(-1, 1, system.n)
+    assert not measures.choquet_boundary(system).is_boundary[3]
+    iv = measures.key_interval(system, f, 3)
+    assert (iv.lo, iv.hi) == (f[3], f[3])
 
 
 @pytest.mark.parametrize("at", ["x", "elsewhere"])
@@ -525,27 +533,30 @@ _SCREENED = pytest.mark.parametrize(
 def test_key_interval_needs_no_lp_on_the_screened_boundary(make, seed, monkeypatch):
     # the screen certifies every boundary point of both systems: there both
     # ends are f(x) exactly; elsewhere the upper end starts from the lower
-    # end's basis and runs no phase 1
+    # end's basis; every LP gets a basis, so none runs a phase 1
     system = make().system
     f = _noisy_convex_field(system, seed)
     lo, hi = hat_positive_lp(system, f), -hat_positive_lp(system, -f)
     bound = 1e-11 * (1.0 + np.abs(f).max())
     boundary = measures.choquet_boundary(system).is_boundary
-    lps, phase1 = count_lps(monkeypatch), count_calls(monkeypatch, "_phase1")
+    lps, crashes = count_lps(monkeypatch), count_calls(monkeypatch, "_crash")
     for x in range(system.n):
-        lps.clear(), phase1.clear()
+        lps.clear(), crashes.clear()
         iv = measures.key_interval(system, f, x)
         if boundary[x]:
             assert (len(lps), iv.lo, iv.hi) == (0, f[x], f[x])
         else:
-            assert (len(lps), len(phase1)) == (2, 1) and iv.lo < iv.hi
+            assert len(lps) == 2 and iv.lo < iv.hi
+            # the lower end starts at the crash basis, the upper end at the
+            # lower end's optimal basis
+            assert len(crashes) == 1 and lps[1][1] is not None
         assert abs(iv.lo - lo[x]) <= bound and abs(iv.hi - hi[x]) <= bound
 
 
 def test_dumped_key_interval_lps_replay_from_their_bases(tmp_path):
-    # the upper end starts from the lower end's basis; re-solved cold, 30 of
-    # these 80 records end on another optimal basis with a value that
-    # differs in the last bits, so a record carries its starting basis
+    # every record carries the basis its LP started from: the lower end's
+    # crash basis, and the lower end's optimal basis for the upper end.
+    # Solved again from it, each gives the same outcome, bit for bit
     path = tmp_path / "lps.jsonl"
     lp.set_dump_path(str(path))
     try:
@@ -558,9 +569,9 @@ def test_dumped_key_interval_lps_replay_from_their_bases(tmp_path):
     finally:
         lp.set_dump_path(None)
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert sum("basis" in rec for rec in records) == 40
+    assert len(records) == 80 and all("basis" in rec for rec in records)
     for rec in records:
-        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), basis=rec.get("basis"))
+        out = lp.solve(lp.LinearProgram.from_dict(rec["lp"]), rec["basis"])
         assert out.status == rec["status"] == lp.OPTIMAL and out.value == rec["value"]
 
 
@@ -612,6 +623,7 @@ def test_representing_measure_is_the_dirac_mass_on_the_screened_boundary(monkeyp
     B, scales = system.basis, measures.coefficient_scales(system)
     for x in np.flatnonzero(~boundary):
         for objective in (np.zeros(system.n), g):
-            out = lp.solve(measures._measure_program(B, B[:, x], scales, objective)[0])
+            prog = measures._measure_program(B, B[:, x], scales, objective)[0]
+            out = lp.solve(prog, lp._crash(prog.constraint_matrix, [x]))
             mu = measures.representing_measure(system, x, objective)
             assert np.array_equal(mu.weights, np.maximum(out.point, 0.0))

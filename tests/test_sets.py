@@ -399,13 +399,16 @@ _OPEN_NON_MEMBER = (314, (24, 76, 108, 119, 126, 193, 252, 346, 365, 421, 454, 4
 
 @pytest.mark.parametrize(
     "name, field, x, S, message",
-    [("disk(256,4,8)", "dual_point", *_OPEN_NON_MEMBER, "Farkas ray"),
-     ("naturals(4)", "point", 1, (0, 3), "hull weights")],
+    [("disk(256,4,8)", "dual_point", *_OPEN_NON_MEMBER, "dual field separates it by -"),
+     ("naturals(4)", "point", 1, (0, 3), "weights on the set miss it")],
     ids=["ray", "weights"],
 )
 def test_corrupted_membership_witness_raises(monkeypatch, name, field, x, S, message):
-    # a negated ray separates the wrong way; shifted weights miss the column.
-    # Wolfe's algorithm would settle both, so it proposes nothing here
+    # the self-mass LP's point is (mu on S, mu_x) and its dual the field,
+    # 1 at x and at most 0 on S.  A negated field separates the wrong way,
+    # and weights shifted by (0.3, 0.1) on S, not in proportion to the
+    # weights (1/3, 2/3), miss the column after renormalizing.  Wolfe's
+    # algorithm would settle both, so it proposes nothing here
     system = _named_system(name)
     assert _nnls_member(system.basis, x, S) == (field == "point")
     no_wolfe(monkeypatch)
@@ -414,7 +417,7 @@ def test_corrupted_membership_witness_raises(monkeypatch, name, field, x, S, mes
     def corrupted(prog, *args, **kwargs):
         out = solve(prog, *args, **kwargs)
         value = getattr(out, field)
-        bad = -value if field == "dual_point" else value + np.linspace(0.1, 0.3, value.shape[0])
+        bad = -value if field == "dual_point" else value + np.linspace(0.3, 0.1, value.shape[0])
         return dataclasses.replace(out, **{field: bad})
 
     monkeypatch.setattr(lp, "solve", corrupted)
@@ -466,11 +469,12 @@ def test_trace_hull_of_every_16th_circle_point_matches_nnls():
 
 
 def test_membership_lp_with_noisy_degenerate_stall_terminates():
-    # phase 1 stalls here with +-5e-12 rounding noise in its objective; the
-    # noise must not reset the stall count, or Bland's rule never takes
-    # over and the LP cycles into the pivot limit.  NNLS puts 897 outside
-    # in_hull's Gram screen certifies 897 with no LP, so the LP is called
-    # directly too, and its ray must be checked
+    # phase 1 of the old membership LP stalled here with +-5e-12 rounding
+    # noise in its objective; the noise must not reset the stall count, or
+    # Bland's rule never takes over and the LP cycles into the pivot limit.
+    # NNLS puts 897 outside; in_hull's Gram screen certifies 897 with no LP,
+    # so the self-mass LP is called directly too, and its dual field must
+    # be checked
     big = gen_disk(n_circle=256, n_interior_rings=4, degree=8).system
     S = (59, 254, 263, 351, 493, 566, 632, 832, 841, 1000, 1001, 1016, 1093, 1203, 1234)
     assert not _nnls_member(big.basis, 897, S)
