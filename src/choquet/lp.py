@@ -2,9 +2,8 @@
 
 Primal simplex on the full tableau, from a primal feasible basis that the
 caller supplies.  Pricing is Dantzig's most negative reduced cost with
-ratio ties broken toward the largest pivot element; a degeneracy stall
-switches to Bland's smallest-index anti-cycling rule, restricted to
-well-sized pivots, until the objective falls again.
+ratio ties broken toward the largest pivot element; it is the only pivot
+rule, and the rhs shift below keeps it from cycling.
 
 There is one LP form: minimize ``c.x`` over x >= 0 subject to ``A x = b``,
 with rows equilibrated and negated where needed so that ``b >= 0``.
@@ -19,11 +18,16 @@ constraint matrix where its basic solution is feasible.
 The solver is a pure function of its input: identical inputs produce
 identical outputs, and instances may be solved concurrently.
 
-At e_x every basic value but x's is 0, and the simplex can stall on such
-a degenerate basis.  So it runs in stretches of at most
+At e_x every basic value but x's is 0, and Dantzig's rule can cycle on
+such a degenerate basis.  So the simplex runs in stretches of at most
 ``_REFRESH_EVERY`` pivots, each from a fresh factorization in which
 every basic value at most ``FEAS_TOL``, in row i of m, is first raised
-to ``_SHIFT`` (1 + i/m) by a shift of the rhs.  ``_SHIFT`` must stay
+to ``_SHIFT`` (1 + i/m) by a shift of the rhs: the perturbation device
+(Wolfe, J. SIAM 11, 1963) that practical solvers run in place of Bland's
+rule (Gill, Murray, Saunders & Wright, Math. Programming 45, 1989).
+Between stretches the tableau is rebuilt from the basis, which drops
+pivot drift, and a column that looks unbounded after some pivots of a
+stretch is judged again on the rebuilt tableau.  ``_SHIFT`` must stay
 well above the ratio test's tie tolerance and well below the basic
 values' scale.
 
@@ -176,94 +180,37 @@ def _refactor(A, b, basis, cost):
 
 
 _REFRESH_EVERY = 64
-_STALL_LIMIT = 32
-_BLAND_PIVOT_FRAC = 0.1
-_BLAND_EXACT_AFTER = 1024
 
 
-def _run_simplex(A, b, cost, T, z, basis, max_iter, it_start=0):
-    """Pivot until optimal or unbounded.
+def _run_simplex(T, z, basis, cost, pivots):
+    """At most ``pivots`` pivots on the tableau in place; returns the status,
+    OPTIMAL, UNBOUNDED or None when the stretch ends first, and the pivot
+    count.
 
-    Entering column by Dantzig pricing with ratio ties broken toward the
-    largest pivot element; after a degenerate stall Bland's smallest-index
-    rule takes over until the objective falls below its best value, which
-    rules out cycling (rounding noise cannot keep resetting the stall).
-    Its leaving row is chosen among the ratio ties whose pivot is
-    at least ``_BLAND_PIVOT_FRAC`` of the largest, and among all ties once
-    the stall outlasts ``_BLAND_EXACT_AFTER`` pivots.  The tableau is
-    refactorized from the basis periodically and before any unbounded
-    verdict, so drift cannot corrupt the outcome; an
-    unbounded verdict additionally requires a descent rate clearly above
-    reduced-cost noise, otherwise the state counts as optimal.
+    Entering column by Dantzig pricing, leaving row by the ratio test with
+    ties broken toward the largest pivot element.  A column with no positive
+    entry ends the stretch after a pivot, since drift may have made it;
+    only on the fresh tableau is it a verdict, UNBOUNDED when its descent
+    rate is clearly above reduced-cost noise and OPTIMAL otherwise.
     """
-    it = it_start
     ncols = T.shape[1] - 1
     cscale = max(1.0, float(np.abs(cost).max(initial=0.0)))
     enter_tol = _PIVOT_TOL * cscale
-    bland = False
-    stall = 0
-    fresh = True
-    last_obj = -z[-1]
-    while True:
-        if bland:
-            neg = z[:ncols] < -enter_tol
-            enter = int(np.argmax(neg))
-            optimal = not neg[enter]
-        else:
-            enter = int(np.argmin(z[:ncols]))
-            optimal = not z[enter] < -enter_tol
-        if optimal:
-            return OPTIMAL, it, T, z, basis
+    for k in range(pivots):
+        enter = int(np.argmin(z[:ncols]))
+        if not z[enter] < -enter_tol:
+            return OPTIMAL, k
         col = T[:, enter]
         pos = np.flatnonzero(col > _PIVOT_TOL)
         if pos.size == 0:
-            if not fresh:
-                try:
-                    T, z = _refactor(A, b, basis, cost)
-                except np.linalg.LinAlgError:  # pragma: no cover
-                    return UNBOUNDED, it, T, z, basis
-                fresh = True
-                continue
-            if z[enter] >= -1e-7 * cscale:
-                return OPTIMAL, it, T, z, basis
-            return UNBOUNDED, it, T, z, basis
+            if k:
+                return None, k
+            return (OPTIMAL if z[enter] >= -1e-7 * cscale else UNBOUNDED), 0
         ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
         best = float(ratios.min())
         ties = pos[ratios <= best + 1e-9 * (1.0 + best)]
-        if bland:
-            # a tiny pivot taken for its index alone grows the tableau until
-            # the basis is numerically singular; the unrestricted rule is
-            # kept for long stalls because only it is proven not to cycle
-            if stall < _BLAND_EXACT_AFTER:
-                ties = ties[col[ties] >= _BLAND_PIVOT_FRAC * col[ties].max()]
-            leave = int(ties[np.argmin([basis[i] for i in ties])])
-        else:
-            leave = int(ties[np.argmax(col[ties])])
-        _pivot(T, z, basis, leave, enter)
-        fresh = False
-        it += 1
-        if it >= max_iter:
-            raise IterationLimitError(f"simplex iteration limit {max_iter} reached")
-        obj = -z[-1]
-        if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
-            last_obj = obj
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT and not bland:
-                bland = True
-                try:
-                    T, z = _refactor(A, b, basis, cost)
-                    fresh = True
-                except np.linalg.LinAlgError:  # pragma: no cover
-                    pass
-        if it % _REFRESH_EVERY == 0:
-            try:
-                T, z = _refactor(A, b, basis, cost)
-                fresh = True
-            except np.linalg.LinAlgError:  # pragma: no cover
-                pass
+        _pivot(T, z, basis, int(ties[np.argmax(col[ties])]), enter)
+    return None, pivots
 
 
 def _standardize(lp):
@@ -331,8 +278,9 @@ def solve(lp, basis, max_iter=MAX_ITER):
     constructor), for a basis that is missing, does not fit, is singular
     or is not primal feasible, and for finite input whose solve overflows
     the float range; IterationLimitError if pivoting exhausts
-    ``max_iter``; and ConsistencyError if the optimality certificate still
-    fails after ``_REPAIR_ROUNDS`` repair rounds.
+    ``max_iter``; and ConsistencyError if a basis turns singular or the
+    optimality certificate still fails after ``_REPAIR_ROUNDS`` repair
+    rounds.
     """
     if not isinstance(lp, LinearProgram):
         raise ValidationError("solve expects a LinearProgram")
@@ -394,27 +342,27 @@ _SHIFT = 1e-6
 
 
 def _primal(A, b, cost, T, z, basis, max_iter, it):
-    """``_run_simplex`` from ``_refactor``'s tableau of a basis, in runs of at
-    most ``_REFRESH_EVERY`` pivots, each from ``_refactor``'s tableau of the
-    basis it starts at.  Before each run every basic value at most
-    ``FEAS_TOL``, in row i of m, is raised to ``_SHIFT`` (1 + i/m) through
-    the rhs (see the module docstring).  Returns the status, the pivot
-    count so far and the basis."""
+    """The primal simplex from ``_refactor``'s tableau of a basis: stretches
+    of at most ``_REFRESH_EVERY`` pivots of ``_run_simplex``, each from
+    ``_refactor``'s tableau of the basis it starts at, with every basic
+    value at most ``FEAS_TOL``, in row i of m, first raised to
+    ``_SHIFT`` (1 + i/m) through the rhs (see the module docstring).
+    Returns the status, the pivot count so far and the basis; raises
+    IterationLimitError once the count reaches ``max_iter``."""
     floor = _SHIFT * (1.0 + np.arange(len(basis)) / max(len(basis), 1))
     while True:
         xb = T[:, -1]
-        shift = np.where(xb <= FEAS_TOL, floor - xb, 0.0)
-        T[:, -1] += shift
-        stop = min(max_iter, it + _REFRESH_EVERY)
-        try:
-            status, it, _, _, basis = _run_simplex(A, b + A[:, basis] @ shift, cost, T, z,
-                                                   basis, stop, it)
+        xb += np.where(xb <= FEAS_TOL, floor - xb, 0.0)
+        status, k = _run_simplex(T, z, basis, cost, min(_REFRESH_EVERY, max(max_iter - it, 0)))
+        it += k
+        if status is not None:
             return status, it, basis
-        except IterationLimitError:
-            if stop == max_iter:
-                raise
-            it = stop
+        if it >= max_iter:
+            raise IterationLimitError(f"simplex iteration limit {max_iter} reached")
+        try:
             T, z = _refactor(A, b, basis, cost)
+        except np.linalg.LinAlgError as exc:
+            raise ConsistencyError("simplex basis is singular") from exc
 
 
 def _certificate(A, b, c, basis):

@@ -132,7 +132,7 @@ def test_sweep_matches_per_point_lp_oracles():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["disk32", "cantor3"])
-def test_warm_sweep_matches_the_cold_route_with_few_phase_1s(name, seed, monkeypatch):
+def test_warm_sweep_matches_the_oracle_with_one_crash(name, seed, monkeypatch):
     # every LP of the sweep starts at a Dirac vertex: its first at the crash
     # basis, each later one from the previous LP's optimal basis, so every
     # lp.solve call gets a basis (phase 1, which ran once per LP on the cold

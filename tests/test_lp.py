@@ -19,7 +19,7 @@ def test_single_variable_bound():
     assert out.point[0] == pytest.approx(3.0, abs=1e-9)
 
 
-def test_contradictory_simplex_constraints_infeasible():
+def test_contradictory_simplex_constraints_reject_every_basis():
     # x1 + x2 = 1 and x1 - x2 = 3 force x2 = -1: no basis is primal feasible,
     # and the engine, which has no phase 1, rejects each one handed to it
     prog = lp.LinearProgram(
@@ -76,27 +76,16 @@ def _bland_cycle_lp():
     return prog, (tuple(range(prog.n_vars - len(b), prog.n_vars)), [True] * len(b))
 
 
-def test_restricted_bland_rule_cannot_cycle(monkeypatch):
-    # with a wider pivot filter Bland's rule cycles on this degenerate LP;
-    # the unrestricted rule that takes over after a long stall ends it.
-    # ``solve`` shifts the degenerate slack basis and then never cycles, so
-    # the simplex loop runs here unshifted, from the slack basis
+def test_rhs_shift_ends_dantzigs_cycle(monkeypatch):
+    # from its degenerate slack basis Dantzig's rule cycles on this LP;
+    # with the rhs shifted before each stretch it reaches the optimum
     prog, basis = _bland_cycle_lp()
     status, value = _highs(prog)
     assert status == 0
-
-    def run():
-        A, b, c, _ = lp._standardize(prog)
-        T, z = lp._refactor(A, b, list(basis[0]), c)
-        status, _, _, z, _ = lp._run_simplex(A, b, c, T, z, list(basis[0]), 5000)
-        return status, -z[-1]
-
-    monkeypatch.setattr(lp, "_BLAND_PIVOT_FRAC", 0.25)
-    assert run() == (lp.OPTIMAL, pytest.approx(value, abs=1e-9))
-    monkeypatch.setattr(lp, "_BLAND_EXACT_AFTER", 10**9)
-    with pytest.raises(IterationLimitError):
-        run()
     assert lp.solve(prog, basis, max_iter=5000).value == pytest.approx(value, abs=1e-9)
+    monkeypatch.setattr(lp, "_SHIFT", 0.0)
+    with pytest.raises(IterationLimitError):
+        lp.solve(prog, basis, max_iter=5000)
 
 
 def _rows(rng, m, n):
@@ -339,9 +328,9 @@ _SMALL_START = ((0, 2), [True, True])  # x1 = 1, x3 = 2
     ids=["small-none", "small-singular", "small-infeasible", "bland-cycle-none",
          "bland-cycle-singular"],
 )
-def test_unusable_starting_basis_gives_the_cold_outcome(prog, start, monkeypatch):
-    # there is no cold outcome any more: with no phase 1 to fall back on, a
-    # missing, singular or primal infeasible basis is rejected
+def test_unusable_starting_basis_is_rejected(prog, start, monkeypatch):
+    # with no phase 1 to fall back on, a missing, singular or primal
+    # infeasible basis is rejected before any pivot
     good = _SMALL_START if prog is _SMALL else _bland_cycle_lp()[1]
     assert lp.solve(prog, good).status == lp.OPTIMAL
     cols, keep = good
@@ -431,67 +420,33 @@ def _pivot_outer(T, z, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex_masks(A, b, cost, T, z, basis, max_iter, it_start=0):
+def _run_simplex_masks(T, z, basis, cost, pivots):
     """``lp._run_simplex`` with the entering column picked from the list of
     negative reduced costs and the ratio test over every row, infinite where
     the column entry is not positive, frozen as its reference; it pivots by
     ``lp._pivot``."""
-    it = it_start
     ncols = T.shape[1] - 1
     cscale = max(1.0, float(np.abs(cost).max(initial=0.0)))
     enter_tol = lp._PIVOT_TOL * cscale
-    bland, stall, fresh, last_obj = False, 0, True, -z[-1]
-    while True:
+    for k in range(pivots):
         neg = np.flatnonzero(z[:ncols] < -enter_tol)
         if neg.size == 0:
-            return lp.OPTIMAL, it, T, z, basis
-        enter = int(neg[0]) if bland else int(neg[np.argmin(z[neg])])
+            return lp.OPTIMAL, k
+        enter = int(neg[np.argmin(z[neg])])
         col = T[:, enter]
         pos = col > lp._PIVOT_TOL
         if not pos.any():
-            if not fresh:
-                try:
-                    T, z = lp._refactor(A, b, basis, cost)
-                except np.linalg.LinAlgError:
-                    return lp.UNBOUNDED, it, T, z, basis
-                fresh = True
-                continue
+            if k:
+                return None, k
             if z[enter] >= -1e-7 * cscale:
-                return lp.OPTIMAL, it, T, z, basis
-            return lp.UNBOUNDED, it, T, z, basis
+                return lp.OPTIMAL, 0
+            return lp.UNBOUNDED, 0
         rhs = np.maximum(T[:, -1], 0.0)
         ratios = np.where(pos, rhs / np.where(pos, col, 1.0), np.inf)
         best = float(ratios.min())
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
-        if bland:
-            if stall < lp._BLAND_EXACT_AFTER:
-                ties = ties[col[ties] >= lp._BLAND_PIVOT_FRAC * col[ties].max()]
-            leave = int(ties[np.argmin([basis[i] for i in ties])])
-        else:
-            leave = int(ties[np.argmax(col[ties])])
-        lp._pivot(T, z, basis, leave, enter)
-        fresh = False
-        it += 1
-        if it >= max_iter:
-            raise IterationLimitError(f"simplex iteration limit {max_iter} reached")
-        obj = -z[-1]
-        if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
-            last_obj, stall, bland = obj, 0, False
-        else:
-            stall += 1
-            if stall >= lp._STALL_LIMIT and not bland:
-                bland = True
-                try:
-                    T, z = lp._refactor(A, b, basis, cost)
-                    fresh = True
-                except np.linalg.LinAlgError:
-                    pass
-        if it % lp._REFRESH_EVERY == 0:
-            try:
-                T, z = lp._refactor(A, b, basis, cost)
-                fresh = True
-            except np.linalg.LinAlgError:
-                pass
+        lp._pivot(T, z, basis, int(ties[np.argmax(col[ties])]), enter)
+    return None, pivots
 
 
 def _outcome(prog, **kwargs):
@@ -507,8 +462,9 @@ def _outcome(prog, **kwargs):
 
 
 def test_pivot_loop_bit_identical_to_its_reference(monkeypatch):
-    # the corpus holds optimal and unbounded programs, a Bland stall
-    # (``bland_cycle_lp.json``) and warm starts from optimal bases
+    # the corpus holds optimal and unbounded programs, a degenerate LP on
+    # which unshifted Dantzig pricing cycles (``bland_cycle_lp.json``) and
+    # warm starts from optimal bases
     progs = [*_lp_corpus(), *_warm_corpus()]
     progs += [(prog, lp.solve(prog, basis).basis) for prog, basis in _warm_corpus()]
     new = [_outcome(prog, basis=basis) for prog, basis in progs]

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 
 from choquet import lp, measures, sets
 from choquet._util import dumps
-from choquet.convexify import realize_convex_trace
+from choquet.convexify import biconjugate, realize_convex_trace
 from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose, random_spec
@@ -363,8 +363,8 @@ def test_witnesses_check_by_evaluation(naturals4):
 
 
 def test_exposing_dual_on_degenerate_vertices():
-    # phase 2 of these self-mass LPs is one long degenerate stall; Bland's
-    # rule must not end it on a numerically singular basis, whose dual
+    # the self-mass LPs of these vertices start on a highly degenerate
+    # basis and must not end on a numerically singular one, whose dual
     # exposes nothing
     system = gen_disk(n_circle=128, n_interior_rings=3, degree=12).system
     for label in ("circ107", "circ108"):
@@ -405,7 +405,7 @@ def test_corrupted_measure_is_caught(naturals4, monkeypatch, point):
         measures.min_self_mass(naturals4.system, 1)
 
 
-def test_overflowing_key_interval_is_an_input_error():
+def test_key_interval_of_a_1e308_affine_field_is_exact():
     # the cold least-pairing LP's dual overflowed on this finite field, and
     # its NaN minorant once passed the bracket and gave an interval.  This
     # field is affine in the cantor(2) basis, and from the crash basis the
@@ -429,21 +429,38 @@ def test_nan_minorant_fails_the_bracket(naturals4, at):
         measures._bracket(system, f, 1, np.array([1 / 3, 0.0, 0.0, 2 / 3]), phi)
 
 
+@pytest.fixture(scope="module")
+def seed_2_disk_field():
+    """The seed-2 convex-trace field on disk(128,3,12)."""
+    system = gen_disk(128, 3, 12).system
+    return system, realize_convex_trace(system, random_spec(system, np.random.default_rng(2)))
+
+
 @pytest.mark.parametrize("label", ["ring2_087", "ring3_081"])
-def test_key_interval_on_the_seed_2_disk_field(label):
+def test_key_interval_on_the_seed_2_disk_field(label, seed_2_disk_field):
     # the lower-end LP used to stop with least reduced cost -8.001e-08 at
     # ring2_087 and with duality gap 3.033e-04 at ring3_081.  Neither is a
     # cycle: at ring2_087 the tableau's reduced costs had drifted from the
     # refactorized ones, and at ring3_081 a basic value of -7.2e-05 never
     # left the basis, because the ratio test clips negative basics to 0.
     # lp repairs both from the failed basis.
-    system = gen_disk(128, 3, 12).system
-    f = realize_convex_trace(system, random_spec(system, np.random.default_rng(2)))
+    system, f = seed_2_disk_field
     x = system.space.index(label)
     iv = measures.key_interval(system, f, x)
     assert iv.lo < iv.hi
     tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
     assert abs(iv.lo - biconjugate_lp(system, f, [x])[0]) <= tol
+
+
+def test_every_key_interval_on_the_seed_2_disk_field(seed_2_disk_field):
+    # the most degenerate LP set the package solves: each of the 513 lower
+    # ends starts at its Dirac vertex, so a cycle of Dantzig's rule would
+    # show here first.  Every key interval completes, and its lower end is
+    # the biconjugate's value there
+    system, f = seed_2_disk_field
+    lo = np.array([measures.key_interval(system, f, x).lo for x in range(system.n)])
+    tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
+    assert np.abs(lo - biconjugate(system, f)).max() <= tol
 
 
 def test_key_interval_monotone_in_basis():

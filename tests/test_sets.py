@@ -470,8 +470,7 @@ def test_trace_hull_of_every_16th_circle_point_matches_nnls():
 
 def test_membership_lp_with_noisy_degenerate_stall_terminates():
     # phase 1 of the old membership LP stalled here with +-5e-12 rounding
-    # noise in its objective; the noise must not reset the stall count, or
-    # Bland's rule never takes over and the LP cycles into the pivot limit.
+    # noise in its objective and cycled into the pivot limit.
     # NNLS puts 897 outside; in_hull's Gram screen certifies 897 with no LP,
     # so the self-mass LP is called directly too, and its dual field must
     # be checked
