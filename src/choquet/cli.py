@@ -7,6 +7,8 @@ check-convex, keyinterval, bauer, multimax, expose, generic, plot.
 rejects a ``--tol``, ``--alpha``, ``--eps`` or ``--tie-tol`` that is not
 positive and finite, and writes the report to ``-o``; each handler only
 computes the report, a dict (canonical JSON) or a str (CSV or SVG).
+``keyinterval`` reads every point's interval off two ``biconjugate``
+sweeps: the lower ends are f**, the upper ends -(-f)**.
 ``--tol`` defaults to ``CONVEX_TOL`` (1e-7) for convexify and check-convex
 and to ``ARGMAX_TOL`` (1e-9) for bauer and multimax, ``--tie-tol`` to
 ``TIE_TOL`` (1e-9); ``--seed`` defaults to 0.
@@ -26,8 +28,8 @@ import sys
 import numpy as np
 
 from . import lp, measures, plotting, sets
-from ._util import dumps
-from .convexify import CONVEX_TOL, ConvexTraceSpec, biconjugate, hat_signed
+from ._util import dumps, jsonable
+from .convexify import CONVEX_TOL, ConvexTraceSpec, biconjugate, convexity_gap, hat_signed
 from .errors import ConsistencyError, IterationLimitError, ValidationError
 from .generators import GENERATORS
 from .maxprinciple import (ARGMAX_TOL, TIE_TOL, bauer_verify, expose,
@@ -314,11 +316,9 @@ def _cmd_kyfan(system, args):
 
 def _cmd_keyinterval(system, args):
     f = _load_field(system, args.field)
-    rows = []
-    for x in range(system.n):
-        iv = measures.key_interval(system, f, x)
-        rows.append({"label": system.space.labels[x], "lo": iv.lo,
-                     "value": float(f[x]), "hi": iv.hi})
+    lo, hi = biconjugate(system, f), -biconjugate(system, -f)
+    rows = jsonable([{"label": label, "lo": a, "value": v, "hi": b}
+                     for label, a, v, b in zip(system.space.labels, lo, f, hi)])
     if not args.csv:
         return {"intervals": rows}, 0
     table = [[r["label"], *(f"{r[k]:.12g}" for k in ("lo", "value", "hi"))] for r in rows]
@@ -343,8 +343,7 @@ def _cmd_convexify(system, args):
 
 
 def _cmd_check_convex(system, args):
-    f = _load_field(system, args.field)
-    gap = float(np.max(f - biconjugate(system, f)))
+    gap = convexity_gap(system, _load_field(system, args.field))
     return {"is_choquet_convex": gap <= args.tol, "max_gap": gap, "tolerance": args.tol}, 0
 
 

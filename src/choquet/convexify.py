@@ -8,7 +8,8 @@ the biconjugate f** is the pointwise largest basis combination below f:
 f** is the lower envelope of f over the span and the canonical
 convexification: f is Choquet convex exactly when f == f**.  By LP duality
 f**(x) is also the least pairing <mu, f> over the representing measures
-mu of x, the lower end of the key interval (``measures.key_interval``).
+mu of x, the lower end of the key interval (``measures.key_interval``),
+and -(-f)**(x) is its upper end: two sweeps give every key interval.
 
 On the Choquet boundary the Dirac mass is the only representing measure,
 so f**(x) = f(x) there.  ``biconjugate`` first takes that value at every

@@ -55,10 +55,11 @@ biconjugate sweep of all of them at once.  Elsewhere each end is one LP
 e_x from ``lp._crash``'s basis; both LPs have the same rows and rhs, so
 the upper end starts from the lower end's optimal basis.  Each facet of
 the biconjugate is this LP too, started at e_x from the previous facet's
-basis.  Representing measures take the same two routes.  A failed check
-raises ConsistencyError, except in the closed form, whose point then
-takes the LPs; an overflow while evaluating a witness is a
-ValidationError.
+basis, so a whole field's intervals are two sweeps: the lower ends f**,
+the upper ends -(-f)**.  Representing measures take the same two
+routes.  A failed check raises ConsistencyError, except in the closed
+form, whose point then takes the LPs; an overflow while evaluating a
+witness is a ValidationError.
 """
 
 from dataclasses import dataclass
@@ -149,13 +150,13 @@ def _check_point(system, x):
         raise ValidationError(f"point index {x} out of range [0, {system.n})")
 
 
-def _kept_rows(P, col, scales):
+def _kept_rows(P, X, scales):
     """Mask of the basis rows spanning more than ``CERT_TOL`` of their scale
-    over the columns P and ``col``: no probability weights on P miss the
-    others by more."""
-    span = np.maximum(P.max(axis=1, initial=-np.inf), col)
-    span -= np.minimum(P.min(axis=1, initial=np.inf), col)
-    return span > CERT_TOL * scales
+    over the columns P and the column X, or one column of masks per column
+    of a matrix X: no probability weights on P miss the others by more."""
+    span = np.maximum(P.max(axis=1, initial=-np.inf), X.T)
+    span -= np.minimum(P.min(axis=1, initial=np.inf), X.T)
+    return (span > CERT_TOL * scales).T
 
 
 def _measure_program(P, col, scales, objective=None):
@@ -358,9 +359,7 @@ def _hull_members(system, S, points):
     """
     B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
     P, X = B[:, S], B[:, points]
-    # each point's kept rows, by ``_measure_program``'s rule (S less x and x span S)
-    span = np.maximum(P.max(axis=1)[:, None], X) - np.minimum(P.min(axis=1)[:, None], X)
-    keep = span > (CERT_TOL * coefficient_scales(system))[:, None]
+    keep = _kept_rows(P, X, coefficient_scales(system))  # S less x, and x, span S
     # each point's column of Q: its position in S, or S.size + k for the k-th outside
     at = np.full(system.n, -1)
     at[S] = np.arange(S.size)
@@ -493,7 +492,7 @@ def _dirac_values(system, fields, points):
     where lam is the least slope that keeps it below g."""
     B, points = system.basis, np.asarray(points, dtype=int)
     # the rows ``_kept_rows`` keeps for any one point against all of them
-    Q = B[B.max(axis=1) - B.min(axis=1) > CERT_TOL * coefficient_scales(system)]
+    Q = B[_kept_rows(B, B[:, 0], coefficient_scales(system))]
     if Q.shape[0] == 0:
         return np.zeros(points.size, dtype=bool)
     ok, C, _ = _gram_screen(Q, points)

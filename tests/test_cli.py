@@ -11,7 +11,9 @@ from scipy.spatial import ConvexHull
 from choquet import lp
 from choquet.cli import _GEN_ARGS, main
 from choquet.convexify import CONVEX_TOL
+from choquet.generators import gen_disk
 from choquet.maxprinciple import ARGMAX_TOL
+from choquet.measures import AGREE_TOL, key_interval
 from conftest import count_lps, no_wolfe
 
 
@@ -75,7 +77,8 @@ _HULL_REPORTS = {
     "bauer_cantor2": ("cantor2", ["bauer", "--spec", str(_DATA / "spec_cantor2_a.json")]),
     "multimax_cantor2": ("cantor2", ["multimax", "--spec", str(_DATA / "spec_cantor2_a.json"),
                                      "--spec", str(_DATA / "spec_cantor2_b.json")]),
-    # boundary {1, 4} by the closed form, interior {2, 3} by two LPs each
+    # boundary {1, 4} by the closed form, interior {2, 3} by the sweeps of
+    # f and of -f, three LPs in all
     "keyinterval_naturals4": ("naturals4", ["keyinterval", "--field",
                                             str(_DATA / "field_naturals4.json")]),
     # integer fields, not Choquet convex: the biconjugate is 0 on
@@ -215,6 +218,44 @@ def test_keyinterval_and_field_io(tmp_path, capsys):
     )
     assert code == 0
     assert out_csv.splitlines()[0] == "label,lo,value,hi"
+
+
+@pytest.mark.parametrize("gen, field", [(["naturals", "4"], [0, 0, 0, 0]),
+                                        (["interval", "5"], [0, -1, -1, -1, 0])])
+def test_keyinterval_csv_prints_the_json_values_with_no_negative_zero(gen, field, tmp_path,
+                                                                       capsys):
+    # each upper end is a negated biconjugate value; on these fields it is 0
+    # at an interior point, which negates to -0.0
+    inst, path = tmp_path / "inst.json", tmp_path / "f.json"
+    run_cli(["gen", *gen, "-o", str(inst)], capsys=capsys)
+    path.write_text(json.dumps(field))
+    argv = ["keyinterval", str(inst), "--field", str(path)]
+    _, out, _ = run_cli(argv, capsys=capsys)
+    code, out_csv, _ = run_cli([*argv, "--csv"], capsys=capsys)
+    assert code == 0
+    cells = [line.split(",") for line in out_csv.splitlines()[1:]]
+    assert all(cell != "-0" for row in cells for cell in row)
+    assert cells == [[r["label"], *(f"{r[k]:.12g}" for k in ("lo", "value", "hi"))]
+                     for r in json.loads(out)["intervals"]]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_keyinterval_report_equals_the_per_point_key_intervals(seed, tmp_path, capsys):
+    # the benchmark's cli workload field: the max of 4 random affine fields
+    # on disk(32,1,4), drawn first from default_rng(seed)
+    system = gen_disk(32, 1, 4).system
+    rng = np.random.default_rng(seed)
+    f = np.max([system.basis.T @ rng.normal(size=system.d) + rng.normal() for _ in range(4)],
+               axis=0)
+    inst, path = tmp_path / "disk.json", tmp_path / "f.json"
+    run_cli(["gen", "disk", "--n-circle", "32", "--rings", "1", "--degree", "4",
+             "-o", str(inst)], capsys=capsys)
+    path.write_text(json.dumps(f.tolist()))
+    code, out, _ = run_cli(["keyinterval", str(inst), "--field", str(path)], capsys=capsys)
+    assert code == 0
+    got = [(r["lo"], r["hi"]) for r in json.loads(out)["intervals"]]
+    want = [(iv.lo, iv.hi) for iv in (key_interval(system, f, x) for x in range(system.n))]
+    assert np.abs(np.subtract(got, want)).max() <= AGREE_TOL * (1.0 + np.abs(f).max())
 
 
 def test_convexify_and_check_convex(tmp_path, capsys):

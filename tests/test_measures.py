@@ -455,12 +455,13 @@ def test_key_interval_on_the_seed_2_disk_field(label, seed_2_disk_field):
 def test_every_key_interval_on_the_seed_2_disk_field(seed_2_disk_field):
     # the most degenerate LP set the package solves: each of the 513 lower
     # ends starts at its Dirac vertex, so a cycle of Dantzig's rule would
-    # show here first.  Every key interval completes, and its lower end is
-    # the biconjugate's value there
+    # show here first.  Every key interval completes, its lower end is the
+    # biconjugate's value there and its upper end -(-f)**'s
     system, f = seed_2_disk_field
-    lo = np.array([measures.key_interval(system, f, x).lo for x in range(system.n)])
+    ivs = [measures.key_interval(system, f, x) for x in range(system.n)]
     tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
-    assert np.abs(lo - biconjugate(system, f)).max() <= tol
+    assert np.abs(np.array([iv.lo for iv in ivs]) - biconjugate(system, f)).max() <= tol
+    assert np.abs(np.array([iv.hi for iv in ivs]) + biconjugate(system, -f)).max() <= tol
 
 
 def test_key_interval_monotone_in_basis():
