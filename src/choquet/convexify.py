@@ -13,33 +13,29 @@ and -(-f)**(x) is its upper end: two sweeps give every key interval.
 
 On the Choquet boundary the Dirac mass is the only representing measure,
 so f**(x) = f(x) there.  ``biconjugate`` first takes that value at every
-boundary point one Gram screen certifies (``measures._dirac_values``,
-each point checked by ``measures._bracket``), then sweeps the envelope
-facet by facet over the points left open, so it solves one LP per facet
-it reaches rather than one per point.  At a point x that no earlier facet
-certifies it solves that least-pairing LP over the representing measures
-of x (``measures._least_pairing``), started at the Dirac mass of x, a
-vertex: the first from a crash basis, each later one from the previous
-LP's optimal basis by one column swap.  Its two witnesses
-``measures._bracket`` checks by direct evaluation that does not trust the
-simplex engine:
+boundary point one Gram screen certifies (``measures._dirac_values``),
+then sweeps the envelope facet by facet over the points left open, so it
+solves one LP per facet it reaches rather than one per point.  At a point
+x that no earlier facet certifies it solves that least-pairing LP over
+the representing measures of x (``measures._least_pairing``), started at
+the Dirac mass of x, a vertex: the first from a crash basis, each later
+one from the previous LP's optimal basis by one column swap.
 
-* the LP's point, a representing measure mu of x, checked by
-  B mu = B e_x within relative 1e-9; <mu, f> is an upper bound on f**(x);
-* its dual, a minorant phi = B'c + t, lowered by its largest excess over
-  f so that phi <= f holds; phi(x) is a lower bound on f**(x).
+Every value the screen or an LP gives passes ``measures._bracket``,
+which checks two witnesses by direct evaluation that does not trust the
+simplex engine: a representing measure mu of x, whose <mu, f> bounds
+f**(x) from above, and a minorant phi <= f in the span, whose phi(x)
+bounds it from below.  An LP's are its point and its dual B'c + t; a
+failed check raises ConsistencyError, and an overflow while evaluating
+them is a ValidationError.  The dual is basic, so phi touches f at every
+column of the LP's optimal basis, often a whole facet.  One facet then
+certifies further points with no LP:
 
-The two bounds must agree within 1e-7 (1 + max |f|); otherwise, or when
-mu misses x, ConsistencyError is raised, and an overflow while
-evaluating them is a ValidationError.  The dual is basic, so phi touches
-f at every column of the LP's optimal basis, often a whole facet.  One
-facet then certifies further points with no LP:
-
-* every point j where phi touches f takes min(phi_j, f_j), bracketed by
-  phi_j and the Dirac mass's f_j;
+* every point j where phi touches f, within ``CERT_TOL`` (1 + max |f|),
+  takes min(phi_j, f_j), bracketed by phi_j and the Dirac mass's f_j;
 * a point j in the convex hull of the touched points of the facet with
-  the largest phi(j) takes phi(j): the nonnegative least-squares weights
-  that reproduce column j are its representing measure, checked like mu.
+  the largest phi(j) takes phi(j) when ``measures._bracket`` passes it
+  with mu the least-squares weights on those points (``_cone_value``).
 
 ``is_choquet_convex`` runs the same sweep and stops at the first value
 more than ``tol`` below f, so its verdict is ``convexity_gap <= tol``.
@@ -61,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lp import backward_error
-from .measures import AGREE_TOL, CERT_TOL, _dirac_values, _least_pairing
+from .measures import CERT_TOL, _bracket, _dirac_values, _least_pairing
 from .space import as_field, evaluate
 
 CONVEX_TOL = 1e-7
@@ -127,23 +122,18 @@ def phi_conjugate(system, f, phi):
     return float(np.max(vals - f))
 
 
-def _cone_value(A, f, facets, j, scale):
-    """phi(j) of the best stored facet when its touched points represent j.
-
-    ``A`` is the basis with the ones row appended.  The facet with the
-    largest value at j is the only candidate; a nonnegative least-squares
-    combination of its touched columns that reproduces column j is a
-    representing measure, so <mu, f> bounds f**(j) from above while the
-    minorant bounds it from below.  Returns None when either check fails.
-    """
+def _cone_value(system, f, facets, j):
+    """phi(j) of the facet with the largest value at j, when ``_bracket``
+    passes it with the measure on its touched columns that reproduces
+    column j: least squares with the ones row, clipped at 0 and
+    renormalized.  None otherwise."""
     phi, touched = max(facets, key=lambda facet: facet[0][j])
-    At = A[:, touched]
-    mu = np.maximum(np.linalg.lstsq(At, A[:, j], rcond=None)[0], 0.0)
-    if not backward_error(At, mu, A[:, j]) <= CERT_TOL:  # NaN fails too
-        return None
-    if not abs(float(mu @ f[touched]) - phi[j]) <= AGREE_TOL * scale:
-        return None
-    return phi[j]
+    B = system.basis
+    A = np.vstack([B[:, touched], np.ones(touched.size)])
+    w = np.maximum(np.linalg.lstsq(A, np.append(B[:, j], 1.0), rcond=None)[0], 0.0)
+    mu = np.zeros((system.n, 1))
+    mu[touched, 0] = w / (w.sum() or 1.0)
+    return phi[j] if _bracket(system, f, np.array([j]), mu, phi[:, None])[1][0] else None
 
 
 def _sweep(system, f, tol=None):
@@ -152,7 +142,6 @@ def _sweep(system, f, tol=None):
     system.require_valid()
     f = as_field(system, f)
     scale = 1.0 + float(np.abs(f).max())
-    A = np.vstack([system.basis, np.ones((1, system.n))])
     done = _dirac_values(system, (f,), np.arange(system.n))
     value = np.where(done, f, np.nan)
     if tol is not None and not np.all(f[done] - value[done] <= tol):
@@ -161,7 +150,7 @@ def _sweep(system, f, tol=None):
     for x in range(system.n):
         if done[x]:
             continue
-        v = _cone_value(A, f, facets, x, scale) if facets else None
+        v = _cone_value(system, f, facets, x) if facets else None
         if v is not None:
             value[x], settled = v, [x]
         else:

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ValidationError
 from .space import FiniteSpace, FunctionSystem
 
+_MAX_RESAMPLES = 100  # draws ``gen_random`` makes before it gives up
+
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -187,7 +189,7 @@ def gen_naturals(n):
     )
 
 
-def gen_random(n, d, seed, max_resamples=100):
+def gen_random(n, d, seed):
     """Seeded random system: a ones row plus d-1 uniform rows.
 
     Resamples until the columns separate (and, when d == n, until the basis
@@ -198,7 +200,7 @@ def gen_random(n, d, seed, max_resamples=100):
     if not 2 <= d <= n:
         raise ValidationError("need 2 <= d <= n")
     rng = np.random.default_rng(seed)
-    for _ in range(max_resamples):
+    for _ in range(_MAX_RESAMPLES):
         B = np.vstack([np.ones(n), rng.uniform(0.0, 1.0, size=(d - 1, n))])
         labels = tuple(f"p{j}" for j in range(n))
         system = FunctionSystem(FiniteSpace(labels), B)
@@ -215,7 +217,7 @@ def gen_random(n, d, seed, max_resamples=100):
             notes={"generator": "random", "n": n, "d": d, "seed": int(seed),
                    "self_referential": True},
         )
-    raise ValidationError(f"no separated system found in {max_resamples} resamples")
+    raise ValidationError(f"no separated system found in {_MAX_RESAMPLES} resamples")
 
 
 GENERATORS = {

@@ -270,9 +270,7 @@ def solve(lp, basis, max_iter=MAX_ITER):
     ``basis`` is (standard-form columns, kept-row mask), such as
     ``_crash``'s or an optimal outcome's of a program with the same
     matrix, and must be nonsingular and primal feasible within
-    ``FEAS_TOL`` on every row, the dropped ones too.  Earlier versions
-    took no basis, ran a phase 1 and reported infeasible programs with a
-    Farkas ray; now a program needs a feasible basis to be solved.
+    ``FEAS_TOL`` on every row, the dropped ones too.
 
     Raises ValidationError for malformed input (via the LinearProgram
     constructor), for a basis that is missing, does not fit, is singular

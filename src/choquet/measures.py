@@ -39,14 +39,15 @@ weights, (mu - mu_x e_x) / (1 - mu_x).  So the boundary is the set of
 points outside the hull of the others: ``_on_boundary`` gives every
 boundary verdict.
 
-Each end of a key interval, like each facet of
-``convexify.biconjugate``, carries two witnesses that ``_bracket``
-checks: a representing measure mu, whose pairing <mu, f> bounds the
-value from above, and a minorant phi <= f in the span, whose phi(x)
-bounds it from below; a NaN fails the checks.  On the boundary the Dirac
-mass is the only representing measure, so both ends are f(x).  Where the
-Gram screen certifies x there with a field psi, ``_dirac_values`` takes
-the Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
+Every key interval and representing measure, and every value of
+``convexify.biconjugate`` but those its facets touch, passes
+``_bracket``, which checks a block of points at once: per point, a
+representing measure mu, whose pairing <mu, f> bounds the value from
+above, and a minorant phi <= f in the span, whose phi(x) bounds it from
+below; a NaN fails its point.  On the boundary the Dirac mass is the
+only representing measure, so both ends are f(x).  Where the Gram
+screen certifies x there with a field psi, ``_dirac_values`` takes the
+Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
 slope that keeps it below f, and solves no LP.  The rows the screen runs
 on are the same for every x, so one screen and one vectorized slope
 serve any number of points: a key interval asks it of one point, the
@@ -384,6 +385,8 @@ def _hull_members(system, S, points):
         J = np.union1d(J, support)
         for K in (support, J):
             idx = np.flatnonzero(todo & (np.bincount(K, minlength=system.n) == 0)[points])
+            if idx.size == 0:
+                continue
             PK = B[:, K]
             A = np.vstack([PK, np.ones((1, K.size))])
             rhs = np.vstack([X[:, idx], np.ones((1, idx.size))])
@@ -417,23 +420,18 @@ def _separator(system, x, S):
     return coeffs
 
 
-def _bracket(system, f, x, mu, phi):
-    """Check the witnesses of the least pairing of f at x and return the
-    minorant phi lowered by its largest excess over f: mu must represent x
-    within ``CERT_TOL``, and <mu, f> and phi(x) agree within ``AGREE_TOL``
-    (1 + max |f|).  A NaN anywhere fails a check."""
-    B, label = system.basis, system.space.labels[x]
-    miss = lp.backward_error(B, mu, B[:, x])
-    if not miss <= CERT_TOL:
-        raise ConsistencyError(f"measure at point {label!r} misses it by relative {miss:.3e}")
-    phi = phi - float(np.max(phi - f, initial=0.0))
-    upper = float(mu @ f)
-    if not abs(upper - phi[x]) <= AGREE_TOL * (1.0 + float(np.abs(f).max())):
-        raise ConsistencyError(
-            f"value bounds at point {label!r} disagree: "
-            f"minorant {phi[x]:.12g}, measure {upper:.12g}"
-        )
-    return phi
+def _bracket(system, f, X, Mu, Phi):
+    """Check the witnesses of the values of f at the points X, one column
+    of Mu and of Phi per point, and return the minorants Phi lowered by
+    their largest excess over f with a mask of the columns that pass: the
+    measure Mu[:, k] must represent X[k] within ``CERT_TOL``, and
+    <Mu[:, k], f> and the lowered Phi[X[k], k] agree within ``AGREE_TOL``
+    (1 + max |f|).  A NaN anywhere in a column fails it."""
+    B = system.basis
+    Phi = Phi - np.max(Phi - f[:, None], axis=0, initial=0.0)
+    ok = lp.backward_error(B, Mu, B[:, X]) <= CERT_TOL
+    ok &= np.abs(f @ Mu - Phi[X, np.arange(X.size)]) <= AGREE_TOL * (1.0 + np.abs(f).max())
+    return Phi, ok
 
 
 def _least_pairing(system, g, x, start=None):
@@ -461,8 +459,15 @@ def _least_pairing(system, g, x, start=None):
     c[keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
     with in_float_range("field"):
-        phi = _bracket(system, g, x, mu, B.T @ c + out.dual_point[-1])
-    return float(out.value), mu, phi, (x, out.basis)
+        phi, ok = _bracket(system, g, np.array([x]), mu[:, None],
+                           (B.T @ c + out.dual_point[-1])[:, None])
+    if not ok[0]:
+        label, miss = system.space.labels[x], lp.backward_error(B, mu, B[:, x])
+        if not miss <= CERT_TOL:
+            raise ConsistencyError(f"measure at point {label!r} misses it by relative {miss:.3e}")
+        raise ConsistencyError(f"value bounds at point {label!r} disagree: "
+                               f"minorant {phi[x, 0]:.12g}, measure {mu @ g:.12g}")
+    return float(out.value), mu, phi[:, 0], (x, out.basis)
 
 
 def _neighbour_basis(prog, x, basis):
@@ -496,7 +501,6 @@ def _dirac_values(system, fields, points):
     if Q.shape[0] == 0:
         return np.zeros(points.size, dtype=bool)
     ok, C, _ = _gram_screen(Q, points)
-    dirac = np.zeros(system.n)
     with in_float_range("field"):
         for lo in range(0, points.size, 256):  # n x 256 slopes at a time
             block, mine = points[lo : lo + 256], ok[lo : lo + 256]  # a view of ok
@@ -505,19 +509,16 @@ def _dirac_values(system, fields, points):
             drop[block, at] = np.inf  # each point against the others only
             mine &= (drop > 0.0).all(axis=0)
             cert = np.flatnonzero(mine)
+            if cert.size == 0:
+                continue
+            x, at = block[cert], at[: cert.size]
             drop = drop[:, cert]
-            lams = [np.max((g[block[cert]] - g[:, None]) / drop, axis=0, initial=0.0)
-                    for g in fields]
-            drop[block[cert], at[: cert.size]] = 0.0
-            for k, i in enumerate(cert):
-                x = block[i]
-                dirac[x] = 1.0
-                try:
-                    for g, lam in zip(fields, lams):
-                        _bracket(system, g, x, dirac, g[x] - lam[k] * drop[:, k])
-                except ConsistencyError:
-                    mine[i] = False
-                dirac[x] = 0.0
+            lams = [np.max((g[x] - g[:, None]) / drop, axis=0, initial=0.0) for g in fields]
+            drop[x, at] = 0.0
+            dirac = np.zeros((system.n, cert.size))
+            dirac[x, at] = 1.0
+            for g, lam in zip(fields, lams):
+                mine[cert] &= _bracket(system, g, x, dirac, g[x] - lam * drop)[1]
     return ok
 
 

@@ -295,9 +295,12 @@ def system_from_dict(data):
         labels = data["labels"]
         basis = np.asarray(data["basis"], dtype=float)
         coords = data.get("coords")
+        coords = None if coords is None else np.asarray(coords, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance: {exc}") from exc
-    space = FiniteSpace(tuple(labels), None if coords is None else np.asarray(coords))
+    if not isinstance(labels, list):
+        raise ValidationError("malformed instance: labels must be a list")
+    space = FiniteSpace(tuple(labels), coords)
     system = FunctionSystem(space, basis)
     return system, data.get("expected")
 

@@ -494,6 +494,18 @@ _BAD_INPUT = {
     "unknown-label": (["hull", "{inst}", "--points", "1,nope"], {}),
     "expose-one-point": (["expose", "{inst}", "--target", "a"],
                          {"inst": '{"labels": ["a"], "basis": [[1.0]]}'}),
+    # malformed coords or labels in an instance
+    **{f"instance-{name}": (["boundary", "{inst}"],
+                            {"inst": json.dumps({"labels": ["a", "b"], "basis": [[1, 1], [0, 1]],
+                                                 **bad})})
+       for name, bad in {
+           "coords-string-cell": {"coords": [["x", "y"], [0, 0]]},
+           "coords-ragged": {"coords": [[0, 0], [1]]},
+           "coords-string": {"coords": "ab"},
+           "coords-object": {"coords": {"a": 1}},
+           "labels-string": {"labels": "ab"},
+           "labels-object": {"labels": {"a": 1, "b": 2}},
+       }.items()},
 }
 
 

@@ -381,11 +381,12 @@ def test_overflowing_field_is_an_input_error():
 
 
 def test_cone_value_rejects_a_nan_facet():
+    # the ends 0 and 4 represent the midpoint 2: the zero facet certifies
+    # its value, a NaN facet nothing
     system = gen_interval_affine(5).system
-    A = np.vstack([system.basis, np.ones((1, system.n))])
-    f = np.zeros(system.n)
-    phi = np.full(system.n, np.nan)
-    assert convexify._cone_value(A, f, [(phi, np.array([0, 4]))], 2, 1.0) is None
+    f, ends = np.zeros(system.n), np.array([0, 4])
+    assert convexify._cone_value(system, f, [(np.zeros(system.n), ends)], 2) == 0.0
+    assert convexify._cone_value(system, f, [(np.full(system.n, np.nan), ends)], 2) is None
 
 
 def test_hat_signed_closed_form_matches_strip_lp(monkeypatch):

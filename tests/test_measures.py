@@ -422,11 +422,36 @@ def test_key_interval_of_a_1e308_affine_field_is_exact():
 
 @pytest.mark.parametrize("at", ["x", "elsewhere"])
 def test_nan_minorant_fails_the_bracket(naturals4, at):
+    # the zero minorant passes with this measure; a NaN anywhere in it fails
     system, f = naturals4.system, np.array([0.0, 1.0, 1.0, 0.0])
-    phi = np.zeros(4)
-    phi[1 if at == "x" else 3] = np.nan
-    with pytest.raises(ConsistencyError):
-        measures._bracket(system, f, 1, np.array([1 / 3, 0.0, 0.0, 2 / 3]), phi)
+    phi = np.zeros((4, 2))
+    phi[1 if at == "x" else 3, 1] = np.nan
+    mu = np.tile([[1 / 3], [0.0], [0.0], [2 / 3]], 2)
+    assert measures._bracket(system, f, np.array([1, 1]), mu, phi)[1].tolist() == [True, False]
+
+
+def test_bracket_on_a_block_matches_one_column_calls():
+    # every column is checked on its own: LP witnesses, Dirac masses with
+    # the zero minorant, and columns that miss, disagree or hold a NaN
+    for system in (gen_naturals(4).system, gen_cantor(3).system, gen_disk(32, 1, 8).system,
+                   gen_interval_affine(60).system):
+        n, f = system.n, _noisy_convex_field(system, 1)
+        X = np.arange(n)
+        pairs = [measures._least_pairing(system, f, x)[1:3] for x in X]
+        mus = [np.column_stack([mu for mu, _ in pairs]), np.eye(n),
+               np.full((n, n), 1.0 / n)]
+        phis = [np.column_stack([phi for _, phi in pairs]), np.zeros((n, n)),
+                np.column_stack([phi for _, phi in pairs]) - 1.0]
+        Mu, Phi = np.hstack(mus * 3), np.hstack(phis + phis[::-1] + phis[1:] + phis[:1])
+        Mu[0, ::5] = np.nan
+        Phi[n - 1, ::7] = np.nan
+        X = np.tile(X, 9)
+        block, ok = measures._bracket(system, f, X, Mu, Phi)
+        assert 0 < ok.sum() < ok.size
+        for k in range(X.size):
+            one, one_ok = measures._bracket(system, f, X[[k]], Mu[:, [k]], Phi[:, [k]])
+            assert one_ok.tolist() == [ok[k]]
+            assert one.tobytes() == block[:, [k]].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +487,16 @@ def test_every_key_interval_on_the_seed_2_disk_field(seed_2_disk_field):
     tol = measures.AGREE_TOL * (1.0 + np.abs(f).max())
     assert np.abs(np.array([iv.lo for iv in ivs]) - biconjugate(system, f)).max() <= tol
     assert np.abs(np.array([iv.hi for iv in ivs]) + biconjugate(system, -f)).max() <= tol
+
+
+def test_hull_members_fits_nothing_once_no_point_is_open(naturals4, monkeypatch):
+    # Wolfe's weights put interior point 1 in the hull of the others; no
+    # open point is left for their support to represent
+    system, lstsq, calls = naturals4.system, np.linalg.lstsq, []
+    system.validate()
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    assert measures.min_self_mass(system, 1) == 0.0
+    assert calls == []
 
 
 def test_key_interval_monotone_in_basis():
@@ -609,20 +644,20 @@ def test_lying_screen_falls_back_to_the_lps(monkeypatch):
 
 
 def test_failed_closed_form_check_falls_back_to_the_lps(naturals4, monkeypatch):
-    # the first bracket is the closed form's at boundary point 0; once it
-    # fails, the point gets both LPs and their own checks
+    # the first bracket is the closed form's of f at boundary point 0; once
+    # its column fails, the point gets both LPs and their own checks: two
+    # closed-form brackets, one per field, then one per LP
     bracket, calls = measures._bracket, []
 
     def first_fails(*args):
         calls.append(args)
-        if len(calls) == 1:
-            raise ConsistencyError("rejected")
-        return bracket(*args)
+        phi, ok = bracket(*args)
+        return phi, ok & (len(calls) > 1)
 
     monkeypatch.setattr(measures, "_bracket", first_fails)
     lps = count_lps(monkeypatch)
     iv = measures.key_interval(naturals4.system, np.array([0.5, 1.0, 1.0, 0.0]), 0)
-    assert (len(lps), len(calls)) == (2, 3)
+    assert (len(lps), len(calls)) == (2, 4)
     assert iv.lo == pytest.approx(0.5, abs=1e-12) and iv.hi == pytest.approx(0.5, abs=1e-12)
 
 
