@@ -160,11 +160,11 @@ class LPOutcome:
 
 
 def _pivot(T, z, basis, row, col):
-    T[row] /= T[row, col]
-    fac = T[:, col].copy()
+    r, fac = T[row], T[:, col].copy()  # r is a view of the pivot row
+    r /= fac[row]
     fac[row] = 0.0
-    T -= fac[:, None] * T[row]
-    z -= z[col] * T[row]
+    T -= fac[:, None] * r
+    z -= z[col] * r
     basis[row] = col
 
 
@@ -187,28 +187,31 @@ def _run_simplex(T, z, basis, cost, pivots):
     OPTIMAL, UNBOUNDED or None when the stretch ends first, and the pivot
     count.
 
-    Entering column by Dantzig pricing, leaving row by the ratio test with
-    ties broken toward the largest pivot element.  A column with no positive
-    entry ends the stretch after a pivot, since drift may have made it;
-    only on the fresh tableau is it a verdict, UNBOUNDED when its descent
-    rate is clearly above reduced-cost noise and OPTIMAL otherwise.
+    Entering column by Dantzig pricing, leaving row by the ratio test over
+    the whole column, infinite off the entries above ``_PIVOT_TOL``, with
+    ties broken toward the largest pivot element.  A column with no such
+    entry ends the stretch after a pivot, since drift may have made it; only
+    on the fresh tableau is it a verdict, UNBOUNDED when its descent rate is
+    clearly above reduced-cost noise and OPTIMAL otherwise.
     """
     ncols = T.shape[1] - 1
     cscale = max(1.0, float(np.abs(cost).max(initial=0.0)))
     enter_tol = _PIVOT_TOL * cscale
+    ratios = np.empty(T.shape[0])
     for k in range(pivots):
         enter = int(np.argmin(z[:ncols]))
         if not z[enter] < -enter_tol:
             return OPTIMAL, k
         col = T[:, enter]
-        pos = np.flatnonzero(col > _PIVOT_TOL)
-        if pos.size == 0:
+        pos = col > _PIVOT_TOL
+        if not pos.any():
             if k:
                 return None, k
             return (OPTIMAL if z[enter] >= -1e-7 * cscale else UNBOUNDED), 0
-        ratios = np.maximum(T[pos, -1], 0.0) / col[pos]
+        ratios.fill(np.inf)
+        np.divide(np.maximum(T[:, -1], 0.0), col, out=ratios, where=pos)
         best = float(ratios.min())
-        ties = pos[ratios <= best + 1e-9 * (1.0 + best)]
+        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + best))
         _pivot(T, z, basis, int(ties[np.argmax(col[ties])]), enter)
     return None, pivots
 
@@ -241,21 +244,20 @@ def _crash(A, lead):
     entry left in the rows without a pivot.  A lead column with no entry
     above ``_RANK_TOL`` there is skipped, and the elimination stops when no
     column has one; the rows left then depend on the others and are
-    dropped (Bixby, ORSA J. Computing 4, 1992)."""
+    dropped (Bixby, ORSA J. Computing 4, 1992).  A step eliminates on all
+    rows: its factor x/x = 1 leaves the pivot row exactly 0."""
     scale = np.abs(A).max(axis=1, initial=0.0)
     M = A / np.where(scale > 0.0, scale, 1.0)[:, None]
     left, cols = np.ones(A.shape[0], dtype=bool), []
     for j in [*lead, None]:
         while left.any():
-            rows = np.flatnonzero(left)
             if j is None:
-                k = int(np.argmax(np.abs(M[rows])))
-                r, col = rows[k // A.shape[1]], k % A.shape[1]
+                r, col = divmod(int(np.argmax(np.abs(M))), A.shape[1])
             else:
-                r, col = rows[np.argmax(np.abs(M[rows, j]))], j
+                r, col = int(np.argmax(np.abs(M[:, j]))), j
             if not abs(M[r, col]) > _RANK_TOL:
                 break
-            M[rows] -= np.outer(M[rows, col] / M[r, col], M[r])
+            M -= np.outer(M[:, col] / M[r, col], M[r])
             left[r] = False
             cols.append(int(col))
             if j is not None:

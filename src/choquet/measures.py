@@ -3,10 +3,10 @@
 A probability measure mu represents point x when integrating any basis
 function against mu reproduces its value at x, i.e. B mu = B e_x with
 mu >= 0 and total mass 1.  The Dirac mass at x always qualifies, so the
-feasible polytope is never empty.  Every LP over such measures is built by
-``_measure_program``: it keeps the basis rows that vary over the support
-and x, plus the ones row.  A row constant (within ``CERT_TOL`` of its
-scale) there holds for every probability measure on the support, so the
+feasible polytope is never empty.  Every LP over such measures keeps the
+basis rows that vary over the support and x, plus the ones row
+(``_kept_rows``).  A row constant (within ``CERT_TOL`` of its scale)
+there holds for every probability measure on the support, so the
 constant row that the bases carry never duplicates the ones row.
 
 Every hull question is decided here: is column x in the hull of the
@@ -49,10 +49,11 @@ only representing measure, so both ends are f(x).  Where the Gram
 screen certifies x there with a field psi, ``_dirac_values`` takes the
 Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
 slope that keeps it below f, and solves no LP.  The rows the screen runs
-on are the same for every x, so one screen and one vectorized slope
-serve any number of points: a key interval asks it of one point, the
-biconjugate sweep of all of them at once.  Elsewhere each end is one LP
-(``_least_pairing``) with phi from its dual, started at the Dirac mass
+on, and the LP's matrix, are the same for every x, so each system caches
+them in one context (``_pairing``) that the first value needing it
+builds: one screen of all points serves every key interval,
+representing measure and sweep on the system.  Elsewhere each end is one
+LP (``_least_pairing``) with phi from its dual, started at the Dirac mass
 e_x from ``lp._crash``'s basis; both LPs have the same rows and rhs, so
 the upper end starts from the lower end's optimal basis.  Each facet of
 the biconjugate is this LP too, started at e_x from the previous facet's
@@ -428,18 +429,22 @@ def _bracket(system, f, X, Mu, Phi):
     <Mu[:, k], f> and the lowered Phi[X[k], k] agree within ``AGREE_TOL``
     (1 + max |f|).  A NaN anywhere in a column fails it."""
     B = system.basis
+    Phi, ok = _agree(f, X, Mu, Phi)
+    return Phi, ok & (lp.backward_error(B, Mu, B[:, X]) <= CERT_TOL)
+
+
+def _agree(f, X, Mu, Phi):
+    """``_bracket`` less its measure check."""
     Phi = Phi - np.max(Phi - f[:, None], axis=0, initial=0.0)
-    ok = lp.backward_error(B, Mu, B[:, X]) <= CERT_TOL
-    ok &= np.abs(f @ Mu - Phi[X, np.arange(X.size)]) <= AGREE_TOL * (1.0 + np.abs(f).max())
-    return Phi, ok
+    return Phi, np.abs(f @ Mu - Phi[X, np.arange(X.size)]) <= AGREE_TOL * (1.0 + np.abs(f).max())
 
 
 def _least_pairing(system, g, x, start=None):
     """Least pairing <mu, g> over representing measures mu of x, a mu
     attaining it, a minorant phi <= g in the span with phi(x) at that value,
-    and the LP's start record: one ``_measure_program`` LP, whose point mu
-    and dual minorant B'c + t ``_bracket`` checks; phi is the minorant it
-    returns.
+    and the LP's start record: one LP over mu >= 0 with A mu = a_x, for the
+    system's ``_pairing`` matrix A = [B_keep; 1], whose point mu and dual
+    minorant B'c + t ``_bracket`` checks; phi is the minorant it returns.
 
     ``start`` is the record an earlier call on the same system returned,
     (its point, its optimal basis).  The LP's matrix is the same at every
@@ -449,8 +454,8 @@ def _least_pairing(system, g, x, start=None):
     (``_neighbour_basis``), else, like an LP with no record, from
     ``lp._crash``'s basis that takes column x first.
     """
-    B = system.basis
-    prog, keep = _measure_program(B, B[:, x], coefficient_scales(system), g)
+    B, (keep, A, _, _) = system.basis, _pairing(system)
+    prog = lp.LinearProgram(g, A, A[:, x])
     basis = None
     if start is not None:
         basis = start[1] if start[0] == x else _neighbour_basis(prog, x, start[1])
@@ -487,20 +492,36 @@ def _neighbour_basis(prog, x, basis):
     return cols, rows
 
 
+def _pairing(system):
+    """The system's least-pairing context, cached on it on first use like
+    ``validate``'s report: the basis rows ``_kept_rows`` keeps for any
+    point against all of them, the read-only matrix A = [B_keep; 1] of
+    every ``_least_pairing`` LP, and ``_gram_screen``'s mask and fields of
+    all points on those rows (None, None with no row)."""
+    ctx = getattr(system, "_pairing_context", None)
+    if ctx is None:
+        B = system.basis
+        keep = _kept_rows(B, B[:, 0], coefficient_scales(system))
+        A = np.vstack([B[keep], np.ones((1, system.n))])
+        A.setflags(write=False)
+        screen = _gram_screen(A[:-1], np.arange(system.n))[:2] if keep.any() else (None, None)
+        ctx = keep, A, *screen
+        object.__setattr__(system, "_pairing_context", ctx)
+    return ctx
+
+
 def _dirac_values(system, fields, points):
     """Mask over the distinct ``points``: is the Dirac mass at each certified
-    the least pairing of every field, with no LP?  The rows
-    ``_measure_program`` keeps for x against all points are the same for
-    every x, so one ``_gram_screen`` on them must put x on the Choquet
-    boundary with a field psi, and each field g must pass ``_bracket`` at
-    x with the Dirac mass and the minorant g(x) - lam (psi(x) - psi),
-    where lam is the least slope that keeps it below g."""
+    the least pairing of every field, with no LP?  The system's
+    ``_pairing`` screen must put x on the Choquet boundary with a field
+    psi, and each field g must pass ``_bracket`` at x with the Dirac mass
+    and the minorant g(x) - lam (psi(x) - psi), where lam is the least
+    slope that keeps it below g; the Dirac mass is checked once for all."""
     B, points = system.basis, np.asarray(points, dtype=int)
-    # the rows ``_kept_rows`` keeps for any one point against all of them
-    Q = B[_kept_rows(B, B[:, 0], coefficient_scales(system))]
-    if Q.shape[0] == 0:
+    _, A, screened, C = _pairing(system)
+    if screened is None:
         return np.zeros(points.size, dtype=bool)
-    ok, C, _ = _gram_screen(Q, points)
+    Q, ok, C = A[:-1], screened[points], C[:, points]
     with in_float_range("field"):
         for lo in range(0, points.size, 256):  # n x 256 slopes at a time
             block, mine = points[lo : lo + 256], ok[lo : lo + 256]  # a view of ok
@@ -517,8 +538,9 @@ def _dirac_values(system, fields, points):
             drop[x, at] = 0.0
             dirac = np.zeros((system.n, cert.size))
             dirac[x, at] = 1.0
+            mine[cert] &= lp.backward_error(B, dirac, B[:, x]) <= CERT_TOL
             for g, lam in zip(fields, lams):
-                mine[cert] &= _bracket(system, g, x, dirac, g[x] - lam * drop)[1]
+                mine[cert] &= _agree(g, x, dirac, g[x] - lam * drop)[1]
     return ok
 
 

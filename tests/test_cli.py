@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import choquet
 from choquet import lp
 from choquet.cli import _GEN_ARGS, main
 from choquet.convexify import CONVEX_TOL
@@ -547,3 +550,15 @@ def test_help_exits_0(argv, capsys):
     assert out.startswith("usage: choquet " + " ".join(argv))
     if argv[0] in _DEFAULT_TOL:
         assert f"{_DEFAULT_TOL[argv[0]]:g}" in out
+
+
+def test_package_and_cli_import_without_scipy():
+    # start-up is what every CLI call and every benchmark set-up pays: in a
+    # fresh interpreter the package and its CLI import no scipy
+    src = str(Path(choquet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, choquet, choquet.cli; "
+            "sys.exit(', '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from choquet.generators import (
     gen_random,
 )
 from choquet.maxprinciple import random_spec
+from choquet.space import FunctionSystem
 from conftest import (
     basis_change,
     biconjugate_lp,
@@ -164,8 +165,9 @@ def _sweep_starts(monkeypatch):
 
 
 def test_batched_dirac_values_match_one_point_calls_and_skip_the_boundary(monkeypatch):
-    # one screen over all points certifies exactly the points one-point
-    # calls certify, and the sweep solves no LP at a certified point.  The
+    # the system's one cached screen over all points certifies exactly the
+    # points an uncached one-point screen certifies, batched and one-point
+    # calls agree, and the sweep solves no LP at a certified point.  The
     # screen certifies every boundary point of the named systems; on some
     # random ones it leaves a boundary point open, which then takes an LP
     named = [gen_naturals(4).system, gen_cantor(3).system, gen_disk(32, 1, 8).system,
@@ -173,6 +175,10 @@ def test_batched_dirac_values_match_one_point_calls_and_skip_the_boundary(monkey
     rng = np.random.default_rng(2026)
     for k, system in enumerate(named + _random_systems(20, 70_000)):
         boundary = measures.choquet_boundary(system).is_boundary
+        B = system.basis
+        Q = B[measures._kept_rows(B, B[:, 0], measures.coefficient_scales(system))]
+        alone = [measures._gram_screen(Q, np.array([x]))[0][0] for x in range(system.n)]
+        assert np.array_equal(measures._pairing(system)[2], alone)
         f = _convex_field(rng, system)
         for g in (f, f + rng.uniform(0.05, 0.25, size=system.n)):
             for fields in [(g,), (g, -g)]:
@@ -192,7 +198,9 @@ def test_batched_dirac_values_match_one_point_calls_and_skip_the_boundary(monkey
 
 def test_lying_screen_sends_the_sweep_to_the_lps(monkeypatch):
     # the screen claims every point with the raw Gram field of circ000,
-    # which is largest at circ000: only circ000 may take the closed form
+    # which is largest at circ000: only circ000 may take the closed form.
+    # ``want`` caches the true screen on ``system``, so the lying sweep
+    # runs on a fresh copy of it
     system = gen_disk(32, 1, 8).system
     rng = np.random.default_rng(1)
     g = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
@@ -201,9 +209,39 @@ def test_lying_screen_sends_the_sweep_to_the_lps(monkeypatch):
     monkeypatch.setattr(measures, "_gram_screen", lambda Q, at: (
         np.ones(at.size, dtype=bool), Q[:, np.zeros(at.size, dtype=int)], None))
     starts = _sweep_starts(monkeypatch)
-    got = convexify.biconjugate(system, g)
+    got = convexify.biconjugate(FunctionSystem(system.space, system.basis), g)
     assert 0 not in starts and boundary[starts].any()
     assert np.abs(got - want).max() <= measures.AGREE_TOL * (1.0 + np.abs(g).max())
+
+
+def _count_screens(monkeypatch):
+    """Record the arguments of every ``measures._gram_screen`` call from here on."""
+    screens, screen = [], measures._gram_screen
+    monkeypatch.setattr(measures, "_gram_screen", lambda *args: screens.append(args) or screen(*args))
+    return screens
+
+
+def test_validation_builds_no_pairing_context(monkeypatch):
+    # every benchmark set-up and CLI run validates its system: that screens
+    # nothing, and the context waits for the first value that needs it
+    system = gen_disk(32, 1, 8).system
+    screens = _count_screens(monkeypatch)
+    system.require_valid()
+    assert not screens and not hasattr(system, "_pairing_context")
+
+
+def test_one_screen_serves_every_value_on_a_system(monkeypatch):
+    # a sweep, a convexity test and ten key intervals, on the boundary and
+    # off it, share the system's one screen of all points
+    system = gen_disk(32, 1, 8).system
+    rng = np.random.default_rng(3)
+    g = _convex_field(rng, system) + rng.uniform(0.05, 0.25, size=system.n)
+    screens = _count_screens(monkeypatch)
+    convexify.biconjugate(system, g)
+    convexify.is_choquet_convex(system, g)
+    for x in range(0, system.n, 7):
+        measures.key_interval(system, g, x)
+    assert len(screens) == 1
 
 
 def test_convexity_test_stops_early_with_the_gap_verdict(monkeypatch):

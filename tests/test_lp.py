@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import choquet
 from choquet import lp
 from choquet.errors import IterationLimitError, ValidationError
 from conftest import count_calls
@@ -479,3 +481,54 @@ def test_pivot_loop_bit_identical_to_its_reference(monkeypatch):
         if ref.basis is not None:
             assert out.basis[0] == ref.basis[0]
             assert np.array_equal(out.basis[1], ref.basis[1])
+
+
+def _crash_rows(A, lead):
+    """``lp._crash`` eliminating on the rows without a pivot only, frozen as
+    its reference."""
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    M = A / np.where(scale > 0.0, scale, 1.0)[:, None]
+    left, cols = np.ones(A.shape[0], dtype=bool), []
+    for j in [*lead, None]:
+        while left.any():
+            rows = np.flatnonzero(left)
+            if j is None:
+                k = int(np.argmax(np.abs(M[rows])))
+                r, col = rows[k // A.shape[1]], k % A.shape[1]
+            else:
+                r, col = rows[np.argmax(np.abs(M[rows, j]))], j
+            if not abs(M[r, col]) > lp._RANK_TOL:
+                break
+            M[rows] -= np.outer(M[rows, col] / M[r, col], M[r])
+            left[r] = False
+            cols.append(int(col))
+            if j is not None:
+                break
+    return tuple(cols), ~left
+
+
+def _convexify_workload(seed):
+    """The operations of one pass of the benchmark's ``convexify`` workload."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.build("convexify", seed, None).ops
+
+
+def test_crash_bit_identical_to_its_reference(monkeypatch):
+    # every matrix and lead crashed by the corpora and by one pass of the
+    # convexify workload at seeds 1-3: least-pairing LPs on disk(32,1,8)
+    # and cantor(3), whose matrix has more columns than rows
+    crashes = count_calls(monkeypatch, "_crash")
+    _lp_corpus(), _warm_corpus()
+    corpora = len(crashes)
+    for seed in (1, 2, 3):
+        for op in _convexify_workload(seed):
+            getattr(choquet, op.fn)(*op.args, **op.kwargs)
+    monkeypatch.undo()
+    assert corpora > 200 and len(crashes) > corpora
+    for A, lead in crashes:
+        cols, keep = lp._crash(A, lead)
+        ref_cols, ref_keep = _crash_rows(A, lead)
+        assert cols == ref_cols and np.array_equal(keep, ref_keep)

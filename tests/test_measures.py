@@ -629,35 +629,56 @@ def test_dumped_key_interval_lps_replay_from_their_bases(tmp_path):
 
 
 def test_lying_screen_falls_back_to_the_lps(monkeypatch):
-    # the screen claims a ring point with the raw Gram field of circ000,
-    # which is largest at circ000: the closed form must not be taken
+    # the screen claims every point, a ring point too, with the raw Gram
+    # field of circ000, which is largest at circ000: the closed form must
+    # not be taken.  ``want`` caches the true screen on ``system``, so the
+    # lying call runs on a fresh copy of it
     system = gen_disk(32, 1, 8).system
     f = _noisy_convex_field(system, 1)
     x = system.space.index("ring1_005")
     want = measures.key_interval(system, f, x)
-    monkeypatch.setattr(measures, "_gram_screen",
-                        lambda Q, at: (np.ones(at.size, dtype=bool), Q[:, [0]], None))
+    monkeypatch.setattr(measures, "_gram_screen", lambda Q, at: (
+        np.ones(at.size, dtype=bool), Q[:, np.zeros(at.size, dtype=int)], None))
     lps = count_lps(monkeypatch)
-    got = measures.key_interval(system, f, x)
+    got = measures.key_interval(FunctionSystem(system.space, system.basis), f, x)
     assert len(lps) == 2
     assert (got.lo, got.hi) == (want.lo, want.hi) and got.lo < got.hi
 
 
 def test_failed_closed_form_check_falls_back_to_the_lps(naturals4, monkeypatch):
-    # the first bracket is the closed form's of f at boundary point 0; once
-    # its column fails, the point gets both LPs and their own checks: two
-    # closed-form brackets, one per field, then one per LP
-    bracket, calls = measures._bracket, []
+    # the first agreement check is the closed form's of f at boundary point
+    # 0; once its column fails, the point gets both LPs and their own
+    # checks: two closed-form agreement checks, one per field, then one in
+    # each LP's bracket
+    agree, calls = measures._agree, []
 
     def first_fails(*args):
         calls.append(args)
-        phi, ok = bracket(*args)
+        phi, ok = agree(*args)
         return phi, ok & (len(calls) > 1)
 
-    monkeypatch.setattr(measures, "_bracket", first_fails)
+    monkeypatch.setattr(measures, "_agree", first_fails)
     lps = count_lps(monkeypatch)
     iv = measures.key_interval(naturals4.system, np.array([0.5, 1.0, 1.0, 0.0]), 0)
     assert (len(lps), len(calls)) == (2, 4)
+    assert iv.lo == pytest.approx(0.5, abs=1e-12) and iv.hi == pytest.approx(0.5, abs=1e-12)
+
+
+def test_failed_dirac_measure_check_falls_back_to_the_lps(naturals4, monkeypatch):
+    # the closed form checks its Dirac mass once for both fields, and that
+    # is the key interval's first backward error: once it fails, the point
+    # gets both LPs
+    error, calls = lp.backward_error, []
+
+    def first_fails(*args):
+        calls.append(args)
+        miss = error(*args)
+        return miss if len(calls) > 1 else np.full_like(miss, np.inf)
+
+    monkeypatch.setattr(lp, "backward_error", first_fails)
+    lps = count_lps(monkeypatch)
+    iv = measures.key_interval(naturals4.system, np.array([0.5, 1.0, 1.0, 0.0]), 0)
+    assert len(lps) == 2 and np.array_equal(calls[0][1], np.eye(4)[:, [0]])
     assert iv.lo == pytest.approx(0.5, abs=1e-12) and iv.hi == pytest.approx(0.5, abs=1e-12)
 
 
