@@ -16,13 +16,13 @@ reproduce column x, or a ray (c, t) whose field B'c + t is larger at x
 than on S beyond rounding, zero on every row x's self-mass LP drops.
 The screen, Wolfe and the LP propose in turn, each checked so:
 ``_gram_screen``'s raw and whitened Gram fields; then Wolfe's nearest
-point of the hull to x in the screen's whitened frame (``_wolfe``), whose
-weights or field ``_decide`` checks; and last the self-mass LP
-(``_membership``), min mu_x over the representing measures of x on S and
-x, whose point gives weights and whose dual gives a field.
-``_in_hull`` asks this of a single point, and
-``_separator`` rescales whichever ray decided into the separator and
-exposing field that ``sets`` and ``maxprinciple`` return.
+point of the hull to x in the screen's whitened frame (``_wolfe``), or
+its first iterate that already separates, whose weights or field
+``_decide`` checks; and last the self-mass LP (``_membership``), min mu_x
+over the representing measures of x on S and x, whose point gives
+weights and whose dual gives a field.  ``_in_hull`` asks this of a
+single point, and ``_separator`` rescales whichever ray decided into the
+separator and exposing field that ``sets`` and ``maxprinciple`` return.
 ``_hull_members`` asks, of many points, whether each is in the hull of
 one fixed S less the point itself.  It runs the screen once over all of
 them, then ``_decide`` only where no witness found so far answers: a ray
@@ -224,43 +224,51 @@ def _wolfe(Y):
     """P. Wolfe's nearest point p to the origin in the hull of the columns
     of Y (Math. Programming 11, 1976): (w, p), w convex weights on an
     active set A of affinely independent columns with p = Y w, or None
-    after 200 cycles.  A starts at the farthest column, which gives wider
-    supports than the nearest for ``_hull_members`` to reuse.  T = R^-1 for the Cholesky factor R
-    of M_A'M_A, M = [1; Y], gains a column per major cycle and is redone by
-    a QR when a minor cycle drops one.  It stops when no column is below p
-    by 1e-12 max |y|^2, and drops weights under 1e-14; these settle only a
+    after 200 cycles or at a singular A.  A starts at the farthest column,
+    which gives wider supports than the nearest for ``_hull_members`` to
+    reuse.  M_A and w_A, M = [1; Y], sit in arrays of rows + 1 columns;
+    T = R^-1 for the Cholesky factor R of M_A'M_A gains a column per major
+    cycle and is refactored from M_A'M_A when a minor cycle drops one.  It
+    stops when no column is below p by tol = 1e-12 max |y|^2, or once all
+    are above 0 by tol, where p already separates (Gilbert, Johnson &
+    Keerthi, 1988); it drops weights under 1e-14.  These settle only a
     proposal, which the callers check."""
     M = np.vstack([np.ones(Y.shape[1]), Y])
     sq = np.einsum("ij,ij->j", M, M)
-    tol = 1e-12 * (sq.max() - 1.0)
-    A, w, T = [int(np.argmax(sq))], np.zeros(Y.shape[1]), np.zeros((M.shape[0] + 1,) * 2)
-    w[A], T[0, 0], grow = 1.0, sq[A[0]] ** -0.5, True
+    tol, size, j = 1e-12 * (sq.max() - 1.0), M.shape[0] + 1, int(np.argmax(sq))
+    A, wA, T = np.zeros(size, dtype=int), np.zeros(size), np.zeros((size, size))
+    MA, k, grow = np.zeros((size, size - 1)), 1, True
+    A[0], MA[0], wA[0], T[0, 0] = j, M[:, j], 1.0, sq[j] ** -0.5
     for _ in range(200):
-        k = len(A)
         if grow:
-            p = Y @ w
+            p = wA[:k] @ MA[:k, 1:]
             py = p @ Y
             j = int(np.argmin(py))
-            r = T[:k, :k].T @ (M[:, j] @ M[:, A])
+            r = T[:k, :k].T @ (MA[:k] @ M[:, j])
             rho = sq[j] - r @ r
-            if p @ p - py[j] <= tol or rho <= 1e-12 * sq[j]:
+            if py[j] > tol or p @ p - py[j] <= tol or rho <= 1e-12 * sq[j]:
+                w = np.zeros(Y.shape[1])
+                w[A[:k]] = wA[:k]
                 return w, p
             T[:k, k], T[k, k] = -(T[:k, :k] @ r) * rho**-0.5, rho**-0.5
-            A.append(j)
-            k += 1
+            A[k], MA[k], k = j, M[:, j], k + 1
         u = T[:k, :k] @ T[:k, :k].sum(axis=0)
-        alpha, lam = u / u.sum(), w[A]
+        alpha, lam = u / u.sum(), wA[:k]
         grow = alpha.min() > 1e-14
         if grow:
-            w[A] = alpha
+            wA[:k] = alpha
             continue
         ratio = np.where(alpha <= 1e-14, lam / np.maximum(lam - alpha, 1e-300), np.inf)
         i = int(np.argmin(ratio))
-        lam += ratio[i] * (alpha - lam)
+        lam = lam + ratio[i] * (alpha - lam)
         lam[i] = 0.0
-        w[A] = np.where(lam > 1e-14, lam, 0.0)
-        A = [a for a, v in zip(A, lam) if v > 1e-14]
-        T[: len(A), : len(A)] = np.linalg.inv(np.linalg.qr(M[:, A], mode="r"))
+        live = lam > 1e-14
+        k = int(np.count_nonzero(live))
+        A[:k], MA[:k], wA[:k] = A[: live.size][live], MA[: live.size][live], lam[live]
+        try:
+            T[:k, :k] = np.linalg.inv(np.linalg.cholesky(MA[:k] @ MA[:k].T).T)
+        except np.linalg.LinAlgError:  # numerically dependent: the LP decides
+            return None
     return None
 
 
@@ -297,18 +305,18 @@ def _gram_screen(Q, at, m=None):
     return ok, fields, frame
 
 
-def _decide(system, x, rest, rows, frame):
+def _decide(system, x, rest, rows, frame, own):
     """``_membership``'s (member, witness) for column x against the points
     ``rest`` (indices), first by ``_wolfe`` on G'(column - column x) if the
     screen left a frame (W, U) on the basis rows ``rows``: W' on ``rows``,
-    the part off the span of U there, and the other rows x's LP keeps as
-    they are.  Its weights decide if they reproduce column x within
-    ``CERT_TOL``, else its field c = -G p if it separates, else the LP."""
+    the part off the span of U there, and the other rows x's LP keeps (the
+    mask ``own``, ``_kept_rows`` of rest and x) as they are.  Its weights
+    decide if they reproduce column x within ``CERT_TOL``, else its field
+    c = -G p if it separates, else the LP."""
     B = system.basis
     if frame is not None:
         W, U = frame
         r, idx = W.shape[1], np.flatnonzero(rows)
-        own = _kept_rows(B[:, rest], B[:, x], coefficient_scales(system))
         G = np.hstack([np.zeros((system.d, r)), np.diag(own.astype(float))])
         G[idx, :r] = W
         G[np.ix_(idx, r + idx)] -= U @ U.T
@@ -338,7 +346,7 @@ def _in_hull(system, x, S):
             c = np.zeros(system.d)
             c[keep] = fields[:, 0]
             return False, (c, 0.0)
-    return _decide(system, x, S, keep, frame)
+    return _decide(system, x, S, keep, frame, keep)
 
 
 def _hull_members(system, S, points):
@@ -376,7 +384,8 @@ def _hull_members(system, S, points):
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]
-        found, witness = _decide(system, points[i], rest, kept, frame)
+        own = _kept_rows(B[:, rest], B[:, points[i]], coefficient_scales(system))
+        found, witness = _decide(system, points[i], rest, kept, frame, own)
         member[i], todo[i] = found, False
         if not found:
             c, t = witness

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -59,6 +61,14 @@ def forge_wolfe(monkeypatch):
         return np.eye(Y.shape[1])[np.argmax(np.einsum("ij,ij->j", Y, Y))], -near[1]
 
     monkeypatch.setattr(measures, "_wolfe", forged)
+
+
+def exact_margin(Q, c, x):
+    """The field c's value at column x of Q less its largest value at another
+    column, in exact rational arithmetic on the stored floats."""
+    c = [Fraction(float(v)) for v in c]
+    vals = [sum((a * Fraction(float(q)) for a, q in zip(c, col)), Fraction(0)) for col in Q.T]
+    return vals[x] - max(v for j, v in enumerate(vals) if j != x)
 
 
 def is_vertex(system, x):

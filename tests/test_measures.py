@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +13,8 @@ from choquet.errors import ConsistencyError, ValidationError
 from choquet.generators import gen_cantor, gen_disk, gen_interval_affine, gen_naturals, gen_random
 from choquet.maxprinciple import expose, random_spec
 from choquet.space import FiniteSpace, FunctionSystem, evaluate, pair
-from conftest import (biconjugate_lp, count_calls, count_lps, extreme_lp, hat_positive_lp,
-                      is_vertex, no_wolfe)
+from conftest import (biconjugate_lp, count_calls, count_lps, exact_margin, extreme_lp,
+                      hat_positive_lp, is_vertex, no_wolfe)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -273,14 +272,6 @@ def test_gram_screen_uses_only_rows_the_lps_keep():
     assert boundary == extreme_lp(system, range(13)) == tuple(range(12))
 
 
-def _exact_margin(Q, c, x):
-    """The field c's value at column x of Q less its largest value at another
-    column, in exact rational arithmetic on the stored floats."""
-    c = [Fraction(float(v)) for v in c]
-    vals = [sum((a * Fraction(float(q)) for a, q in zip(c, col)), Fraction(0)) for col in Q.T]
-    return vals[x] - max(v for j, v in enumerate(vals) if j != x)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -301,23 +292,23 @@ def test_gram_screen_certificates_hold_exactly(make, monkeypatch):
     ok, fields, _ = measures._gram_screen(Q, np.arange(system.n))
     assert ok.any()
     for x in np.flatnonzero(ok):
-        assert _exact_margin(Q, fields[:, x], x) > 0
+        assert exact_margin(Q, fields[:, x], x) > 0
     # the odd points against the even ones, S
     S, out = Q[:, 0::2], Q[:, 1::2]
     ok, fields, _ = measures._gram_screen(np.hstack([S, out]), np.arange(out.shape[1]) + S.shape[1],
                                           S.shape[1])
     assert ok.any()
     for i in np.flatnonzero(ok):
-        assert _exact_margin(np.column_stack([S, out[:, i]]), fields[:, i], S.shape[1]) > 0
+        assert exact_margin(np.column_stack([S, out[:, i]]), fields[:, i], S.shape[1]) > 0
     # so does every field of Wolfe's algorithm that its check accepts, at
     # every point the screen is made to leave open: the boundary, and the
     # odd points against the even ones.  A point that reached no LP got
     # Wolfe's witness
     lps, wolfe_fields, decide = count_lps(monkeypatch), [], measures._decide
 
-    def recording(system, x, rest, rows, frame):
+    def recording(system, x, rest, rows, frame, own):
         before = len(lps)
-        member, witness = decide(system, x, rest, rows, frame)
+        member, witness = decide(system, x, rest, rows, frame, own)
         if not member and len(lps) == before:
             wolfe_fields.append((x, rest, witness[0]))
         return member, witness
@@ -329,7 +320,7 @@ def test_gram_screen_certificates_hold_exactly(make, monkeypatch):
     measures._hull_members(system, even, np.arange(1, system.n, 2))
     assert wolfe_fields
     for x, rest, c in wolfe_fields:
-        assert _exact_margin(np.column_stack([B[:, rest], B[:, x]]), c, rest.size) > 0
+        assert exact_margin(np.column_stack([B[:, rest], B[:, x]]), c, rest.size) > 0
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from choquet.space import FiniteSpace, FunctionSystem, evaluate
 from conftest import (
     basis_change,
     count_lps,
+    exact_margin,
     extreme_lp,
     forge_wolfe,
     invariance_systems,
@@ -498,6 +499,7 @@ def _named_system(name):
         "disk(64,2,8)": lambda: gen_disk(64, 2, 8),
         "cantor(4)": lambda: gen_cantor(4),
         "interval(101)": lambda: gen_interval_affine(101),
+        "interval(200)": lambda: gen_interval_affine(200),
         "naturals(40)": lambda: gen_naturals(40),
         "naturals(4)": lambda: gen_naturals(4),
     }[name]().system
@@ -569,6 +571,87 @@ def test_in_hull_matches_nnls_and_mostly_skips_the_lp(monkeypatch):
     for x, S in _seeded_queries(np.random.default_rng(2024), big, 200):
         assert sets.in_hull(big, x, S) == _nnls_member(big.basis, x, S)
     assert not calls
+
+
+def test_wolfe_fields_that_stop_early_separate_exactly(monkeypatch):
+    # Wolfe's algorithm returns its first iterate p that is above 0 by its
+    # tolerance at every column, before p reaches the nearest point.  Every
+    # non-member that such a field, or a nearest point's, settles with no LP
+    # is separated by it in rational arithmetic, and some of these draws
+    # stop early
+    big = _named_system("disk(256,4,8)")
+    B = big.basis
+    lps, runs, settled = count_lps(monkeypatch), [], []
+    wolfe, decide = measures._wolfe, measures._decide
+
+    def running(Y):
+        runs.append((Y, wolfe(Y)))
+        return runs[-1][1]
+
+    def recording(system, x, rest, rows, frame, own):
+        lps_before, runs_before = len(lps), len(runs)
+        member, witness = decide(system, x, rest, rows, frame, own)
+        if not member and len(lps) == lps_before and len(runs) == runs_before + 1:
+            Y, (_, p) = runs[-1]
+            early = p @ p - (p @ Y).min() > 1e-12 * np.einsum("ij,ij->j", Y, Y).max()
+            settled.append((x, rest, witness[0], early))
+        return member, witness
+
+    monkeypatch.setattr(measures, "_wolfe", running)
+    monkeypatch.setattr(measures, "_decide", recording)
+    for x, S in _seeded_queries(np.random.default_rng(2024), big, 200):
+        sets.in_hull(big, x, S)
+    assert not lps
+    assert any(early for *_, early in settled)
+    for x, rest, c, _ in settled:
+        assert exact_margin(np.column_stack([B[:, rest], B[:, x]]), c, rest.size) > 0
+
+
+def test_failed_wolfe_refactor_falls_back_to_the_lp(monkeypatch):
+    # a minor cycle refactors Wolfe's active set by a Cholesky factorization;
+    # where that fails, Wolfe proposes nothing and the self-mass LP decides
+    big = _named_system("disk(256,4,8)")
+    queries = _seeded_queries(np.random.default_rng(2025), big, 40)
+    honest = [sets.in_hull(big, x, S) for x, S in queries]
+
+    def singular(a):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
+    calls = count_lps(monkeypatch)
+    assert [sets.in_hull(big, x, S) for x, S in queries] == honest
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "name, run, counts",
+    [
+        ("interval(200)", measures.choquet_boundary, {1}),
+        ("disk(128,3,12)", measures.choquet_boundary, {12, 15, 16}),
+        ("disk(256,4,8)", lambda s: sets.trace_hull(s, tuple(range(0, 256, 16))), {3}),
+        ("disk(256,4,8)", measures.choquet_boundary, range(53)),
+    ],
+    ids=["boundary-interval(200)", "boundary-disk(128,3,12)", "trace-hull-disk(256,4,8)",
+         "boundary-disk(256,4,8)"],
+)
+def test_wolfe_run_counts(name, run, counts, monkeypatch):
+    # the counts README publishes: the boundary and trace hull ask Wolfe's
+    # algorithm only where no witness found so far answers.  The disk
+    # boundaries' counts follow the OpenBLAS kernel, through the rounding of
+    # the screen's SVD: 15 and 47 under SkylakeX and its successors, 16 and
+    # 52 under Zen and Haswell, 12 and 41 under Sandybridge.  disk(256,4,8)'s
+    # boundary needs more runs than the LP route solved LPs (9), so that pin
+    # is a ceiling
+    system = _named_system(name)
+    runs, wolfe = [], measures._wolfe
+
+    def counting(Y):
+        runs.append(Y)
+        return wolfe(Y)
+
+    monkeypatch.setattr(measures, "_wolfe", counting)
+    run(system)
+    assert len(runs) in counts
 
 
 @pytest.mark.parametrize("forgery", ["negated", "another-points"])
