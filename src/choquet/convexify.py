@@ -13,13 +13,13 @@ and -(-f)**(x) is its upper end: two sweeps give every key interval.
 
 On the Choquet boundary the Dirac mass is the only representing measure,
 so f**(x) = f(x) there.  ``biconjugate`` first takes that value at every
-boundary point one Gram screen certifies (``measures._dirac_values``),
-then sweeps the envelope facet by facet over the points left open, so it
-solves one LP per facet it reaches rather than one per point.  At a point
-x that no earlier facet certifies it solves that least-pairing LP over
-the representing measures of x (``measures._least_pairing``), started at
-the Dirac mass of x, a vertex: the first from a crash basis, each later
-one from the previous LP's optimal basis by one column swap.
+boundary point the system's Gram screen, run once per point, certifies
+(``measures._dirac_values``), then sweeps the envelope facet by facet
+over the points left open: one LP per facet it reaches, not per point.
+At a point x that no earlier facet certifies it solves that least-pairing
+LP over the representing measures of x (``measures._least_pairing``),
+started at the Dirac mass of x, a vertex: the first from a crash basis,
+each later one from the previous LP's optimal basis by one column swap.
 
 Every value the screen or an LP gives passes ``measures._bracket``,
 which checks two witnesses by direct evaluation that does not trust the

@@ -141,13 +141,10 @@ def expose(system, xbar):
     return PhiFunction(coeffs)
 
 
-def random_spec(system, rng, max_pieces=4, scale=1.0):
+def random_spec(system, rng, max_pieces=4):
     """A random max-of-affine spec (helper for sampling-based checks)."""
     k = int(rng.integers(1, max_pieces + 1))
-    pieces = tuple(
-        (rng.normal(scale=scale, size=system.d), float(rng.normal(scale=scale)))
-        for _ in range(k)
-    )
+    pieces = tuple((rng.normal(size=system.d), float(rng.normal())) for _ in range(k))
     return ConvexTraceSpec(pieces)
 
 

@@ -49,10 +49,11 @@ only representing measure, so both ends are f(x).  Where the Gram
 screen certifies x there with a field psi, ``_dirac_values`` takes the
 Dirac mass and the minorant f(x) - lam (psi(x) - psi), lam the least
 slope that keeps it below f, and solves no LP.  The rows the screen runs
-on, and the LP's matrix, are the same for every x, so each system caches
-them in one context (``_pairing``) that the first value needing it
-builds: one screen of all points serves every key interval,
-representing measure and sweep on the system.  Elsewhere each end is one
+on, and the LP's matrix, are the same for every x, so each system keeps
+them in one context (``_pairing``) with the screen of each point against
+all the others, filled point by point: a boundary verdict, key interval,
+representing measure or sweep screens only the points it asks that no
+earlier call screened.  Elsewhere each end is one
 LP (``_least_pairing``) with phi from its dual, started at the Dirac mass
 e_x from ``lp._crash``'s basis; both LPs have the same rows and rhs, so
 the upper end starts from the lower end's optimal basis.  Each facet of
@@ -65,6 +66,7 @@ witness is a ValidationError.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -207,17 +209,17 @@ def _gram_fields(Q, at, m):
     columns, P, in the order to try them, each with its frame: the raw
     fields c = Q_x with none, then the whitened ones c = W W'(Q_x - m_P)
     with (W, U), for P's mean column m_P, P - m_P = U diag(s) V' and
-    W = U diag(s)^-1 over s > 1e-10 max s.  The SVD runs only when the raw
-    fields leave a column open.  They are only proposals, which
-    ``_gram_screen`` checks."""
+    W = U diag(s)^-1 over s > 1e-10 max s, once the raw fields leave a
+    column open, by matrix-vector products that round alike in any batch.
+    Only proposals: ``_gram_screen`` checks them."""
     X = Q[:, at]
     yield X, None
     P = Q[:, :m]
     mean = P.mean(axis=1, keepdims=True)
     U, s, _ = np.linalg.svd(P - mean, full_matrices=False)
     U, s = U[:, s > 1e-10 * s[0]], s[s > 1e-10 * s[0]]
-    W = U / s
-    yield W @ (W.T @ (X - mean)), (W, U)
+    W, Y = U / s, np.ascontiguousarray((X - mean).T)[:, :, None]
+    yield (W @ (W.T @ Y))[:, :, 0].T.copy(), (W, U)
 
 
 def _wolfe(Y):
@@ -352,10 +354,10 @@ def _in_hull(system, x, S):
 def _hull_members(system, S, points):
     """Mask over the distinct ``points``: is each one's column in the hull of
     the columns of S less itself?  One ``_gram_screen``, on the rows all
-    their LPs keep, first certifies points outside it.  The rest are
-    visited in ascending order, and one is put to ``_decide`` only when no
-    witness found so far certifies it; each witness is checked against all
-    open points at once.
+    their LPs keep (``_pairing``'s when S is every point), first certifies
+    points outside it.  The rest are visited in ascending order, and one is
+    put to ``_decide`` only when no witness found so far certifies it; each
+    witness is checked against all open points at once.
 
     - A ray (c, t) certifies x outside S when c is zero on every row x's own
       LP drops and ``separation_margin`` against S is positive.  (No point
@@ -368,8 +370,8 @@ def _hull_members(system, S, points):
       support, which then holds few other points; the union holds more.
     """
     B, S, points = system.basis, np.asarray(S, dtype=int), np.asarray(points, dtype=int)
-    P, X = B[:, S], B[:, points]
-    keep = _kept_rows(P, X, coefficient_scales(system))  # S less x, and x, span S
+    P, X, scales = B[:, S], B[:, points], coefficient_scales(system)
+    keep = _kept_rows(P, X, scales)  # S less x, and x, span S
     # each point's column of Q: its position in S, or S.size + k for the k-th outside
     at = np.full(system.n, -1)
     at[S] = np.arange(S.size)
@@ -378,13 +380,16 @@ def _hull_members(system, S, points):
     at[outside] = S.size + np.arange(np.count_nonzero(outside))
     member, todo = np.zeros(points.size, dtype=bool), np.ones(points.size, dtype=bool)
     kept, frame, J = keep.all(axis=1), None, np.zeros(0, dtype=int)
-    if kept.any():
+    if S.size == system.n:  # S, distinct, is every point: the system's screen
+        ctx = _pairing(system, points)
+        todo, frame = ~ctx.ok[points], ctx.frame
+    elif kept.any():
         ok, _, frame = _gram_screen(np.hstack([P[kept], X[kept][:, outside]]), at, S.size)
         todo = ~ok
     while todo.any():
         i = int(np.argmax(todo))
         rest = S[S != points[i]]
-        own = _kept_rows(B[:, rest], B[:, points[i]], coefficient_scales(system))
+        own = keep[:, i] if outside[i] else _kept_rows(B[:, rest], X[:, i], scales)
         found, witness = _decide(system, points[i], rest, kept, frame, own)
         member[i], todo[i] = found, False
         if not found:
@@ -463,14 +468,14 @@ def _least_pairing(system, g, x, start=None):
     (``_neighbour_basis``), else, like an LP with no record, from
     ``lp._crash``'s basis that takes column x first.
     """
-    B, (keep, A, _, _) = system.basis, _pairing(system)
-    prog = lp.LinearProgram(g, A, A[:, x])
+    B, ctx = system.basis, _pairing(system)
+    prog = lp.LinearProgram(g, ctx.A, ctx.A[:, x])
     basis = None
     if start is not None:
         basis = start[1] if start[0] == x else _neighbour_basis(prog, x, start[1])
     out = lp.solve(prog, basis or lp._crash(prog.constraint_matrix, [x]))
     c = np.zeros(system.d)
-    c[keep] = out.dual_point[:-1]
+    c[ctx.keep] = out.dual_point[:-1]
     mu = np.maximum(out.point, 0.0)
     with in_float_range("field"):
         phi, ok = _bracket(system, g, np.array([x]), mu[:, None],
@@ -501,21 +506,29 @@ def _neighbour_basis(prog, x, basis):
     return cols, rows
 
 
-def _pairing(system):
+def _pairing(system, points=()):
     """The system's least-pairing context, cached on it on first use like
-    ``validate``'s report: the basis rows ``_kept_rows`` keeps for any
-    point against all of them, the read-only matrix A = [B_keep; 1] of
-    every ``_least_pairing`` LP, and ``_gram_screen``'s mask and fields of
-    all points on those rows (None, None with no row)."""
+    ``validate``'s report: the rows ``keep`` that ``_kept_rows`` keeps for
+    any point against all of them, the read-only A = [B_keep; 1] of every
+    ``_least_pairing`` LP, and ``_gram_screen``'s ``ok`` and ``fields`` of
+    each point against all on those rows, with the SVD ``frame`` (None
+    until a point needs it).  A call screens just its distinct ``points``
+    not ``screened`` yet, marked once stored; readers index copies."""
     ctx = getattr(system, "_pairing_context", None)
     if ctx is None:
-        B = system.basis
+        B, n = system.basis, system.n
         keep = _kept_rows(B, B[:, 0], coefficient_scales(system))
-        A = np.vstack([B[keep], np.ones((1, system.n))])
+        A = np.vstack([B[keep], np.ones((1, n))])
         A.setflags(write=False)
-        screen = _gram_screen(A[:-1], np.arange(system.n))[:2] if keep.any() else (None, None)
-        ctx = keep, A, *screen
+        ctx = SimpleNamespace(keep=keep, A=A, frame=None, ok=np.zeros(n, dtype=bool),
+                              fields=np.zeros(A[:-1].shape), screened=np.zeros(n, dtype=bool))
         object.__setattr__(system, "_pairing_context", ctx)
+    new = np.asarray(points, dtype=int)
+    new = new[~ctx.screened[new]]
+    if new.size and ctx.keep.any():
+        ctx.ok[new], ctx.fields[:, new], frame = _gram_screen(ctx.A[:-1], new)
+        ctx.frame = ctx.frame or frame
+    ctx.screened[new] = True
     return ctx
 
 
@@ -527,10 +540,8 @@ def _dirac_values(system, fields, points):
     and the minorant g(x) - lam (psi(x) - psi), where lam is the least
     slope that keeps it below g; the Dirac mass is checked once for all."""
     B, points = system.basis, np.asarray(points, dtype=int)
-    _, A, screened, C = _pairing(system)
-    if screened is None:
-        return np.zeros(points.size, dtype=bool)
-    Q, ok, C = A[:-1], screened[points], C[:, points]
+    ctx = _pairing(system, points)
+    Q, ok, C = ctx.A[:-1], ctx.ok[points], ctx.fields[:, points]
     with in_float_range("field"):
         for lo in range(0, points.size, 256):  # n x 256 slopes at a time
             block, mine = points[lo : lo + 256], ok[lo : lo + 256]  # a view of ok

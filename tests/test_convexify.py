@@ -165,20 +165,33 @@ def _sweep_starts(monkeypatch):
 
 
 def test_batched_dirac_values_match_one_point_calls_and_skip_the_boundary(monkeypatch):
-    # the system's one cached screen over all points certifies exactly the
-    # points an uncached one-point screen certifies, batched and one-point
-    # calls agree, and the sweep solves no LP at a certified point.  The
-    # screen certifies every boundary point of the named systems; on some
-    # random ones it leaves a boundary point open, which then takes an LP
+    # the system's one cached screen is the same, bit for bit, whatever
+    # order fills it: all points at once, one at a time ascending or
+    # descending, or two halves; each order gives the same boundary.  It
+    # certifies exactly the points an uncached one-point screen certifies,
+    # batched and one-point calls agree, and the sweep solves no LP at a
+    # certified point.  The screen certifies every boundary point of the
+    # named systems; on some random ones it leaves a boundary point open,
+    # which then takes an LP
     named = [gen_naturals(4).system, gen_cantor(3).system, gen_disk(32, 1, 8).system,
              gen_interval_affine(60).system]
     rng = np.random.default_rng(2026)
     for k, system in enumerate(named + _random_systems(20, 70_000)):
-        boundary = measures.choquet_boundary(system).is_boundary
+        every = np.arange(system.n)
+        filled = []
+        for order in ([every], every[:, None], every[::-1, None], np.array_split(every, 2)):
+            copy = FunctionSystem(system.space, system.basis)
+            for points in order:
+                measures._pairing(copy, points)
+            ctx = measures._pairing(copy)
+            assert ctx.screened.all()
+            boundary = measures.choquet_boundary(copy).is_boundary
+            filled.append((ctx.ok.tobytes(), ctx.fields.tobytes(), boundary.tobytes()))
+        assert len(set(filled)) == 1
         B = system.basis
         Q = B[measures._kept_rows(B, B[:, 0], measures.coefficient_scales(system))]
         alone = [measures._gram_screen(Q, np.array([x]))[0][0] for x in range(system.n)]
-        assert np.array_equal(measures._pairing(system)[2], alone)
+        assert np.array_equal(ctx.ok, alone)
         f = _convex_field(rng, system)
         for g in (f, f + rng.uniform(0.05, 0.25, size=system.n)):
             for fields in [(g,), (g, -g)]:
@@ -242,6 +255,33 @@ def test_one_screen_serves_every_value_on_a_system(monkeypatch):
     for x in range(0, system.n, 7):
         measures.key_interval(system, g, x)
     assert len(screens) == 1
+
+
+@pytest.mark.parametrize("first", ["key_interval", "representing_measure"])
+def test_a_lone_value_screens_only_its_point(first, monkeypatch):
+    # a fresh system's first value at a boundary point screens that one
+    # column and takes the closed form; the boundary then screens the
+    # other n - 1 points, and no later value, boundary verdict or sweep
+    # screens a point again
+    system = gen_disk(256, 4, 8).system
+    x = system.space.index("circ005")
+    f = system.basis.T @ np.random.default_rng(5).normal(size=system.d)
+    screens, lps = _count_screens(monkeypatch), count_lps(monkeypatch)
+    if first == "key_interval":
+        assert measures.key_interval(system, f, x) == measures.KeyInterval(f[x], f[x])
+    else:
+        assert measures.representing_measure(system, x).weights[x] == 1.0
+    assert not lps and [args[1].tolist() for args in screens] == [[x]]
+    measures.choquet_boundary(system)
+    assert [args[1].size for args in screens] == [1, system.n - 1]
+    convexify.biconjugate(system, f)
+    for y in (x, 7, 300, 1000):
+        measures.min_self_mass(system, y)
+        measures.key_interval(system, f, y)
+        measures.representing_measure(system, y)
+    assert len(screens) == 2
+    screened = np.concatenate([args[1] for args in screens])
+    assert np.array_equal(np.sort(screened), np.arange(system.n))
 
 
 def test_convexity_test_stops_early_with_the_gap_verdict(monkeypatch):
